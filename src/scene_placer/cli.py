@@ -11,8 +11,6 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from . import dataset_io
 from .config import RunConfig
 from .errors import ScenePlacerError

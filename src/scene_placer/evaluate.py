@@ -8,8 +8,7 @@ sizes) used purely as a comparison policy.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,7 @@ samples per camera fall back to a model pooled over all cameras.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -132,19 +132,30 @@ class BBox:
 
 @dataclass(frozen=True)
 class PixelSet:
-    """Integer pixel coordinates in canonical row-major order, shape (n, 2) as (x, y)."""
+    """Pixels of a grid `width` pixels wide, as row-major flat indices.
 
-    xy: np.ndarray
+    Flat index i is the pixel (x, y) = (i % width, i // width), so ascending
+    indices are the canonical row-major order. Picks decode one index each;
+    the (n, 2) array of (x, y) pairs is built only when `xy` is read.
+    """
+
+    flat: np.ndarray
+    width: int
 
     def __post_init__(self):
-        object.__setattr__(self, "xy", _frozen_array(self.xy, np.int64).reshape(-1, 2))
+        object.__setattr__(self, "flat", _frozen_array(self.flat, np.int64).reshape(-1))
 
     def __len__(self) -> int:
-        return self.xy.shape[0]
+        return self.flat.shape[0]
 
     def __getitem__(self, i):
-        x, y = self.xy[i]
-        return int(x), int(y)
+        y, x = divmod(int(self.flat[i]), self.width)
+        return x, y
+
+    @property
+    def xy(self) -> np.ndarray:
+        ys, xs = np.divmod(self.flat, self.width)
+        return _frozen_array(np.stack([xs, ys], axis=1), np.int64)
 
 
 @dataclass(frozen=True)
@@ -166,7 +177,13 @@ def drivable_mask(labels: LabelGrid, drivable_classes) -> DrivableMask:
     classes = sorted(set(int(c) for c in drivable_classes))
     if not classes:
         raise ValueError("drivable_classes must be non-empty")
-    bits = np.isin(labels.labels, np.asarray(classes, dtype=np.uint8))
+    # labels are uint8: a class outside 0..255 would silently match nothing
+    bad = [c for c in classes if not 0 <= c <= 255]
+    if bad:
+        raise ValueError(f"drivable classes {bad} are outside the label range 0..255")
+    bits = labels.labels == classes[0]
+    for c in classes[1:]:
+        bits |= labels.labels == c
     return DrivableMask(bits)
 
 
@@ -182,8 +199,7 @@ def placement_band(depth: DepthGrid, mask: DrivableMask, d: float, tau: float) -
     if not tau > 0:
         raise ValueError("tau must be > 0")
     hit = mask.bits & (np.abs(depth.values - np.float32(d)) <= tau)
-    ys, xs = np.nonzero(hit)  # nonzero scans row-major
-    return PixelSet(np.stack([xs, ys], axis=1))
+    return PixelSet(np.flatnonzero(hit), depth.width)  # ascending = row-major
 
 
 def closest_allowed_depth(depth: DepthGrid, mask: DrivableMask, d: float) -> float:

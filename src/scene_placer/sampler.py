@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     MaxAttemptsExceeded,
     UnknownClass,
 )
-from .fitting import ClassModel, Histogram, LocationModel
+from .fitting import Histogram, LocationModel
 from .geometry import BBox, DepthGrid, DrivableMask, placement_band, closest_allowed_depth
 
 

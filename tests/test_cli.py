@@ -130,6 +130,26 @@ class TestAugment:
             assert (t / "layouts1" / n).read_bytes() == (t / "layouts_env" / n).read_bytes()
 
 
+    @pytest.mark.parametrize("source, bad", [("flag", "300"), ("config", "-1")])
+    def test_drivable_class_out_of_range_exit_2(self, fixture_dataset, capsys,
+                                                source, bad):
+        t = fixture_dataset
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
+        if source == "flag":
+            extra = ["--config", _cfg(t), "--drivable-classes", f"1,{bad}"]
+        else:
+            cfg = t / "bad_config.json"
+            cfg.write_text(json.dumps({"drivable_classes": [1, int(bad)]}))
+            extra = ["--config", cfg]
+        capsys.readouterr()
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "layouts", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err and "0..255" in err
+
+
 class TestEvalRender:
     def test_eval_and_render(self, fixture_dataset):
         t = fixture_dataset

@@ -51,6 +51,15 @@ class TestDrivableMask:
         with pytest.raises(ValueError):
             drivable_mask(LabelGrid([[0]]), set())
 
+    @pytest.mark.parametrize("classes", [{1, 300}, {-1}, {256}])
+    def test_class_outside_label_range_rejected(self, classes):
+        with pytest.raises(ValueError, match="0..255"):
+            drivable_mask(LabelGrid([[1, 255]]), classes)
+
+    def test_label_range_bounds_accepted(self):
+        mask = drivable_mask(LabelGrid([[0, 255, 7]]), {0, 255})
+        assert mask.bits.tolist() == [[True, True, False]]
+
 
 class TestPlacementBand:
     def test_uniform_depth_full_mask(self):
@@ -99,6 +108,40 @@ class TestPlacementBand:
         for x, y in band.xy.tolist():
             assert mask_vals[y, x]
             assert abs(float(depth_vals[y, x]) - d) <= tau
+
+
+class TestPixelSet:
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (3, 5)])
+    def test_len_getitem_and_xy_agree(self, shape):
+        # a full band lists every pixel once; (3, 5) is wider than tall, so
+        # decoding by height instead of width would give wrong pixels
+        h, w = shape
+        band = placement_band(DepthGrid(np.full(shape, 4.0)),
+                              DrivableMask(np.ones(shape, bool)), 4.0, 1.0)
+        expect = [(x, y) for y in range(h) for x in range(w)]
+        assert len(band) == h * w
+        assert [band[i] for i in range(len(band))] == expect
+        assert [tuple(p) for p in band.xy.tolist()] == expect
+
+    def test_partial_band_on_wide_grid(self):
+        depth = np.zeros((2, 6), np.float32)
+        depth[1, 4] = depth[0, 5] = depth[1, 0] = 9.0
+        band = placement_band(DepthGrid(depth), DrivableMask(np.ones((2, 6), bool)),
+                              9.0, 0.5)
+        assert [band[i] for i in range(len(band))] == [(5, 0), (0, 1), (4, 1)]
+        assert band.xy.tolist() == [[5, 0], [0, 1], [4, 1]]
+
+    def test_band_includes_pixels_exactly_tau_away(self):
+        # |2 - 7| == 5 exactly in float32: the bound is inclusive
+        depth = DepthGrid([[2.0, 1.9], [12.0, 12.1]])
+        band = placement_band(depth, DrivableMask(np.ones((2, 2), bool)), 7.0, 5.0)
+        assert [band[i] for i in range(len(band))] == [(0, 0), (0, 1)]
+
+    def test_empty_band(self):
+        band = placement_band(DepthGrid(np.zeros((2, 3))),
+                              DrivableMask(np.ones((2, 3), bool)), 20.0, 1.0)
+        assert len(band) == 0
+        assert band.xy.shape == (0, 2)
 
 
 class TestClosestAllowedDepth:
