@@ -50,6 +50,7 @@ from .masks import (
     composite_masks,
     composite_order,
     refine_bbox,
+    refine_layout,
     visibility_filter,
 )
 from .evaluate import ks_statistic, layout_report

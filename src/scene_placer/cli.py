@@ -16,8 +16,8 @@ from .config import RunConfig
 from .errors import ScenePlacerError
 from .evaluate import layout_report, save_report
 from .fitting import fit_model
-from .geometry import BBox, crop_geometry, drivable_mask
-from .masks import InstanceMask, composite_masks, composite_order, refine_bbox, visibility_filter
+from .geometry import BBox, drivable_mask
+from .masks import refine_layout
 from .sampler import FrameAugmentation, PlacementProposal, Provenance, SamplerParams, SceneContext, augment_frame
 
 
@@ -48,15 +48,22 @@ def _jobs(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _build_scene(frame, cfg, depth_dir=None, semantic_dir=None) -> SceneContext:
+def _read_grids(frame, cfg, depth_dir=None, semantic_dir=None):
+    """The frame's depth grid and drivable mask, read from its PGM pair."""
     depth = dataset_io.read_depth_grid(_resolve(depth_dir, frame.depth_path), cfg.depth_scale)
     labels = dataset_io.read_label_grid(_resolve(semantic_dir, frame.semantic_path))
+    return depth, drivable_mask(labels, cfg.drivable_classes)
+
+
+def _build_scene(frame, cfg, depth_dir=None, semantic_dir=None, grids=None) -> SceneContext:
+    """`grids` is the frame's (depth, drivable) pair when it is already read."""
+    depth, drivable = grids or _read_grids(frame, cfg, depth_dir, semantic_dir)
     return SceneContext(
         frame_w=frame.width,
         frame_h=frame.height,
         camera_id=frame.camera_id,
         depth=depth,
-        drivable=drivable_mask(labels, cfg.drivable_classes),
+        drivable=drivable,
     )
 
 
@@ -97,49 +104,12 @@ def _augment_one(frame, model, cfg, args):
     )
     aug = augment_frame(scene, model, cfg.n_objects, cfg.seed, frame.frame_id, params)
     if args.masks_dir:
-        aug = _refine_with_masks(aug, frame.width, frame.height, args.masks_dir, cfg)
+        paths = [os.path.join(args.masks_dir, f"{aug.frame_id}_{i}.pgm")
+                 for i in range(len(aug.proposals))]
+        aug = refine_layout(aug, paths, frame.width, frame.height,
+                            cfg.min_visible_composite)
     dataset_io.save_layout(aug, os.path.join(args.out_layouts, f"{frame.frame_id}.json"))
     return aug
-
-
-def _refine_with_masks(aug, frame_w, frame_h, masks_dir, cfg):
-    """Attach per-proposal mask files when present; refine boxes and drop
-    proposals occluded below the visibility threshold."""
-    masked = []
-    masks = []
-    passthrough = []
-    for i, p in enumerate(aug.proposals):
-        path = os.path.join(masks_dir, f"{aug.frame_id}_{i}.pgm")
-        if os.path.exists(path):
-            bits = dataset_io.read_mask_pgm(path)
-            patch = crop_geometry(p.box, frame_w, frame_h)
-            mask = InstanceMask(bits=bits, patch=patch)
-            try:
-                box = refine_bbox(mask)
-            except ScenePlacerError:
-                passthrough.append(p)
-                continue
-            masked.append(PlacementProposal(
-                class_id=p.class_id, d=p.d, d_effective=p.d_effective,
-                box=box, show_prob=p.show_prob, provenance=p.provenance,
-                mask_path=path,
-            ))
-            masks.append(mask)
-        else:
-            passthrough.append(p)
-    if masked:
-        order = composite_order(masked)
-        plan = composite_masks(masked, masks, order, frame_w, frame_h)
-        kept, _ = visibility_filter(plan, cfg.min_visible_composite)
-        dropped_here = len(masked) - len(kept)
-        masked = [masked[i] for i in kept]
-    else:
-        dropped_here = 0
-    return FrameAugmentation(
-        frame_id=aug.frame_id,
-        proposals=passthrough + masked,
-        dropped=aug.dropped + dropped_here,
-    )
 
 
 def cmd_augment(args) -> int:
@@ -177,33 +147,15 @@ def _proposal_from_json(rec, scale) -> PlacementProposal:
 def cmd_refine(args) -> int:
     cfg = _load_config(args)
     doc = dataset_io.load_layout(args.layout)
-    proposals = [_proposal_from_json(rec, 1.0) for rec in doc["proposals"]]
-    masked, masks, passthrough = [], [], []
-    for p in proposals:
-        if p.mask_path and os.path.exists(p.mask_path):
-            bits = dataset_io.read_mask_pgm(p.mask_path)
-            patch = crop_geometry(p.box, args.width, args.height)
-            mask = InstanceMask(bits=bits, patch=patch)
-            box = refine_bbox(mask)
-            masked.append(PlacementProposal(
-                class_id=p.class_id, d=p.d, d_effective=p.d_effective,
-                box=box, show_prob=p.show_prob, provenance=p.provenance,
-                mask_path=p.mask_path,
-            ))
-            masks.append(mask)
-        else:
-            passthrough.append(p)
-    dropped = doc["dropped"]
-    if masked:
-        order = composite_order(masked)
-        plan = composite_masks(masked, masks, order, args.width, args.height)
-        kept, _ = visibility_filter(plan, cfg.min_visible_composite)
-        dropped += len(masked) - len(kept)
-        masked = [masked[i] for i in kept]
-    aug = FrameAugmentation(frame_id=doc["frame_id"],
-                            proposals=passthrough + masked, dropped=dropped)
+    aug = FrameAugmentation(
+        frame_id=doc["frame_id"],
+        proposals=[_proposal_from_json(rec, 1.0) for rec in doc["proposals"]],
+        dropped=doc["dropped"],
+    )
+    aug = refine_layout(aug, [p.mask_path for p in aug.proposals],
+                        args.width, args.height, cfg.min_visible_composite)
     dataset_io.save_layout(aug, args.out)
-    print(f"refined {len(masked)} masked proposals, dropped {dropped}")
+    print(f"refined layout: {len(aug.proposals)} proposals kept, {aug.dropped} dropped")
     return 0
 
 
@@ -211,10 +163,14 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     frames = dataset_io.read_annotations(args.annotations)
     model = dataset_io.load_model(args.model)
-    scenes = {}
+    # frames that share a (depth, semantic) pair share its grids, read once
+    grids, scenes = {}, {}
     for fr in frames:
         if fr.has_grids:
-            scenes[fr.frame_id] = _build_scene(fr, cfg, args.depth_dir, args.semantic_dir)
+            key = (fr.depth_path, fr.semantic_path)
+            if key not in grids:
+                grids[key] = _read_grids(fr, cfg, args.depth_dir, args.semantic_dir)
+            scenes[fr.frame_id] = _build_scene(fr, cfg, grids=grids[key])
     augs = []
     for name in sorted(os.listdir(args.layouts)):
         if not name.endswith(".json"):

@@ -7,6 +7,27 @@ import json
 from dataclasses import dataclass, field
 
 
+CLASS_PRIORS = ("uniform", "frequency")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(c) for c in v)
+
+
+# per annotation of a RunConfig field: (accepts the JSON value, what it must be)
+_FIELD_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[int]": (_is_int_list, "a list of integers"),
+    "list[int] | None": (lambda v: v is None or _is_int_list(v), "null or a list of integers"),
+}
+
+
 @dataclass
 class RunConfig:
     """All tunable knobs with their defaults.
@@ -30,17 +51,26 @@ class RunConfig:
     seed: int = 0
     depth_scale: float = 1.0 / 256.0
     min_visible_composite: float = 0.2
-    class_prior: str = "uniform"  # "uniform" or "frequency"
+    class_prior: str = "uniform"  # one of CLASS_PRIORS
     augmentable_classes: list[int] | None = None
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in raw.items():
+            accepts, expected = _FIELD_CHECKS[types[name]]
+            if not accepts(value):
+                raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
+        if raw.get("class_prior", CLASS_PRIORS[0]) not in CLASS_PRIORS:
+            raise ValueError(f"config field 'class_prior' must be one of {CLASS_PRIORS}, "
+                             f"got {raw['class_prior']!r}")
         return cls(**raw)
 
     def replace(self, **kwargs) -> "RunConfig":

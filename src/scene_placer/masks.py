@@ -4,17 +4,22 @@ Instance masks live in patch-local pixels and are placed in the frame by
 their PatchRect. Compositing pastes masks far-to-near (ascending order of
 1/disparity, i.e. nearest last) so that near objects overwrite far ones,
 yielding pairwise-disjoint visible regions and a visibility fraction per
-proposal.
+proposal. A mask covers only its patch, so each is rasterized over the part
+of its patch inside the frame, and painting and counting stay in that box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
+from . import dataset_io
 from .errors import EmptyMask
-from .geometry import BBox, PatchRect
+from .geometry import BBox, PatchRect, crop_geometry
+from .sampler import FrameAugmentation
 
 
 @dataclass(frozen=True)
@@ -45,18 +50,27 @@ class InstanceMask:
         return self.bits.shape[1]
 
 
+class Footprint(NamedTuple):
+    """A mask's frame pixels, clipped to the frame: bits[r, c] covers frame
+    pixel (box[1].start + c, box[0].start + r). Outside the box the mask
+    covers nothing, so all painting and counting stays inside it."""
+
+    box: tuple  # (row slice, column slice) into a (frame_h, frame_w) array
+    bits: np.ndarray  # (rows, cols) bool
+
+
 @dataclass
 class CompositePlan:
     """Overwrite-resolved stack of masks in frame coordinates.
 
     owner[y, x] holds the index of the proposal visible at that pixel, or -1.
-    footprints[i] is proposal i's full rasterized frame footprint (before
+    footprints[i] is proposal i's box-clipped rasterized footprint (before
     occlusion), kept so the plan can be recomputed after drops.
     """
 
     order: list  # paste order, far to near
     owner: np.ndarray  # (frame_h, frame_w) int32
-    footprints: list  # list of (frame_h, frame_w) bool arrays
+    footprints: list  # list of Footprint
     visible_frac: np.ndarray  # per proposal, 0..1
 
     def visible_mask(self, i: int) -> np.ndarray:
@@ -69,15 +83,18 @@ def refine_bbox(mask: InstanceMask) -> BBox:
     Pixel (px, py) covers [px, px+1) x [py, py+1) patch-locally, scaled by
     patch.side / mask resolution when mapped to the frame.
     """
-    ys, xs = np.nonzero(mask.bits)
-    if ys.size == 0:
+    rows = mask.bits.any(axis=1)
+    cols = mask.bits.any(axis=0)
+    if not rows.any():
         raise EmptyMask("mask has no set bits")
+    y_min, y_max = np.argmax(rows), mask.height - 1 - np.argmax(rows[::-1])
+    x_min, x_max = np.argmax(cols), mask.width - 1 - np.argmax(cols[::-1])
     sx = mask.patch.side / mask.width
     sy = mask.patch.side / mask.height
-    x_lo = mask.patch.x0 + xs.min() * sx
-    x_hi = mask.patch.x0 + (xs.max() + 1) * sx
-    y_hi = mask.patch.y0 + (ys.max() + 1) * sy
-    h = (ys.max() + 1 - ys.min()) * sy
+    x_lo = mask.patch.x0 + x_min * sx
+    x_hi = mask.patch.x0 + (x_max + 1) * sx
+    y_hi = mask.patch.y0 + (y_max + 1) * sy
+    h = (y_max + 1 - y_min) * sy
     return BBox(cx=(x_lo + x_hi) / 2.0, by=float(y_hi), w=float(x_hi - x_lo), h=float(h))
 
 
@@ -86,34 +103,47 @@ def composite_order(proposals) -> list:
     return sorted(range(len(proposals)), key=lambda i: (proposals[i].d_effective, i))
 
 
-def rasterize_mask(mask: InstanceMask, frame_w: int, frame_h: int) -> np.ndarray:
-    """Nearest-neighbor placement of a patch-local mask onto the frame grid."""
-    out = np.zeros((frame_h, frame_w), dtype=bool)
+def rasterize_mask(mask: InstanceMask, frame_w: int, frame_h: int) -> Footprint:
+    """Nearest-neighbor placement of a patch-local mask onto the frame grid,
+    over the part of its patch that lies inside the frame."""
     side = mask.patch.side
     x0, y0 = mask.patch.x0, mask.patch.y0
     fx0, fx1 = max(x0, 0), min(x0 + side, frame_w)
     fy0, fy1 = max(y0, 0), min(y0 + side, frame_h)
     if fx0 >= fx1 or fy0 >= fy1:
-        return out
+        return Footprint(box=(slice(0, 0), slice(0, 0)), bits=np.zeros((0, 0), dtype=bool))
     # frame pixel centers sampled back into mask resolution
     xs = ((np.arange(fx0, fx1) - x0 + 0.5) * mask.width / side).astype(np.intp)
     ys = ((np.arange(fy0, fy1) - y0 + 0.5) * mask.height / side).astype(np.intp)
     xs = np.clip(xs, 0, mask.width - 1)
     ys = np.clip(ys, 0, mask.height - 1)
-    out[fy0:fy1, fx0:fx1] = mask.bits[np.ix_(ys, xs)]
-    return out
+    return Footprint(box=(slice(fy0, fy1), slice(fx0, fx1)), bits=mask.bits[np.ix_(ys, xs)])
+
+
+def _paint(footprints, order, frame_w: int, frame_h: int) -> np.ndarray:
+    """Owner map after pasting the footprints in order; later ones win."""
+    owner = np.full((frame_h, frame_w), -1, dtype=np.int32)
+    for i in order:
+        box, bits = footprints[i]
+        owner[box][bits] = i
+    return owner
+
+
+def _visible_frac(owner, footprints, indices) -> np.ndarray:
+    """Share of each listed footprint that owner assigns to it; 0 elsewhere."""
+    visible = np.zeros(len(footprints))
+    for i in indices:
+        box, bits = footprints[i]
+        total = np.count_nonzero(bits)
+        visible[i] = np.count_nonzero(owner[box][bits] == i) / total if total else 0.0
+    return visible
 
 
 def composite_masks(proposals, masks, order, frame_w: int, frame_h: int) -> CompositePlan:
     """Resolve overlaps by pasting in the given order; later masks win."""
     footprints = [rasterize_mask(m, frame_w, frame_h) for m in masks]
-    owner = np.full((frame_h, frame_w), -1, dtype=np.int32)
-    for i in order:
-        owner[footprints[i]] = i
-    visible = np.zeros(len(masks))
-    for i, fp in enumerate(footprints):
-        total = fp.sum()
-        visible[i] = (owner == i).sum() / total if total else 0.0
+    owner = _paint(footprints, order, frame_w, frame_h)
+    visible = _visible_frac(owner, footprints, range(len(footprints)))
     return CompositePlan(order=list(order), owner=owner,
                          footprints=footprints, visible_frac=visible)
 
@@ -127,15 +157,44 @@ def visibility_filter(plan: CompositePlan, min_visible: float = 0.2):
     if not 0.0 <= min_visible <= 1.0:
         raise ValueError("min_visible must be in [0, 1]")
     kept = [i for i in range(len(plan.footprints)) if plan.visible_frac[i] >= min_visible]
-    owner = np.full_like(plan.owner, -1)
-    for i in plan.order:
-        if i in kept:
-            owner[plan.footprints[i]] = i
-    visible = np.zeros(len(plan.footprints))
-    for i in kept:
-        total = plan.footprints[i].sum()
-        visible[i] = (owner == i).sum() / total if total else 0.0
-    new_plan = CompositePlan(order=[i for i in plan.order if i in kept],
-                             owner=owner, footprints=plan.footprints,
-                             visible_frac=visible)
+    keep = set(kept)
+    order = [i for i in plan.order if i in keep]
+    frame_h, frame_w = plan.owner.shape
+    owner = _paint(plan.footprints, order, frame_w, frame_h)
+    new_plan = CompositePlan(order=order, owner=owner, footprints=plan.footprints,
+                             visible_frac=_visible_frac(owner, plan.footprints, kept))
     return kept, new_plan
+
+
+def refine_layout(aug: FrameAugmentation, mask_paths, frame_w: int, frame_h: int,
+                  min_visible: float) -> FrameAugmentation:
+    """Refine each proposal to the tight box of its mask, composite the masked
+    proposals far-to-near and drop those visible below min_visible.
+
+    mask_paths[i] is proposal i's mask file, or None. A proposal whose file is
+    missing or has no set bits passes through unchanged and is not composited.
+    Passed-through proposals come first, then the kept masked ones.
+    """
+    masked, masks, passthrough = [], [], []
+    for p, path in zip(aug.proposals, mask_paths):
+        if path is None or not os.path.exists(path):
+            passthrough.append(p)
+            continue
+        mask = InstanceMask(bits=dataset_io.read_mask_pgm(path),
+                            patch=crop_geometry(p.box, frame_w, frame_h))
+        try:
+            box = refine_bbox(mask)
+        except EmptyMask:
+            passthrough.append(p)
+            continue
+        masked.append(replace(p, box=box, mask_path=path))
+        masks.append(mask)
+    kept = []
+    if masked:
+        plan = composite_masks(masked, masks, composite_order(masked), frame_w, frame_h)
+        kept, _ = visibility_filter(plan, min_visible)
+    return FrameAugmentation(
+        frame_id=aug.frame_id,
+        proposals=passthrough + [masked[i] for i in kept],
+        dropped=aug.dropped + len(masked) - len(kept),
+    )

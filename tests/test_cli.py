@@ -6,6 +6,7 @@ import pytest
 
 from scene_placer import dataset_io
 from scene_placer.cli import main
+from scene_placer.config import RunConfig
 from scene_placer.geometry import DepthGrid, LabelGrid
 
 DEPTH_SCALE = 1.0 / 256.0
@@ -174,6 +175,32 @@ class TestEvalRender:
                     "--width", 48, "--height", 48, "--out", t / "o2.ppm"]) == 0
         assert first == (t / "o2.ppm").read_bytes()
 
+    def test_frames_sharing_grids_read_them_once(self, fixture_dataset, monkeypatch):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "annotations.json").read_text())
+        # frames 0 and 1 on one grid pair, against each frame on its own copy
+        for name, paths in (("shared", ["0.pgm", "0.pgm"]), ("copies", ["0.pgm", "c.pgm"])):
+            images = [dict(im, depth_path=p, semantic_path=p)
+                      for im, p in zip(doc["images"][:2], paths)]
+            (t / f"{name}.json").write_text(json.dumps(dict(doc, images=images)))
+        for sub in ("depth", "semantic"):
+            (t / sub / "c.pgm").write_bytes((t / sub / "0.pgm").read_bytes())
+        reads = []
+        read_depth_grid = dataset_io.read_depth_grid
+        monkeypatch.setattr(dataset_io, "read_depth_grid",
+                            lambda *a: reads.append(a) or read_depth_grid(*a))
+        reports = {}
+        for name in ("shared", "copies"):
+            reads.clear()
+            assert run(["eval", t / f"{name}.json", "--model", t / "model.json",
+                        "--layouts", t / "layouts",
+                        "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                        "--config", _cfg(t), "--out-report", t / f"{name}_report.json"]) == 0
+            reports[name] = (t / f"{name}_report.json").read_bytes()
+            assert len(reads) == (1 if name == "shared" else 2)
+        assert reports["shared"] == reports["copies"]
+
     def test_missing_layout_exit_2(self, tmp_path):
         assert run(["render", tmp_path / "nope.json", "--width", 10,
                     "--height", 10, "--out", tmp_path / "o.ppm"]) == 2
@@ -205,6 +232,90 @@ class TestRefine:
         new = masked[0]["box"]
         # mask covers the central half of the patch: the refined box shrinks
         assert new[2] <= 2 * max(orig[2], orig[3]) + 1e-6
+
+    def test_empty_mask_passes_through(self, fixture_dataset):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = dataset_io.load_layout(t / "layouts" / "0.json")
+        full = np.ones((16, 16), bool)
+        empty = np.zeros((16, 16), bool)
+        for i, bits in enumerate((empty, full)):
+            dataset_io.write_mask_pgm(bits, t / f"p{i}.pgm")
+            doc["proposals"][i]["mask"] = str(t / f"p{i}.pgm")
+        layout_path = t / "masked_layout.json"
+        layout_path.write_text(json.dumps(doc))
+        out = t / "refined.json"
+        assert run(["refine", layout_path, "--width", 48, "--height", 48,
+                    "--out", out, "--config", _cfg(t)]) == 0
+        refined = dataset_io.load_layout(out)
+        # the empty-mask proposal comes through unchanged with the unmasked
+        # ones, ahead of the single refined proposal
+        assert refined["proposals"][0] == doc["proposals"][0]
+        assert refined["proposals"][1:-1] == doc["proposals"][2:]
+        assert refined["proposals"][-1]["mask"] == str(t / "p1.pgm")
+        assert refined["dropped"] == doc["dropped"]
+
+
+class TestAugmentMasks:
+    def test_empty_mask_passes_through(self, fixture_dataset):
+        t = fixture_dataset
+        _fit_and_augment(t, "plain", 1)
+        plain = dataset_io.load_layout(t / "plain" / "0.json")
+        masks = t / "masks"
+        masks.mkdir()
+        dataset_io.write_mask_pgm(np.zeros((16, 16), bool), masks / "0_0.pgm")
+        dataset_io.write_mask_pgm(np.ones((16, 16), bool), masks / "0_1.pgm")
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--masks-dir", masks, "--out-layouts", t / "masked",
+                    "--config", _cfg(t), "--seed", 7]) == 0
+        doc = dataset_io.load_layout(t / "masked" / "0.json")
+        # proposal 0 (empty mask) and the unmasked ones pass through as
+        # sampled; only proposal 1 is refined, and it is last
+        assert doc["proposals"][0] == plain["proposals"][0]
+        assert doc["proposals"][1:-1] == plain["proposals"][2:]
+        assert doc["proposals"][-1]["mask"] == str(masks / "0_1.pgm")
+        assert doc["dropped"] == plain["dropped"]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("field, value", [
+        ("drivable_classes", "13"),
+        ("drivable_classes", [1.7]),
+        ("drivable_classes", 1),
+        ("drivable_classes", [None]),
+        ("augmentable_classes", [1, "2"]),
+        ("tau", "5"),
+        ("n_objects", 2.5),
+        ("max_attempts", True),
+        ("class_prior", "balanced"),
+    ])
+    def test_wrong_type_exit_2(self, fixture_dataset, capsys, field, value):
+        t = fixture_dataset
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
+        cfg = t / "bad_config.json"
+        cfg.write_text(json.dumps({field: value}))
+        capsys.readouterr()
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "layouts", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field ") and repr(field) in err
+        assert not (t / "layouts").exists() or not os.listdir(t / "layouts")
+
+    def test_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
+        assert run(["fit", tmp_path / "annotations.json", "--out-model",
+                    tmp_path / "m.json", "--config", cfg]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_numbers_accepted(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"tau": 4, "window": 1.5, "augmentable_classes": None,
+                                   "drivable_classes": [], "class_prior": "frequency"}))
+        assert RunConfig.from_file(cfg).tau == 4
 
 
 def test_help_lists_defaults(capsys):

@@ -164,7 +164,8 @@ class TestCompositeMasks:
             union |= vm
         all_input = np.zeros((16, 16), bool)
         for m in masks:
-            all_input |= rasterize_mask(m, 16, 16)
+            fp = rasterize_mask(m, 16, 16)
+            all_input[fp.box] |= fp.bits
         assert (union == all_input).all()
 
 
@@ -201,3 +202,109 @@ class TestVisibilityFilter:
         # exhaustive oracle over subsets: keep exactly those above threshold
         fracs = plan.visible_frac
         assert kept == [i for i in range(3) if fracs[i] >= 0.2]
+
+
+# Full-frame reference: compositing as it was before footprints were clipped
+# to their boxes. Every mask becomes a (frame_h, frame_w) array and visibility
+# is counted over the whole frame.
+
+def _ref_rasterize(mask, frame_w, frame_h):
+    out = np.zeros((frame_h, frame_w), dtype=bool)
+    side = mask.patch.side
+    x0, y0 = mask.patch.x0, mask.patch.y0
+    fx0, fx1 = max(x0, 0), min(x0 + side, frame_w)
+    fy0, fy1 = max(y0, 0), min(y0 + side, frame_h)
+    if fx0 >= fx1 or fy0 >= fy1:
+        return out
+    xs = ((np.arange(fx0, fx1) - x0 + 0.5) * mask.width / side).astype(np.intp)
+    ys = ((np.arange(fy0, fy1) - y0 + 0.5) * mask.height / side).astype(np.intp)
+    xs = np.clip(xs, 0, mask.width - 1)
+    ys = np.clip(ys, 0, mask.height - 1)
+    out[fy0:fy1, fx0:fx1] = mask.bits[np.ix_(ys, xs)]
+    return out
+
+
+def _ref_composite(masks, order, frame_w, frame_h):
+    footprints = [_ref_rasterize(m, frame_w, frame_h) for m in masks]
+    owner = np.full((frame_h, frame_w), -1, dtype=np.int32)
+    for i in order:
+        owner[footprints[i]] = i
+    visible = np.zeros(len(masks))
+    for i, fp in enumerate(footprints):
+        total = fp.sum()
+        visible[i] = (owner == i).sum() / total if total else 0.0
+    return footprints, owner, visible
+
+
+def _ref_visibility_filter(footprints, order, owner_shape, visible_frac, min_visible):
+    kept = [i for i in range(len(footprints)) if visible_frac[i] >= min_visible]
+    owner = np.full(owner_shape, -1, dtype=np.int32)
+    for i in order:
+        if i in kept:
+            owner[footprints[i]] = i
+    visible = np.zeros(len(footprints))
+    for i in kept:
+        total = footprints[i].sum()
+        visible[i] = (owner == i).sum() / total if total else 0.0
+    return kept, owner, visible
+
+
+def _random_mask(rng, frame_w, frame_h):
+    """Patch anywhere from fully left/above the frame to fully right/below
+    it, with a bitmap larger or smaller than the patch (not always square),
+    sometimes all zero."""
+    side = int(rng.integers(1, 12))
+    x0 = int(rng.integers(-side - 2, frame_w + 3))
+    y0 = int(rng.integers(-side - 2, frame_h + 3))
+    mh, mw = (int(v) for v in rng.integers(1, 2 * side + 4, 2))
+    density = rng.choice([0.0, 0.3, 0.8, 1.0])
+    bits = rng.random((mh, mw)) < density
+    return InstanceMask(bits=bits, patch=PatchRect(x0, y0, side))
+
+
+class TestBoxClippedCompositingMatchesFullFrame:
+    def test_random_cases(self, rng):
+        shapes = {"left": 0, "top": 0, "right": 0, "bottom": 0, "outside": 0,
+                  "empty": 0, "larger": 0, "smaller": 0, "ties": 0}
+        for _ in range(400):
+            frame_w, frame_h = (int(v) for v in rng.integers(4, 24, 2))
+            n = int(rng.integers(1, 8))
+            # few distinct disparities, so paste-order ties are common
+            props = [_proposal(float(rng.integers(1, 4)), i) for i in range(n)]
+            masks = [_random_mask(rng, frame_w, frame_h) for _ in range(n)]
+            order = composite_order(props)
+            min_visible = float(rng.choice([0.0, 0.2, 0.5, 1.0]))
+
+            plan = composite_masks(props, masks, order, frame_w, frame_h)
+            ref_fps, ref_owner, ref_visible = _ref_composite(masks, order, frame_w, frame_h)
+            assert plan.owner.shape == (frame_h, frame_w)
+            assert plan.owner.dtype == np.int32
+            assert np.array_equal(plan.owner, ref_owner)
+            assert np.array_equal(plan.visible_frac, ref_visible)
+            assert len(plan.footprints) == n
+            for fp, ref in zip(plan.footprints, ref_fps):
+                pasted = np.zeros((frame_h, frame_w), bool)
+                pasted[fp.box] = fp.bits
+                assert np.array_equal(pasted, ref)
+
+            kept, new_plan = visibility_filter(plan, min_visible)
+            ref_kept, ref_new_owner, ref_new_visible = _ref_visibility_filter(
+                ref_fps, order, (frame_h, frame_w), ref_visible, min_visible)
+            assert kept == ref_kept
+            assert new_plan.order == [i for i in order if i in ref_kept]
+            assert np.array_equal(new_plan.owner, ref_new_owner)
+            assert np.array_equal(new_plan.visible_frac, ref_new_visible)
+
+            for m in masks:
+                p = m.patch
+                shapes["left"] += p.x0 < 0 < p.x0 + p.side
+                shapes["top"] += p.y0 < 0 < p.y0 + p.side
+                shapes["right"] += p.x0 < frame_w < p.x0 + p.side
+                shapes["bottom"] += p.y0 < frame_h < p.y0 + p.side
+                shapes["outside"] += (p.x0 >= frame_w or p.y0 >= frame_h
+                                      or p.x0 + p.side <= 0 or p.y0 + p.side <= 0)
+                shapes["empty"] += not m.bits.any()
+                shapes["larger"] += m.width > p.side and m.height > p.side
+                shapes["smaller"] += m.width < p.side and m.height < p.side
+            shapes["ties"] += len({p.d_effective for p in props}) < n
+        assert all(shapes.values()), shapes
