@@ -33,7 +33,6 @@ from .fitting import (
 from .sampler import (
     FrameAugmentation,
     PlacementProposal,
-    SamplerParams,
     SceneContext,
     augment_frame,
     propose,

@@ -18,34 +18,22 @@ from .evaluate import layout_report, save_report
 from .fitting import fit_model
 from .geometry import BBox, drivable_mask
 from .masks import refine_layout
-from .sampler import FrameAugmentation, PlacementProposal, Provenance, SamplerParams, SceneContext, augment_frame
+from .sampler import FrameAugmentation, PlacementProposal, Provenance, SceneContext, augment_frame
 
 
 def _resolve(base_dir, path):
-    if path is None:
-        return None
-    return path if os.path.isabs(path) or base_dir is None else os.path.join(base_dir, path)
+    """`path` under `base_dir`; os.path.join keeps an absolute path as it is."""
+    return path if path is None or base_dir is None else os.path.join(base_dir, path)
 
 
 def _load_config(args) -> RunConfig:
+    """The --config file (or the defaults) with the command's flags laid over it."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
-    if getattr(args, "objects_per_frame", None) is not None:
-        overrides["n_objects"] = args.objects_per_frame
-    if getattr(args, "drivable_classes", None):
-        overrides["drivable_classes"] = [int(c) for c in args.drivable_classes.split(",")]
-    return cfg.replace(**overrides)
-
-
-def _jobs(args) -> int:
-    if getattr(args, "jobs", None) is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("SCENE_PLACER_JOBS")
-    return max(1, int(env)) if env else 1
+    flags = vars(args)
+    classes = flags.get("drivable_classes")
+    return cfg.replace(seed=flags.get("seed"), tau=flags.get("tau"),
+                       n_objects=flags.get("objects_per_frame"),
+                       drivable_classes=[int(c) for c in classes.split(",")] if classes else None)
 
 
 def _read_grids(frame, cfg, depth_dir=None, semantic_dir=None):
@@ -70,9 +58,6 @@ def _build_scene(frame, cfg, depth_dir=None, semantic_dir=None, grids=None) -> S
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     frames = dataset_io.read_annotations(args.annotations)
-    if not frames:
-        print("error: empty dataset", file=sys.stderr)
-        return 2
     cache = {}
 
     def depth_lookup(frame):
@@ -96,13 +81,7 @@ def cmd_fit(args) -> int:
 
 def _augment_one(frame, model, cfg, args):
     scene = _build_scene(frame, cfg, args.depth_dir, args.semantic_dir)
-    params = SamplerParams(
-        tau=cfg.tau,
-        show_prob=cfg.show_prob,
-        min_visible_frac=cfg.min_visible_frac,
-        max_attempts=cfg.max_attempts,
-    )
-    aug = augment_frame(scene, model, cfg.n_objects, cfg.seed, frame.frame_id, params)
+    aug = augment_frame(scene, model, cfg.n_objects, cfg.seed, frame.frame_id, cfg)
     if args.masks_dir:
         paths = [os.path.join(args.masks_dir, f"{aug.frame_id}_{i}.pgm")
                  for i in range(len(aug.proposals))]
@@ -113,15 +92,16 @@ def _augment_one(frame, model, cfg, args):
 
 
 def cmd_augment(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     frames = dataset_io.read_annotations(args.annotations)
     model = dataset_io.load_model(args.model)
     os.makedirs(args.out_layouts, exist_ok=True)
     usable = [f for f in frames if f.has_grids]
     skipped = len(frames) - len(usable)
-    jobs = _jobs(args)
     dropped = 0
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for aug in pool.map(lambda fr: _augment_one(fr, model, cfg, args), usable):
             dropped += aug.dropped
     print(f"augmented {len(usable)} frames ({skipped} skipped, {dropped} proposals dropped)")
@@ -140,18 +120,26 @@ def _proposal_from_json(rec, scale) -> PlacementProposal:
         show_prob=float(rec["show_prob"]),
         provenance=Provenance(seed=0, frame_id="", index=0, attempts=1,
                               anchor_px=(ax, ay)),
-        mask_path=rec.get("mask"),
+        mask_path=rec["mask"],
+    )
+
+
+def _read_layout(path, scenes=None) -> FrameAugmentation:
+    """A layout file; each anchor is rebuilt on the grid of the frame's scene
+    in `scenes`, or in frame pixels when the frame has none."""
+    doc = dataset_io.load_layout(path)
+    scene = (scenes or {}).get(doc["frame_id"])
+    scale = scene.grid_scale if scene is not None else 1.0
+    return FrameAugmentation(
+        frame_id=doc["frame_id"],
+        proposals=[_proposal_from_json(rec, scale) for rec in doc["proposals"]],
+        dropped=doc["dropped"],
     )
 
 
 def cmd_refine(args) -> int:
     cfg = _load_config(args)
-    doc = dataset_io.load_layout(args.layout)
-    aug = FrameAugmentation(
-        frame_id=doc["frame_id"],
-        proposals=[_proposal_from_json(rec, 1.0) for rec in doc["proposals"]],
-        dropped=doc["dropped"],
-    )
+    aug = _read_layout(args.layout)
     aug = refine_layout(aug, [p.mask_path for p in aug.proposals],
                         args.width, args.height, cfg.min_visible_composite)
     dataset_io.save_layout(aug, args.out)
@@ -171,18 +159,8 @@ def cmd_eval(args) -> int:
             if key not in grids:
                 grids[key] = _read_grids(fr, cfg, args.depth_dir, args.semantic_dir)
             scenes[fr.frame_id] = _build_scene(fr, cfg, grids=grids[key])
-    augs = []
-    for name in sorted(os.listdir(args.layouts)):
-        if not name.endswith(".json"):
-            continue
-        doc = dataset_io.load_layout(os.path.join(args.layouts, name))
-        scene = scenes.get(doc["frame_id"])
-        scale = scene.grid_scale if scene is not None else 1.0
-        augs.append(FrameAugmentation(
-            frame_id=doc["frame_id"],
-            proposals=[_proposal_from_json(rec, scale) for rec in doc["proposals"]],
-            dropped=doc["dropped"],
-        ))
+    augs = [_read_layout(os.path.join(args.layouts, name), scenes)
+            for name in sorted(os.listdir(args.layouts)) if name.endswith(".json")]
     report = layout_report(frames, augs, scenes, model, cfg.tau)
     save_report(report, json_path=args.out_report,
                 text_path=args.out_text)
@@ -191,32 +169,31 @@ def cmd_eval(args) -> int:
 
 
 def cmd_render(args) -> int:
-    doc = dataset_io.load_layout(args.layout)
+    aug = _read_layout(args.layout)
     real_boxes = []
     if args.annotations:
         for fr in dataset_io.read_annotations(args.annotations):
-            if fr.frame_id == doc["frame_id"]:
+            if fr.frame_id == aug.frame_id:
                 real_boxes = [a.box for a in fr.annotations]
-    proposal_boxes = []
-    for rec in doc["proposals"]:
-        cx, by, w, h = rec["box"]
-        proposal_boxes.append(BBox(cx=cx, by=by, w=w, h=h))
     dataset_io.render_overlay(args.width, args.height, real_boxes,
-                              proposal_boxes, args.out)
+                              [p.box for p in aug.proposals], args.out)
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file (flat RunConfig fields)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--jobs", type=int,
-                   help="worker threads (default: $SCENE_PLACER_JOBS or 1)")
-    p.add_argument("--tau", type=float,
-                   help="placement band depth threshold (default 5.0)")
-    p.add_argument("--objects-per-frame", type=int,
-                   help="proposals per frame (default 12)")
-    p.add_argument("--drivable-classes",
-                   help="comma-separated drivable class indices (default 1,2,3)")
+# the run-parameter flags; each command takes only those it reads
+_FLAGS = {
+    "--config": dict(help="JSON config file (flat RunConfig fields); flags override it"),
+    "--seed": dict(type=int, help="master seed (default 0)"),
+    "--jobs": dict(type=int, default=1, help="worker threads (default 1)"),
+    "--tau": dict(type=float, help="placement band depth threshold (default 5.0)"),
+    "--objects-per-frame": dict(type=int, help="proposals per frame (default 12)"),
+    "--drivable-classes": dict(help="comma-separated drivable class indices (default 1,2,3)"),
+}
+
+
+def _add_flags(p, *names):
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a location model from annotations")
-    _add_common(p)
+    _add_flags(p, "--config")
     p.add_argument("annotations")
     p.add_argument("--depth-dir", help="base dir for relative depth paths")
     p.add_argument("--out-model", required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("augment", help="sample placement proposals per frame")
-    _add_common(p)
+    _add_flags(p, *_FLAGS)
     p.add_argument("annotations")
     p.add_argument("--model", required=True)
     p.add_argument("--depth-dir")
@@ -247,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("refine", help="mask-based box refinement of a layout")
-    _add_common(p)
+    _add_flags(p, "--config")
     p.add_argument("layout")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
@@ -255,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("eval", help="layout statistics vs real annotations")
-    _add_common(p)
+    _add_flags(p, "--config", "--tau", "--drivable-classes")
     p.add_argument("annotations")
     p.add_argument("--model", required=True)
     p.add_argument("--layouts", required=True)
@@ -266,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="render a layout overlay PPM")
-    _add_common(p)
     p.add_argument("layout")
     p.add_argument("--annotations")
     p.add_argument("--width", type=int, required=True)

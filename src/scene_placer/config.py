@@ -27,10 +27,23 @@ _FIELD_CHECKS = {
     "list[int] | None": (lambda v: v is None or _is_int_list(v), "null or a list of integers"),
 }
 
+# per RunConfig field with restricted values: (accepts the value, which
+# values); each rejects NaN
+_RANGES = {
+    **dict.fromkeys(("show_prob", "min_visible_frac", "min_visible_composite"),
+                    (lambda v: 0 <= v <= 1, "in [0, 1]")),
+    **dict.fromkeys(("tau", "window", "stride", "depth_scale"), (lambda v: v > 0, "> 0")),
+    **dict.fromkeys(("max_attempts", "n_bins", "min_window_count"), (lambda v: v >= 1, ">= 1")),
+    "n_objects": (lambda v: v >= 0, ">= 0"),
+    "class_prior": (lambda v: v in CLASS_PRIORS, f"one of {CLASS_PRIORS}"),
+}
+_ANY = (lambda v: True, "")
+
 
 @dataclass
 class RunConfig:
-    """All tunable knobs with their defaults.
+    """All tunable knobs with their defaults, type- and range-checked on
+    construction (so in from_file, replace and the model's config echo).
 
     Defaults follow the reference protocol: band threshold 5, 12 objects per
     frame shown with probability 0.5, depth windows of width 2 on a stride-1
@@ -54,23 +67,22 @@ class RunConfig:
     class_prior: str = "uniform"  # one of CLASS_PRIORS
     augmentable_classes: list[int] | None = None
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for accepts, expected in (_FIELD_CHECKS[f.type], _RANGES.get(f.name, _ANY)):
+                if not accepts(value):
+                    raise ValueError(f"config field {f.name!r} must be {expected}, got {value!r}")
+
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(raw) - set(types)
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in raw.items():
-            accepts, expected = _FIELD_CHECKS[types[name]]
-            if not accepts(value):
-                raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
-        if raw.get("class_prior", CLASS_PRIORS[0]) not in CLASS_PRIORS:
-            raise ValueError(f"config field 'class_prior' must be one of {CLASS_PRIORS}, "
-                             f"got {raw['class_prior']!r}")
         return cls(**raw)
 
     def replace(self, **kwargs) -> "RunConfig":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 import tempfile
 from dataclasses import dataclass
 
@@ -51,6 +52,42 @@ class AnnotatedFrame:
 
 
 # ---------------------------------------------------------------------------
+# Schema checks of the JSON readers: (accepts the value, what it must be).
+# Exact types: json.loads makes no subclasses, and a bool is not a number.
+_NUMBER_TYPES = {int, float}
+_INT = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) in _NUMBER_TYPES, "a number")
+_STR = (lambda v: type(v) is str, "a string")
+_PATH = (lambda v: v is None or type(v) is str, "a string or null")
+_LIST = (lambda v: type(v) is list, "a list")
+_BOX = (lambda v: type(v) is list and len(v) == 4 and all([type(c) in _NUMBER_TYPES for c in v]),
+        "a list of four numbers")
+_MISSING = object()
+
+
+def _read_json(path):
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: {e.msg}", offset=e.pos) from e
+
+
+def _get(rec, key, check, where, default=_MISSING):
+    """Checked rec[key], or `default` if absent; errors name `where` (file, record)."""
+    if type(rec) is not dict:
+        raise SchemaError(f"{where} must be an object, got {reprlib.repr(rec)}")
+    value = rec.get(key, default)
+    if value is _MISSING:
+        raise SchemaError(f"{where}: missing key {key!r}")
+    accepts, expected = check
+    if not accepts(value):
+        raise SchemaError(f"{where}: {key!r} must be {expected}, got {reprlib.repr(value)}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # COCO-style annotations
 
 def read_annotations(path) -> list:
@@ -59,42 +96,34 @@ def read_annotations(path) -> list:
     Boxes are converted from [x, y, w, h] corner format to the bottom-center
     anchor representation used everywhere else.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: {e.msg}", offset=e.pos) from e
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    categories = {int(c["id"]) for c in doc.get("categories", [])}
+    doc = _read_json(path)
+    where = f"{path}: top level"
+    categories = {_get(c, "id", _INT, f"{path}: categories[{i}]")
+                  for i, c in enumerate(_get(doc, "categories", _LIST, where, []))}
     per_image = {}
-    for ann in doc.get("annotations", []):
-        cat = int(ann["category_id"])
+    for i, ann in enumerate(_get(doc, "annotations", _LIST, where, [])):
+        rec = f"{path}: annotations[{i}]"
+        cat = _get(ann, "category_id", _INT, rec)
         if cat not in categories:
-            raise SchemaError(f"annotation references unknown category {cat}")
-        x, y, w, h = ann["bbox"]
-        per_image.setdefault(int(ann["image_id"]), []).append(
-            Annotation(
-                class_id=cat,
-                box=BBox(cx=x + w / 2.0, by=y + h, w=w, h=h),
-                mask_path=ann.get("mask"),
-            )
-        )
+            raise SchemaError(f"{rec} references unknown category {cat}")
+        x, y, w, h = _get(ann, "bbox", _BOX, rec)
+        per_image.setdefault(_get(ann, "image_id", _INT, rec), []).append(Annotation(
+            class_id=cat, box=BBox(cx=x + w / 2.0, by=y + h, w=w, h=h),
+            mask_path=_get(ann, "mask", _PATH, rec, None)))
     frames = []
-    for img in sorted(doc.get("images", []), key=lambda m: int(m["id"])):
-        frames.append(
-            AnnotatedFrame(
-                frame_id=str(img["id"]),
-                camera_id=str(img.get("camera", "default")),
-                width=int(img["width"]),
-                height=int(img["height"]),
-                annotations=tuple(per_image.get(int(img["id"]), [])),
-                depth_path=img.get("depth_path"),
-                semantic_path=img.get("semantic_path"),
-            )
-        )
-    return frames
+    for i, img in enumerate(_get(doc, "images", _LIST, where, [])):
+        rec = f"{path}: images[{i}]"
+        image_id = _get(img, "id", _INT, rec)
+        frames.append(AnnotatedFrame(
+            frame_id=str(image_id),
+            camera_id=_get(img, "camera", _STR, rec, "default"),
+            width=_get(img, "width", _INT, rec),
+            height=_get(img, "height", _INT, rec),
+            annotations=tuple(per_image.get(image_id, [])),
+            depth_path=_get(img, "depth_path", _PATH, rec, None),
+            semantic_path=_get(img, "semantic_path", _PATH, rec, None),
+        ))
+    return sorted(frames, key=lambda f: int(f.frame_id))
 
 
 def write_annotations(frames, path):
@@ -258,7 +287,7 @@ def model_to_json(model: LocationModel) -> dict:
         "cameras": cameras,
         "class_prior": {
             "classes": [int(c) for c in model.prior_classes],
-            "probs": [float(v) for v in model.class_prior.probs],
+            "probs": [float(v) for v in model.class_prior],
         },
         "config": model.config.to_dict(),
     }
@@ -287,15 +316,11 @@ def model_from_json(doc) -> LocationModel:
                 )
                 for cid, rec in classes.items()
             }
-        prior_classes = tuple(doc["class_prior"]["classes"])
-        probs = np.asarray(doc["class_prior"]["probs"], dtype=np.float64)
-        prior = Histogram(edges=np.arange(len(prior_classes) + 1, dtype=np.float64),
-                          probs=probs)
-        cfg = RunConfig(**doc["config"])
+        return LocationModel(cameras=cameras, class_prior=doc["class_prior"]["probs"],
+                             prior_classes=tuple(doc["class_prior"]["classes"]),
+                             config=RunConfig(**doc["config"]))
     except (KeyError, TypeError) as e:
         raise VersionError(f"malformed model document: {e}") from e
-    return LocationModel(cameras=cameras, class_prior=prior,
-                         prior_classes=prior_classes, config=cfg)
 
 
 def save_model(model: LocationModel, path):
@@ -304,13 +329,7 @@ def save_model(model: LocationModel, path):
 
 
 def load_model(path) -> LocationModel:
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: {e.msg}", offset=e.pos) from e
-    return model_from_json(doc)
+    return model_from_json(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +357,19 @@ def save_layout(aug, path):
     _atomic_write_text(path, json.dumps(layout_to_json(aug), indent=2) + "\n")
 
 
+# per proposal record of a layout: key -> check
+_PROPOSAL_FIELDS = {"class": _INT, "d": _NUMBER, "box": _BOX, "show_prob": _NUMBER, "mask": _PATH}
+
+
 def load_layout(path) -> dict:
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: {e.msg}", offset=e.pos) from e
-    for key in ("frame_id", "proposals", "dropped"):
-        if key not in doc:
-            raise SchemaError(f"{path}: layout missing key {key!r}")
+    """A layout document, with every key its readers use checked."""
+    doc = _read_json(path)
+    where = f"{path}: layout"
+    _get(doc, "frame_id", _STR, where)
+    _get(doc, "dropped", _INT, where)
+    for i, rec in enumerate(_get(doc, "proposals", _LIST, where)):
+        for key, check in _PROPOSAL_FIELDS.items():
+            _get(rec, key, check, f"{path}: proposals[{i}]")
     return doc
 
 

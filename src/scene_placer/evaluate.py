@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import InsufficientData
 from .fitting import LocationModel, object_depth
 from .geometry import BBox
 from .sampler import (
     PlacementProposal,
     Provenance,
-    SamplerParams,
     SceneContext,
     sample_class,
     sample_depth,
@@ -166,7 +166,7 @@ def layout_report(real_frames, augmentations, scenes, model: LocationModel,
             [len(proposed.get(c, {"h": []})["h"]) for c in model.prior_classes],
             dtype=np.float64,
         )
-        expected = np.asarray(model.class_prior.probs) * n_prop
+        expected = model.class_prior * n_prop
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(expected > 0, (obs - expected) ** 2 / expected, 0.0)
         chi = float(terms.sum())
@@ -181,19 +181,20 @@ def layout_report(real_frames, augmentations, scenes, model: LocationModel,
 
 
 def propose_random_location(scene: SceneContext, model: LocationModel,
-                            rng, params: SamplerParams) -> PlacementProposal:
+                            rng, cfg: RunConfig) -> PlacementProposal:
     """Baseline policy: class/size from the model, location uniform in frame."""
     class_id = sample_class(model, rng)
-    d = sample_depth(model, scene.camera_id, class_id, rng)
+    cm = model.class_model(scene.camera_id, class_id)
+    d = sample_depth(cm, rng)
     x = int(rng.integers(scene.depth.width))
     y = int(rng.integers(scene.depth.height))
-    h = sample_height(model, scene.camera_id, class_id, d, rng)
-    w = sample_width(model, scene.camera_id, class_id, h, rng)
+    h = sample_height(cm, d, rng)
+    w = sample_width(cm, h, rng)
     scale = scene.grid_scale
     box = BBox(cx=(x + 0.5) * scale, by=(y + 1.0) * scale, w=w, h=h)
     return PlacementProposal(
         class_id=class_id, d=d, d_effective=d, box=box,
-        show_prob=params.show_prob,
+        show_prob=cfg.show_prob,
         provenance=Provenance(seed=0, frame_id="", index=0,
                               attempts=1, anchor_px=(x, y)),
     )

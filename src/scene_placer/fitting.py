@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import DegenerateFit, InsufficientData, InvalidSample
+from .errors import DegenerateFit, InsufficientData, InvalidSample, UnknownClass
 from .geometry import DepthGrid
 
 # Exponent grid for the power-curve search; covers decreasing and strongly
@@ -57,6 +57,15 @@ class PowerCurve:
         return self(min(max(x, self.domain_lo), self.domain_hi))
 
 
+def _probabilities(values, name: str) -> np.ndarray:
+    """`values` as a read-only 1-D float64 array, checked to be a distribution."""
+    probs = np.asarray(values, dtype=np.float64)
+    if probs.ndim != 1 or np.any(probs < 0) or not abs(probs.sum() - 1.0) <= 1e-9:
+        raise ValueError(f"{name} must be a 1-D list of probabilities >= 0 summing to 1")
+    probs.setflags(write=False)
+    return probs
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Normalized histogram: n+1 strictly increasing edges, n probabilities."""
@@ -65,20 +74,13 @@ class Histogram:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", np.asarray(self.edges, dtype=np.float64))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-        if self.edges.ndim != 1 or self.probs.ndim != 1:
-            raise ValueError("edges and probs must be 1-D")
-        if len(self.edges) != len(self.probs) + 1:
-            raise ValueError("need len(edges) == len(probs) + 1")
-        if np.any(np.diff(self.edges) <= 0):
-            raise ValueError("edges must be strictly increasing")
-        if np.any(self.probs < 0):
-            raise ValueError("probs must be >= 0")
-        if abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must sum to 1")
-        self.edges.setflags(write=False)
-        self.probs.setflags(write=False)
+        edges = np.asarray(self.edges, dtype=np.float64)
+        probs = _probabilities(self.probs, "histogram probs")
+        if edges.shape != (len(probs) + 1,) or np.any(np.diff(edges) <= 0):
+            raise ValueError("histogram edges must be len(probs) + 1 strictly increasing values")
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "probs", probs)
 
 
 @dataclass(frozen=True)
@@ -99,14 +101,24 @@ class LocationModel:
     """Fitted model: per-camera class models plus the class prior."""
 
     cameras: dict  # camera_id -> {class_id -> ClassModel}; "*" holds pooled fits
-    class_prior: Histogram
-    prior_classes: tuple  # class ids aligned with class_prior.probs
+    class_prior: np.ndarray  # probability of each entry of prior_classes
+    prior_classes: tuple
     config: RunConfig
 
-    def class_model(self, camera_id, class_id) -> ClassModel | None:
+    def __post_init__(self):
+        probs = _probabilities(self.class_prior, "class_prior")
+        if len(probs) != len(self.prior_classes):
+            raise ValueError(f"class_prior has {len(probs)} probabilities for "
+                             f"{len(self.prior_classes)} prior classes")
+        object.__setattr__(self, "class_prior", probs)
+
+    def class_model(self, camera_id, class_id) -> ClassModel:
+        """The camera's fit for the class, else the pooled one."""
         got = self.cameras.get(camera_id, {}).get(class_id)
         if got is None:
             got = self.cameras.get("*", {}).get(class_id)
+        if got is None:
+            raise UnknownClass(f"no fitted model for class {class_id}")
         return got
 
 
@@ -333,12 +345,10 @@ def fit_model(dataset, depth_lookup, config: RunConfig):
         probs = counts / counts.sum()
     else:
         probs = np.full(len(prior_classes), 1.0 / len(prior_classes))
-    edges = np.arange(len(prior_classes) + 1, dtype=np.float64)
-    prior = Histogram(edges=edges, probs=probs)
 
     model = LocationModel(
         cameras=cameras,
-        class_prior=prior,
+        class_prior=probs,
         prior_classes=prior_classes,
         config=config,
     )

@@ -17,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyDrivableSpace,
-    MaxAttemptsExceeded,
-    UnknownClass,
-)
-from .fitting import Histogram, LocationModel
+from .config import RunConfig
+from .errors import DimensionMismatch, EmptyDrivableSpace, MaxAttemptsExceeded
+from .fitting import ClassModel, Histogram, LocationModel
 from .geometry import BBox, DepthGrid, DrivableMask, placement_band, closest_allowed_depth
 
 
@@ -81,14 +77,6 @@ class FrameAugmentation:
     dropped: int
 
 
-@dataclass
-class SamplerParams:
-    tau: float = 5.0
-    show_prob: float = 0.5
-    min_visible_frac: float = 0.25
-    max_attempts: int = 25
-
-
 def substream(master_seed: int, frame_id: str, index: int) -> np.random.Generator:
     """Deterministic per-proposal RNG, stable across platforms and threads."""
     digest = hashlib.sha256(f"{master_seed}:{frame_id}:{index}".encode()).digest()
@@ -96,26 +84,24 @@ def substream(master_seed: int, frame_id: str, index: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _categorical(probs, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of an index, each with its probability."""
+    cdf = np.cumsum(probs)
+    i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return min(i, len(probs) - 1)
+
+
 def sample_histogram(hist: Histogram, rng: np.random.Generator) -> float:
-    """Inverse-CDF draw: pick a bin by its probability, then uniform inside it."""
-    cdf = np.cumsum(hist.probs)
-    u = rng.random()
-    i = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
-    i = min(i, len(hist.probs) - 1)
+    """Pick a bin by its probability, then a uniform value inside it."""
+    i = _categorical(hist.probs, rng)
     return float(rng.uniform(hist.edges[i], hist.edges[i + 1]))
 
 
 def sample_class(model: LocationModel, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(model.class_prior.probs)
-    u = rng.random()
-    i = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
-    return model.prior_classes[min(i, len(model.prior_classes) - 1)]
+    return model.prior_classes[_categorical(model.class_prior, rng)]
 
 
-def sample_depth(model: LocationModel, camera_id, class_id, rng) -> float:
-    cm = model.class_model(camera_id, class_id)
-    if cm is None:
-        raise UnknownClass(f"no fitted model for class {class_id}")
+def sample_depth(cm: ClassModel, rng) -> float:
     return math.exp(cm.depth.mu + cm.depth.sigma * rng.standard_normal())
 
 
@@ -135,19 +121,13 @@ def sample_location(scene: SceneContext, d: float, tau: float, rng):
     return x, y, d_eff
 
 
-def sample_height(model: LocationModel, camera_id, class_id, d: float, rng) -> float:
-    cm = model.class_model(camera_id, class_id)
-    if cm is None:
-        raise UnknownClass(f"no fitted model for class {class_id}")
+def sample_height(cm: ClassModel, d: float, rng) -> float:
     mu = cm.height_mu_curve.eval_clamped(d)
     sigma = max(0.0, cm.height_sigma_curve.eval_clamped(d))
     return math.exp(mu + sigma * rng.standard_normal())
 
 
-def sample_width(model: LocationModel, camera_id, class_id, h: float, rng) -> float:
-    cm = model.class_model(camera_id, class_id)
-    if cm is None:
-        raise UnknownClass(f"no fitted model for class {class_id}")
+def sample_width(cm: ClassModel, h: float, rng) -> float:
     return sample_histogram(cm.aspect, rng) * h
 
 
@@ -169,41 +149,40 @@ def propose(
     scene: SceneContext,
     model: LocationModel,
     rng: np.random.Generator,
-    params: SamplerParams,
+    cfg: RunConfig,
     seed: int = 0,
     frame_id: str = "",
     index: int = 0,
 ) -> PlacementProposal:
     """Run the full ancestral chain; rejects mostly-offscreen boxes.
 
-    A proposal whose box has less than params.min_visible_frac of its area
-    inside the frame is resampled, up to params.max_attempts times.
+    A proposal whose box has less than cfg.min_visible_frac of its area
+    inside the frame is resampled, up to cfg.max_attempts times.
     """
     scale = scene.grid_scale
-    for attempt in range(1, params.max_attempts + 1):
+    for attempt in range(1, cfg.max_attempts + 1):
         class_id = sample_class(model, rng)
-        d = sample_depth(model, scene.camera_id, class_id, rng)
-        x, y, d_eff = sample_location(scene, d, params.tau, rng)
-        h = sample_height(model, scene.camera_id, class_id, d_eff, rng)
-        w = sample_width(model, scene.camera_id, class_id, h, rng)
+        cm = model.class_model(scene.camera_id, class_id)
+        d = sample_depth(cm, rng)
+        x, y, d_eff = sample_location(scene, d, cfg.tau, rng)
+        h = sample_height(cm, d_eff, rng)
+        w = sample_width(cm, h, rng)
         # anchor at the bottom edge of the chosen grid pixel, in frame coords
         box = BBox(cx=(x + 0.5) * scale, by=(y + 1.0) * scale, w=w, h=h)
-        if _visible_fraction(box, scene.frame_w, scene.frame_h) < params.min_visible_frac:
+        if _visible_fraction(box, scene.frame_w, scene.frame_h) < cfg.min_visible_frac:
             continue
         return PlacementProposal(
             class_id=class_id,
             d=d,
             d_effective=d_eff,
             box=_clip_box(box, scene.frame_w, scene.frame_h),
-            show_prob=params.show_prob,
+            show_prob=cfg.show_prob,
             provenance=Provenance(
                 seed=seed, frame_id=frame_id, index=index,
                 attempts=attempt, anchor_px=(x, y),
             ),
         )
-    raise MaxAttemptsExceeded(
-        f"no visible proposal after {params.max_attempts} attempts"
-    )
+    raise MaxAttemptsExceeded(f"no visible proposal after {cfg.max_attempts} attempts")
 
 
 def augment_frame(
@@ -212,21 +191,20 @@ def augment_frame(
     n_objects: int,
     master_seed: int,
     frame_id: str,
-    params: SamplerParams | None = None,
+    cfg: RunConfig | None = None,
 ) -> FrameAugmentation:
     """n_objects independent proposals, each on its own RNG substream.
 
     Proposals that exhaust the attempt budget are dropped and counted.
     """
-    if params is None:
-        params = SamplerParams()
+    cfg = cfg or RunConfig()
     proposals = []
     dropped = 0
     for i in range(n_objects):
         rng = substream(master_seed, frame_id, i)
         try:
             proposals.append(
-                propose(scene, model, rng, params, seed=master_seed,
+                propose(scene, model, rng, cfg, seed=master_seed,
                         frame_id=frame_id, index=i)
             )
         except MaxAttemptsExceeded:

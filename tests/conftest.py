@@ -47,10 +47,9 @@ def make_class_model(
 def make_model(class_models, config=None):
     class_models = {cm.class_id: cm for cm in class_models}
     n = len(class_models)
-    prior = Histogram(edges=np.arange(n + 1, dtype=float), probs=np.full(n, 1.0 / n))
     return LocationModel(
         cameras={"default": class_models, "*": class_models},
-        class_prior=prior,
+        class_prior=np.full(n, 1.0 / n),
         prior_classes=tuple(sorted(class_models)),
         config=config or RunConfig(),
     )

@@ -20,7 +20,6 @@ from scene_placer.geometry import DepthGrid, DrivableMask, LabelGrid, PatchRect,
 from scene_placer.masks import InstanceMask, composite_masks, composite_order, refine_bbox
 from scene_placer.sampler import (
     FrameAugmentation,
-    SamplerParams,
     augment_frame,
     propose,
     substream,
@@ -56,7 +55,7 @@ def test_criterion_1_band_correctness():
         rng = np.random.default_rng(1001)
         model = make_model([make_class_model(class_id=1),
                             make_class_model(class_id=2, depth_mu=1.5)])
-        params = SamplerParams(tau=5.0, min_visible_frac=0.0)
+        params = RunConfig(tau=5.0, min_visible_frac=0.0)
         total = 0
         for s in range(100):
             side = int(rng.integers(16, 129))
@@ -132,7 +131,7 @@ def test_criterion_3_marginal_recovery():
         frames, lookup = synthetic_dataset([truth], 10_000, rng)
         model, _ = fit_model(frames, lookup, RunConfig())
         scene = open_scene(side=200, max_depth=60.0, frame_scale=50, camera_id="cam0")
-        params = SamplerParams(tau=5.0, min_visible_frac=0.0)
+        params = RunConfig(tau=5.0, min_visible_frac=0.0)
         n = 10_000
         ds, hs, ratios = [], [], []
         for i in range(n):
@@ -187,7 +186,7 @@ def test_criterion_5_baseline_separation():
     with _criterion(5, "scene-aware vs random-location band validity"):
         rng = np.random.default_rng(1005)
         model = make_model([make_class_model(class_id=1)])
-        params = SamplerParams(tau=5.0, min_visible_frac=0.0)
+        params = RunConfig(tau=5.0, min_visible_frac=0.0)
         aware_augs, rand_augs, scenes = [], [], {}
         for s in range(10):
             side = 64
@@ -293,7 +292,7 @@ def test_criterion_7_throughput():
 
         model = make_model([truth])
         scene = open_scene(side=200, max_depth=60.0, frame_scale=50)
-        params = SamplerParams(tau=5.0, min_visible_frac=0.0)
+        params = RunConfig(tau=5.0, min_visible_frac=0.0)
         t0 = time.perf_counter()
         for i in range(10_000):
             propose(scene, model, substream(9, "tp", i), params)

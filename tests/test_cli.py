@@ -117,20 +117,6 @@ class TestAugment:
             assert set(rec) == {"class", "d", "box", "show_prob", "mask"}
             assert rec["show_prob"] == 0.5
 
-    def test_env_jobs_fallback(self, fixture_dataset, monkeypatch):
-        t = fixture_dataset
-        monkeypatch.setenv("SCENE_PLACER_JOBS", "4")
-        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
-                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
-        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
-                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
-                    "--out-layouts", t / "layouts_env", "--config", _cfg(t),
-                    "--seed", 7]) == 0
-        _fit_and_augment(t, "layouts1", 1)
-        for n in os.listdir(t / "layouts1"):
-            assert (t / "layouts1" / n).read_bytes() == (t / "layouts_env" / n).read_bytes()
-
-
     @pytest.mark.parametrize("source, bad", [("flag", "300"), ("config", "-1")])
     def test_drivable_class_out_of_range_exit_2(self, fixture_dataset, capsys,
                                                 source, bad):
@@ -316,6 +302,139 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"tau": 4, "window": 1.5, "augmentable_classes": None,
                                    "drivable_classes": [], "class_prior": "frequency"}))
         assert RunConfig.from_file(cfg).tau == 4
+
+
+class TestRanges:
+    @pytest.mark.parametrize("field, value", [
+        ("show_prob", 7.0),
+        ("show_prob", -0.1),
+        ("min_visible_frac", 3.0),
+        ("min_visible_composite", 1.5),
+        ("max_attempts", 0),
+        ("n_bins", 0),
+        ("min_window_count", 0),
+        ("tau", 0),
+        ("window", -2.0),
+        ("stride", 0.0),
+        ("depth_scale", 0),
+        ("n_objects", -1),
+    ])
+    def test_config_out_of_range_exit_2(self, fixture_dataset, capsys, field, value):
+        t = fixture_dataset
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
+        cfg = t / "bad_config.json"
+        cfg.write_text(json.dumps({field: value}))
+        capsys.readouterr()
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "layouts", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {field!r} must be ")
+        assert not (t / "layouts").exists() or not os.listdir(t / "layouts")
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--objects-per-frame", -3, "'n_objects'"),
+        ("--jobs", -4, "--jobs"),
+        ("--jobs", 0, "--jobs"),
+        ("--tau", 0, "'tau'"),
+    ])
+    def test_flag_out_of_range_exit_2(self, fixture_dataset, capsys, flag, value, named):
+        t = fixture_dataset
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
+        capsys.readouterr()
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "layouts", "--config", _cfg(t), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_model_config_out_of_range_exit_2(self, fixture_dataset, capsys):
+        t = fixture_dataset
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
+        doc = json.loads((t / "model.json").read_text())
+        doc["config"]["max_attempts"] = 0
+        (t / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "layouts", "--config", _cfg(t)]) == 2
+        assert "'max_attempts'" in capsys.readouterr().err
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("probs", [[1.0], [1.5, -0.5], [0.5, 0.4]],
+                             ids=["short", "negative", "sum-0.9"])
+    def test_bad_class_prior_exit_2(self, fixture_dataset, capsys, probs):
+        t = fixture_dataset
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
+        doc = json.loads((t / "model.json").read_text())
+        assert doc["class_prior"]["classes"] == [1, 2]
+        doc["class_prior"]["probs"] = probs
+        (t / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "layouts", "--config", _cfg(t)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "class_prior" in err
+
+    def test_augmentable_class_without_fit_exit_2(self, fixture_dataset, capsys):
+        t = fixture_dataset
+        cfg = t / "prior_config.json"
+        cfg.write_text(json.dumps({"min_samples": 10, "min_window_count": 2,
+                                   "drivable_classes": [1], "augmentable_classes": [1, 99]}))
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "layouts", "--config", cfg]) == 2
+        assert "no fitted model for class 99" in capsys.readouterr().err
+
+
+class TestMalformedLayouts:
+    @pytest.mark.parametrize("command", ["refine", "eval", "render"])
+    @pytest.mark.parametrize("defect", ["no-box", "proposals-int"])
+    def test_exit_2(self, fixture_dataset, capsys, command, defect):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = dataset_io.load_layout(t / "layouts" / "0.json")
+        if defect == "no-box":
+            del doc["proposals"][0]["box"]
+        else:
+            doc["proposals"] = 5
+        (t / "layouts" / "0.json").write_text(json.dumps(doc))
+        argv = {
+            "refine": ["refine", t / "layouts" / "0.json", "--width", 48, "--height", 48,
+                       "--out", t / "refined.json"],
+            "eval": ["eval", t / "annotations.json", "--model", t / "model.json",
+                     "--layouts", t / "layouts", "--depth-dir", t / "depth",
+                     "--semantic-dir", t / "semantic", "--out-report", t / "report.json"],
+            "render": ["render", t / "layouts" / "0.json", "--width", 48, "--height", 48,
+                       "--out", t / "o.ppm"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "0.json" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "a.json", "--out-model", "m.json", "--seed", "1"],
+    ["refine", "l.json", "--width", "4", "--height", "4", "--out", "o.json", "--tau", "3"],
+    ["eval", "a.json", "--model", "m.json", "--layouts", "l", "--jobs", "2"],
+    ["render", "l.json", "--width", "4", "--height", "4", "--out", "o.ppm",
+     "--config", "x.json"],
+])
+def test_flag_not_taken_by_command_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_help_lists_defaults(capsys):

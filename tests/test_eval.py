@@ -9,7 +9,6 @@ from scene_placer.fitting import fit_model
 from scene_placer.geometry import BBox
 from scene_placer.sampler import (
     FrameAugmentation,
-    SamplerParams,
     augment_frame,
     substream,
 )
@@ -67,7 +66,7 @@ class TestLayoutReport:
         model, _ = fit_model(frames, lookup, cfg)
         scene = open_scene(side=200, max_depth=60.0, frame_scale=50, camera_id="cam0")
         augs = [augment_frame(scene, model, 5000, 3, "big",
-                              SamplerParams(tau=5.0, min_visible_frac=0.0))]
+                              RunConfig(tau=5.0, min_visible_frac=0.0))]
         scenes = {f.frame_id: None for f in frames}
         scenes["big"] = scene
         # reals carry their own depth in the constant grids; rebuild scenes
@@ -94,7 +93,7 @@ class TestLayoutReport:
         vals = rng.uniform(0, 40, (side, side)).astype(np.float32)
         bits = rng.random((side, side)) < 0.3
         scene = make_scene(vals, bits, frame_scale=30)
-        params = SamplerParams(tau=5.0, min_visible_frac=0.0)
+        params = RunConfig(tau=5.0, min_visible_frac=0.0)
         aware = augment_frame(scene, model, 500, 1, "s", params)
         rand_props = [propose_random_location(scene, model, substream(2, "r", i), params)
                       for i in range(500)]
@@ -108,7 +107,7 @@ class TestLayoutReport:
     def test_incomparable_class_flagged(self, rng):
         model = make_model([make_class_model(class_id=1)])
         scene = open_scene(side=32, frame_scale=40)
-        aug = augment_frame(scene, model, 5, 0, "f", SamplerParams(min_visible_frac=0.0))
+        aug = augment_frame(scene, model, 5, 0, "f", RunConfig(min_visible_frac=0.0))
         real = [AnnotatedFrame(
             frame_id="g", camera_id="default", width=100, height=100,
             annotations=(Annotation(class_id=9, box=BBox(cx=5, by=9, w=3, h=4)),),
@@ -120,7 +119,7 @@ class TestLayoutReport:
     def test_report_serialization(self, rng, tmp_path):
         model = make_model([make_class_model(class_id=1)])
         scene = open_scene(side=32, frame_scale=40)
-        aug = augment_frame(scene, model, 5, 0, "f", SamplerParams(min_visible_frac=0.0))
+        aug = augment_frame(scene, model, 5, 0, "f", RunConfig(min_visible_frac=0.0))
         report = layout_report([], [aug], {"f": scene}, model, 5.0)
         doc = report.to_json()
         assert doc["n_proposals"] == len(aug.proposals)

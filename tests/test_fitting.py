@@ -182,7 +182,7 @@ class TestFitModel:
         cms = [make_class_model(class_id=c) for c in range(10)]
         frames, lookup = synthetic_dataset(cms, 5, rng)
         model, _ = fit_model(frames, lookup, cfg)
-        assert np.allclose(model.class_prior.probs, 0.1)
+        assert np.allclose(model.class_prior, 0.1)
 
     def test_order_independence(self, rng):
         cm = make_class_model(class_id=2)

@@ -23,7 +23,7 @@ from scene_placer import dataset_io
 from scene_placer.cli import _build_scene, main
 from scene_placer.config import RunConfig
 from scene_placer.geometry import DepthGrid, LabelGrid, crop_geometry
-from scene_placer.sampler import SamplerParams, augment_frame
+from scene_placer.sampler import augment_frame
 
 from conftest import make_class_model, make_model
 
@@ -107,14 +107,11 @@ def test_golden_scene_exercises_reset_and_edge_clipping(tmp_path):
     ann, cfg_path = _write_dataset(tmp_path)
     cfg = RunConfig.from_file(cfg_path)
     model = dataset_io.load_model(tmp_path / "model.json")
-    params = SamplerParams(tau=cfg.tau, show_prob=cfg.show_prob,
-                           min_visible_frac=cfg.min_visible_frac,
-                           max_attempts=cfg.max_attempts)
     resets = clipped = coarse = 0
     for frame in dataset_io.read_annotations(ann):
         scene = _build_scene(frame, cfg, tmp_path / "depth", tmp_path / "semantic")
         coarse += scene.grid_scale > 1
-        aug = augment_frame(scene, model, cfg.n_objects, SEED, frame.frame_id, params)
+        aug = augment_frame(scene, model, cfg.n_objects, SEED, frame.frame_id, cfg)
         for p in aug.proposals:
             resets += p.d_effective != p.d
             clipped += p.box.x0 == 0.0 or p.box.x1 == float(scene.frame_w)
@@ -176,13 +173,10 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path, monkeypatch
     ann, cfg_path, out = _augment_masked(tmp_path, monkeypatch)
     cfg = RunConfig.from_file(cfg_path)
     model = dataset_io.load_model(tmp_path / "model.json")
-    params = SamplerParams(tau=cfg.tau, show_prob=cfg.show_prob,
-                           min_visible_frac=cfg.min_visible_frac,
-                           max_attempts=cfg.max_attempts)
     edge = occluded = unmasked = 0
     for frame in dataset_io.read_annotations(ann):
         scene = _build_scene(frame, cfg, tmp_path / "depth", tmp_path / "semantic")
-        aug = augment_frame(scene, model, cfg.n_objects, SEED, frame.frame_id, params)
+        aug = augment_frame(scene, model, cfg.n_objects, SEED, frame.frame_id, cfg)
         for i, p in enumerate(aug.proposals):
             patch = crop_geometry(p.box, frame.width, frame.height)
             masked = i % 8 not in (5, 7)

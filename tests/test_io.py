@@ -1,11 +1,19 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scene_placer import dataset_io
 from scene_placer.config import RunConfig
-from scene_placer.errors import FormatError, ParseError, SchemaError, VersionError
+from scene_placer.errors import (
+    FormatError,
+    ParseError,
+    SchemaError,
+    ScenePlacerError,
+    VersionError,
+)
 from scene_placer.fitting import fit_model
 from scene_placer.geometry import BBox, DepthGrid, LabelGrid
 from scene_placer.sampler import FrameAugmentation
@@ -75,6 +83,81 @@ class TestReadAnnotations:
             [{"id": 2}],
         )
         with pytest.raises(SchemaError):
+            dataset_io.read_annotations(p)
+
+
+VALID_DOC = {
+    "images": [{"id": i, "width": 64, "height": 48, "camera": "front",
+                "depth_path": f"{i}.pgm", "semantic_path": f"{i}.pgm"} for i in range(3)],
+    "annotations": [{"id": i + 1, "image_id": i, "category_id": 1 + i % 2,
+                     "bbox": [1.0, 2.0, 3, 4.5], "mask": None} for i in range(3)],
+    "categories": [{"id": 1}, {"id": 2}],
+}
+NOT_INT = [None, "1", 1.5, True, [1], {}]
+NOT_STR = [None, 3, ["a"], {}]
+NOT_PATH = [3, False, ["a"], {}]
+NOT_BOX = [None, "x", 4, [1, 2, 3], [1, 2, 3, "4"], [1, 2, 3, None], [1, 2, 3, True]]
+NOT_LIST = [None, 3, "x", {"0": {"id": 1}}]
+NOT_RECORD = [None, 3, "x", [1]]
+# per section and key of a record: (key required, values of a wrong type)
+RECORD_KEYS = {
+    "images": {"id": (True, NOT_INT), "width": (True, NOT_INT), "height": (True, NOT_INT),
+               "camera": (False, NOT_STR), "depth_path": (False, NOT_PATH),
+               "semantic_path": (False, NOT_PATH)},
+    "annotations": {"image_id": (True, NOT_INT), "category_id": (True, NOT_INT),
+                    "bbox": (True, NOT_BOX), "mask": (False, NOT_PATH)},
+    "categories": {"id": (True, NOT_INT)},
+}
+
+
+@st.composite
+def malformed_annotation_docs(draw):
+    """VALID_DOC with one section, record or key deleted or mistyped."""
+    doc = copy.deepcopy(VALID_DOC)
+    section = draw(st.sampled_from(sorted(RECORD_KEYS)))
+    i = draw(st.integers(0, len(doc[section]) - 1))
+    target = draw(st.sampled_from(["section", "record", "key"]))
+    if target == "section":
+        doc[section] = draw(st.sampled_from(NOT_LIST))
+    elif target == "record":
+        doc[section][i] = draw(st.sampled_from(NOT_RECORD))
+    else:
+        key = draw(st.sampled_from(sorted(RECORD_KEYS[section])))
+        required, wrong = RECORD_KEYS[section][key]
+        if required and draw(st.booleans()):
+            del doc[section][i][key]
+        else:
+            doc[section][i][key] = draw(st.sampled_from(wrong))
+    return doc
+
+
+class TestMalformedAnnotations:
+    def test_valid_doc_reads(self, tmp_path):
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(VALID_DOC))
+        frames = dataset_io.read_annotations(p)
+        assert [f.frame_id for f in frames] == ["0", "1", "2"]
+        assert frames[2].annotations[0].box.w == 3
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["annotations"][1].pop("bbox"),
+        lambda d: d["images"][0].update(width=None),
+        lambda d: d.update(annotations={"1": d["annotations"][0]}),
+    ], ids=["no-bbox", "null-width", "annotations-object"])
+    def test_schema_error_names_file(self, tmp_path, mutate):
+        doc = copy.deepcopy(VALID_DOC)
+        mutate(doc)
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="a.json"):
+            dataset_io.read_annotations(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=malformed_annotation_docs())
+    def test_one_bad_key_raises_scene_placer_error(self, tmp_path_factory, doc):
+        p = tmp_path_factory.mktemp("fuzz") / "a.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ScenePlacerError):
             dataset_io.read_annotations(p)
 
 
@@ -239,4 +322,20 @@ class TestLayoutIO:
         p = tmp_path / "l.json"
         p.write_text('{"frame_id": "x", "proposals": []}')
         with pytest.raises(SchemaError):
+            dataset_io.load_layout(p)
+
+    @pytest.mark.parametrize("key, value", [
+        ("class", 1.5), ("d", None), ("box", [1, 2, 3]), ("box", [1, 2, 3, "4"]),
+        ("show_prob", "0.5"), ("mask", 3), ("class", "missing"),
+    ])
+    def test_bad_proposal_names_file_and_index(self, tmp_path, key, value):
+        good = {"class": 1, "d": 7.5, "box": [10, 20, 5, 8], "show_prob": 0.5, "mask": None}
+        bad = dict(good)
+        if value == "missing":
+            del bad[key]
+        else:
+            bad[key] = value
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps({"frame_id": "x", "proposals": [good, bad], "dropped": 0}))
+        with pytest.raises(SchemaError, match=r"l\.json: proposals\[1\]"):
             dataset_io.load_layout(p)

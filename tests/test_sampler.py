@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from scene_placer.config import RunConfig
 from scene_placer.errors import MaxAttemptsExceeded, UnknownClass
 from scene_placer.fitting import Histogram
 from scene_placer.sampler import (
-    SamplerParams,
     augment_frame,
     propose,
     sample_class,
@@ -51,20 +51,20 @@ class TestSampleClass:
 
 class TestSampleDepth:
     def test_sigma_zero(self, rng):
-        model = make_model([make_class_model(class_id=1, depth_mu=2.0, depth_sigma=0.0)])
+        cm = make_class_model(class_id=1, depth_mu=2.0, depth_sigma=0.0)
         for _ in range(10):
-            assert sample_depth(model, "default", 1, rng) == pytest.approx(math.exp(2.0))
+            assert sample_depth(cm, rng) == pytest.approx(math.exp(2.0))
 
     def test_matches_analytic_cdf(self, rng):
-        model = make_model([make_class_model(class_id=1, depth_mu=2.0, depth_sigma=0.5)])
-        draws = np.array([sample_depth(model, "default", 1, rng) for _ in range(10_000)])
+        cm = make_class_model(class_id=1, depth_mu=2.0, depth_sigma=0.5)
+        draws = np.array([sample_depth(cm, rng) for _ in range(10_000)])
         assert (draws > 0).all()
         assert ks_vs_lognormal(draws, 2.0, 0.5) < 0.02
 
     def test_unknown_class(self, rng):
         model = make_model([make_class_model(class_id=1)])
-        with pytest.raises(UnknownClass):
-            sample_depth(model, "default", 99, rng)
+        with pytest.raises(UnknownClass, match="no fitted model for class 99"):
+            model.class_model("default", 99)
 
 
 class TestSampleLocation:
@@ -99,31 +99,27 @@ class TestSampleLocation:
 class TestSampleHeight:
     def test_zero_sigma_curve(self, rng):
         cm = make_class_model(class_id=1, h_sigma=0.0)
-        model = make_model([cm])
         d = 9.0
         expect = math.exp(cm.height_mu_curve(d))
         for _ in range(5):
-            assert sample_height(model, "default", 1, d, rng) == pytest.approx(expect)
+            assert sample_height(cm, d, rng) == pytest.approx(expect)
 
     def test_matches_analytic_cdf(self, rng):
         cm = make_class_model(class_id=1, h_sigma=0.2)
-        model = make_model([cm])
         d = 12.0
-        draws = np.array([sample_height(model, "default", 1, d, rng) for _ in range(10_000)])
+        draws = np.array([sample_height(cm, d, rng) for _ in range(10_000)])
         assert ks_vs_lognormal(draws, cm.height_mu_curve(d), 0.2) < 0.02
 
     def test_out_of_domain_clamps(self, rng):
         cm = make_class_model(class_id=1, h_sigma=0.0, domain=(1.0, 10.0))
-        model = make_model([cm])
-        far = sample_height(model, "default", 1, 1000.0, rng)
+        far = sample_height(cm, 1000.0, rng)
         assert far == pytest.approx(math.exp(cm.height_mu_curve(10.0)))
 
 
 class TestSampleWidth:
     def test_single_spike(self, rng):
         cm = make_class_model(class_id=1, aspect_edges=(2.0, 2.0 + 1e-6), aspect_probs=(1.0,))
-        model = make_model([cm])
-        w = sample_width(model, "default", 1, 10.0, rng)
+        w = sample_width(cm, 10.0, rng)
         assert w == pytest.approx(20.0, abs=1e-4)
 
     def test_bin_frequencies(self, rng):
@@ -138,8 +134,7 @@ class TestSampleWidth:
         edges = np.array([0.4, 0.8, 1.2, 1.6, 2.0, 2.4])
         probs = np.array([0.4, 0.05, 0.0, 0.05, 0.5])
         cm = make_class_model(class_id=1, aspect_edges=edges, aspect_probs=probs)
-        model = make_model([cm])
-        ratios = np.array([sample_width(model, "default", 1, 1.0, rng) for _ in range(10_000)])
+        ratios = np.array([sample_width(cm, 1.0, rng) for _ in range(10_000)])
         counts = np.histogram(ratios, bins=edges)[0]
         assert counts[0] > counts[1] and counts[4] > counts[3]  # two clear modes
         assert counts[2] == 0
@@ -149,7 +144,7 @@ class TestPropose:
     def test_band_membership_invariant(self, rng):
         model = make_model([make_class_model(class_id=1)])
         scene = open_scene(side=64, max_depth=40.0, frame_scale=10)
-        params = SamplerParams(tau=5.0, min_visible_frac=0.0)
+        params = RunConfig(tau=5.0, min_visible_frac=0.0)
         for i in range(200):
             p = propose(scene, model, substream(3, "f", i), params)
             x, y = p.provenance.anchor_px
@@ -163,7 +158,7 @@ class TestPropose:
         drivable[1, 1] = True
         scene = make_scene(depth, drivable, frame_scale=100)
         model = make_model([make_class_model(class_id=1)])
-        params = SamplerParams(tau=5.0, min_visible_frac=0.0)
+        params = RunConfig(tau=5.0, min_visible_frac=0.0)
         for i in range(10):
             p = propose(scene, model, substream(1, "g", i), params)
             assert p.provenance.anchor_px == (1, 1)
@@ -173,7 +168,7 @@ class TestPropose:
         cm = make_class_model(class_id=1, h_a=8.0, h_b=0.0, h_sigma=0.0)
         model = make_model([cm])
         scene = make_scene(np.full((4, 4), 7.0), np.ones((4, 4), bool))
-        params = SamplerParams(tau=5.0, min_visible_frac=0.9, max_attempts=5)
+        params = RunConfig(tau=5.0, min_visible_frac=0.9, max_attempts=5)
         with pytest.raises(MaxAttemptsExceeded):
             propose(scene, model, substream(0, "h", 0), params)
 
@@ -181,7 +176,7 @@ class TestPropose:
         cm = make_class_model(class_id=1)
         model = make_model([cm])
         scene = open_scene(side=200, max_depth=60.0, frame_scale=50)
-        params = SamplerParams(tau=5.0, min_visible_frac=0.0)
+        params = RunConfig(tau=5.0, min_visible_frac=0.0)
         n = 10_000
         ds, hs, ratios = [], [], []
         for i in range(n):
@@ -209,7 +204,7 @@ class TestAugmentFrame:
         scene = open_scene(side=32, max_depth=40.0, frame_scale=50)
         model = make_model([make_class_model()])
         aug = augment_frame(scene, model, 12, 5, "f1",
-                            SamplerParams(min_visible_frac=0.0))
+                            RunConfig(min_visible_frac=0.0))
         assert len(aug.proposals) + aug.dropped == 12
         assert all(p.show_prob == 0.5 for p in aug.proposals)
 
@@ -227,6 +222,6 @@ class TestAugmentFrame:
         full = augment_frame(scene, model, 6, 7, "x")
         for i in (0, 3, 5):
             rng = substream(7, "x", i)
-            p = propose(scene, model, rng, SamplerParams(),
+            p = propose(scene, model, rng, RunConfig(),
                         seed=7, frame_id="x", index=i)
             assert p == full.proposals[i]
