@@ -16,7 +16,7 @@ from .config import RunConfig
 from .errors import ScenePlacerError
 from .evaluate import layout_report, save_report
 from .fitting import fit_model
-from .geometry import BBox, drivable_mask
+from .geometry import BBox, DepthGrid, drivable_mask
 from .masks import refine_layout
 from .sampler import FrameAugmentation, PlacementProposal, Provenance, SceneContext, augment_frame
 
@@ -36,39 +36,36 @@ def _load_config(args) -> RunConfig:
                        drivable_classes=[int(c) for c in classes.split(",")] if classes else None)
 
 
-def _read_grids(frame, cfg, depth_dir=None, semantic_dir=None):
-    """The frame's depth grid and drivable mask, read from its PGM pair."""
-    depth = dataset_io.read_depth_grid(_resolve(depth_dir, frame.depth_path), cfg.depth_scale)
-    labels = dataset_io.read_label_grid(_resolve(semantic_dir, frame.semantic_path))
-    return depth, drivable_mask(labels, cfg.drivable_classes)
+class _Grids:
+    """Frames' depth grids and drivable masks, each PGM file read once per
+    reader however many frames share it (keyed by resolved path)."""
 
+    def __init__(self, cfg, depth_dir=None, semantic_dir=None):
+        self.cfg, self.depth_dir, self.semantic_dir = cfg, depth_dir, semantic_dir
+        self._depth, self._drivable = {}, {}
 
-def _build_scene(frame, cfg, depth_dir=None, semantic_dir=None, grids=None) -> SceneContext:
-    """`grids` is the frame's (depth, drivable) pair when it is already read."""
-    depth, drivable = grids or _read_grids(frame, cfg, depth_dir, semantic_dir)
-    return SceneContext(
-        frame_w=frame.width,
-        frame_h=frame.height,
-        camera_id=frame.camera_id,
-        depth=depth,
-        drivable=drivable,
-    )
+    def depth(self, frame) -> DepthGrid:
+        path = _resolve(self.depth_dir, frame.depth_path)
+        if path is None:
+            raise ScenePlacerError(f"frame {frame.frame_id} has no depth path")
+        if path not in self._depth:
+            self._depth[path] = dataset_io.read_depth_grid(path, self.cfg.depth_scale)
+        return self._depth[path]
+
+    def scene(self, frame) -> SceneContext:
+        depth = self.depth(frame)
+        path = _resolve(self.semantic_dir, frame.semantic_path)
+        if path not in self._drivable:
+            self._drivable[path] = drivable_mask(dataset_io.read_label_grid(path),
+                                                 self.cfg.drivable_classes)
+        return SceneContext(frame_w=frame.width, frame_h=frame.height, camera_id=frame.camera_id,
+                            depth=depth, drivable=self._drivable[path])
 
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     frames = dataset_io.read_annotations(args.annotations)
-    cache = {}
-
-    def depth_lookup(frame):
-        path = _resolve(args.depth_dir, frame.depth_path)
-        if path is None:
-            raise ScenePlacerError(f"frame {frame.frame_id} has no depth path")
-        if path not in cache:
-            cache[path] = dataset_io.read_depth_grid(path, cfg.depth_scale)
-        return cache[path]
-
-    model, warnings = fit_model(frames, depth_lookup, cfg)
+    model, warnings = fit_model(frames, _Grids(cfg, args.depth_dir).depth, cfg)
     dataset_io.save_model(model, args.out_model)
     for cam in sorted(model.cameras, key=str):
         for cid, cm in sorted(model.cameras[cam].items()):
@@ -80,8 +77,9 @@ def cmd_fit(args) -> int:
 
 
 def _augment_one(frame, model, cfg, args):
-    scene = _build_scene(frame, cfg, args.depth_dir, args.semantic_dir)
-    aug = augment_frame(scene, model, cfg.n_objects, cfg.seed, frame.frame_id, cfg)
+    # a reader per frame, so the frame's grids are freed when it is done
+    scene = _Grids(cfg, args.depth_dir, args.semantic_dir).scene(frame)
+    aug = augment_frame(scene, model, frame.frame_id, cfg)
     if args.masks_dir:
         paths = [os.path.join(args.masks_dir, f"{aug.frame_id}_{i}.pgm")
                  for i in range(len(aug.proposals))]
@@ -118,8 +116,7 @@ def _proposal_from_json(rec, scale) -> PlacementProposal:
         d_effective=float(rec["d"]),
         box=BBox(cx=cx, by=by, w=w, h=h),
         show_prob=float(rec["show_prob"]),
-        provenance=Provenance(seed=0, frame_id="", index=0, attempts=1,
-                              anchor_px=(ax, ay)),
+        provenance=Provenance(index=0, attempts=1, anchor_px=(ax, ay)),
         mask_path=rec["mask"],
     )
 
@@ -151,14 +148,8 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     frames = dataset_io.read_annotations(args.annotations)
     model = dataset_io.load_model(args.model)
-    # frames that share a (depth, semantic) pair share its grids, read once
-    grids, scenes = {}, {}
-    for fr in frames:
-        if fr.has_grids:
-            key = (fr.depth_path, fr.semantic_path)
-            if key not in grids:
-                grids[key] = _read_grids(fr, cfg, args.depth_dir, args.semantic_dir)
-            scenes[fr.frame_id] = _build_scene(fr, cfg, grids=grids[key])
+    grids = _Grids(cfg, args.depth_dir, args.semantic_dir)
+    scenes = {fr.frame_id: grids.scene(fr) for fr in frames if fr.has_grids}
     augs = [_read_layout(os.path.join(args.layouts, name), scenes)
             for name in sorted(os.listdir(args.layouts)) if name.endswith(".json")]
     report = layout_report(frames, augs, scenes, model, cfg.tau)

@@ -59,7 +59,12 @@ _INT = (lambda v: type(v) is int, "an integer")
 _NUMBER = (lambda v: type(v) in _NUMBER_TYPES, "a number")
 _STR = (lambda v: type(v) is str, "a string")
 _PATH = (lambda v: v is None or type(v) is str, "a string or null")
+_BOOL = (lambda v: type(v) is bool, "true or false")
 _LIST = (lambda v: type(v) is list, "a list")
+_OBJECT = (lambda v: type(v) is dict, "an object")
+_INTS = (lambda v: type(v) is list and all([type(c) is int for c in v]), "a list of integers")
+_NUMBERS = (lambda v: type(v) is list and all([type(c) in _NUMBER_TYPES for c in v]),
+            "a list of numbers")
 _BOX = (lambda v: type(v) is list and len(v) == 4 and all([type(c) in _NUMBER_TYPES for c in v]),
         "a list of four numbers")
 _MISSING = object()
@@ -260,9 +265,25 @@ def _curve_to_json(curve: PowerCurve) -> dict:
             "lo": curve.domain_lo, "hi": curve.domain_hi}
 
 
-def _curve_from_json(obj) -> PowerCurve:
-    return PowerCurve(a=obj["a"], b=obj["b"], c=obj["c"],
-                      domain_lo=obj["lo"], domain_hi=obj["hi"])
+def _curve_from_json(obj, where) -> PowerCurve:
+    a, b, c, lo, hi = [_get(obj, k, _NUMBER, where) for k in ("a", "b", "c", "lo", "hi")]
+    return PowerCurve(a=a, b=b, c=c, domain_lo=lo, domain_hi=hi)
+
+
+def _class_from_json(cid, rec, where) -> ClassModel:
+    depth, mu_curve, sigma_curve, aspect = [
+        _get(rec, k, _OBJECT, where)
+        for k in ("depth", "height_mu_curve", "height_sigma_curve", "aspect")]
+    return ClassModel(
+        class_id=int(cid),
+        depth=LogNormalParams(*[_get(depth, k, _NUMBER, f"{where}.depth") for k in ("mu", "sigma")]),
+        height_mu_curve=_curve_from_json(mu_curve, f"{where}.height_mu_curve"),
+        height_sigma_curve=_curve_from_json(sigma_curve, f"{where}.height_sigma_curve"),
+        aspect=Histogram(*[_get(aspect, k, _NUMBERS, f"{where}.aspect")
+                           for k in ("edges", "probs")]),
+        sample_count=_get(rec, "count", _INT, where),
+        fallback=_get(rec, "fallback", _BOOL, where, False),
+    )
 
 
 def model_to_json(model: LocationModel) -> dict:
@@ -293,34 +314,24 @@ def model_to_json(model: LocationModel) -> dict:
     }
 
 
-def model_from_json(doc) -> LocationModel:
-    if doc.get("schema") != MODEL_SCHEMA_VERSION:
-        raise VersionError(
-            f"unsupported model schema {doc.get('schema')!r},"
-            f" expected {MODEL_SCHEMA_VERSION}"
-        )
+def model_from_json(doc, where="model") -> LocationModel:
+    """The model in `doc`; any defect raises VersionError naming `where`."""
     try:
-        cameras = {}
-        for cam, classes in doc["cameras"].items():
-            cameras[cam] = {
-                int(cid): ClassModel(
-                    class_id=int(cid),
-                    depth=LogNormalParams(mu=rec["depth"]["mu"],
-                                          sigma=rec["depth"]["sigma"]),
-                    height_mu_curve=_curve_from_json(rec["height_mu_curve"]),
-                    height_sigma_curve=_curve_from_json(rec["height_sigma_curve"]),
-                    aspect=Histogram(edges=rec["aspect"]["edges"],
-                                     probs=rec["aspect"]["probs"]),
-                    sample_count=rec["count"],
-                    fallback=rec.get("fallback", False),
-                )
-                for cid, rec in classes.items()
-            }
-        return LocationModel(cameras=cameras, class_prior=doc["class_prior"]["probs"],
-                             prior_classes=tuple(doc["class_prior"]["classes"]),
-                             config=RunConfig(**doc["config"]))
-    except (KeyError, TypeError) as e:
-        raise VersionError(f"malformed model document: {e}") from e
+        schema = _get(doc, "schema", _INT, "top level")
+        if schema != MODEL_SCHEMA_VERSION:
+            raise VersionError(f"{where}: unsupported model schema {schema!r},"
+                               f" expected {MODEL_SCHEMA_VERSION}")
+        cameras = _get(doc, "cameras", _OBJECT, "top level")
+        prior = _get(doc, "class_prior", _OBJECT, "top level")
+        return LocationModel(
+            cameras={cam: {int(cid): _class_from_json(cid, rec, f"cameras[{cam!r}][{cid!r}]")
+                           for cid, rec in _get(cameras, cam, _OBJECT, "cameras").items()}
+                     for cam in cameras},
+            class_prior=_get(prior, "probs", _NUMBERS, "class_prior"),
+            prior_classes=tuple(_get(prior, "classes", _INTS, "class_prior")),
+            config=RunConfig(**_get(doc, "config", _OBJECT, "top level")))
+    except (SchemaError, TypeError, ValueError) as e:
+        raise VersionError(f"{where}: malformed model document: {e}") from e
 
 
 def save_model(model: LocationModel, path):
@@ -329,7 +340,7 @@ def save_model(model: LocationModel, path):
 
 
 def load_model(path) -> LocationModel:
-    return model_from_json(_read_json(path))
+    return model_from_json(_read_json(path), path)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 from .config import RunConfig
 from .errors import InsufficientData
 from .fitting import LocationModel, object_depth
-from .geometry import BBox
 from .sampler import (
     PlacementProposal,
     Provenance,
@@ -190,13 +189,10 @@ def propose_random_location(scene: SceneContext, model: LocationModel,
     y = int(rng.integers(scene.depth.height))
     h = sample_height(cm, d, rng)
     w = sample_width(cm, h, rng)
-    scale = scene.grid_scale
-    box = BBox(cx=(x + 0.5) * scale, by=(y + 1.0) * scale, w=w, h=h)
     return PlacementProposal(
-        class_id=class_id, d=d, d_effective=d, box=box,
+        class_id=class_id, d=d, d_effective=d, box=scene.anchor_box(x, y, w, h),
         show_prob=cfg.show_prob,
-        provenance=Provenance(seed=0, frame_id="", index=0,
-                              attempts=1, anchor_px=(x, y)),
+        provenance=Provenance(index=0, attempts=1, anchor_px=(x, y)),
     )
 
 

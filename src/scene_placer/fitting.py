@@ -282,10 +282,10 @@ def _constant_curves(profile):
     return mu_curve, sigma_curve
 
 
-def fit_model(dataset, depth_lookup, config: RunConfig):
+def fit_model(dataset, depth_of, config: RunConfig):
     """Fit a LocationModel from annotated frames.
 
-    depth_lookup maps an AnnotatedFrame to its DepthGrid. Returns
+    depth_of maps an AnnotatedFrame to its DepthGrid. Returns
     (model, warnings): classes below min_samples on a camera fall back to the
     all-camera pooled fit; classes that are still too small are excluded and
     reported in the warnings list.
@@ -295,7 +295,7 @@ def fit_model(dataset, depth_lookup, config: RunConfig):
     per_cam = {}  # camera -> class -> [(d, h, w/h)]
     pooled = {}  # class -> [(d, h, w/h)]
     for frame in sorted(dataset, key=lambda f: str(f.frame_id)):
-        grid = depth_lookup(frame)
+        grid = depth_of(frame)
         for ann in frame.annotations:
             d = object_depth(grid, ann.box.cx, ann.box.by)
             if d <= 0:

@@ -76,18 +76,6 @@ class DrivableMask:
         if self.bits.ndim != 2:
             raise DimensionMismatch("drivable mask must be 2-D")
 
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def count(self) -> int:
-        return int(self.bits.sum())
-
 
 @dataclass(frozen=True)
 class BBox:

@@ -49,11 +49,15 @@ class SceneContext:
     def grid_scale(self) -> float:
         return self.frame_w / self.depth.width
 
+    def anchor_box(self, x, y, w, h) -> BBox:
+        """A w x h box in frame coordinates standing on the bottom edge of
+        grid pixel (x, y), centred on it."""
+        scale = self.grid_scale
+        return BBox(cx=(x + 0.5) * scale, by=(y + 1.0) * scale, w=w, h=h)
+
 
 @dataclass(frozen=True)
 class Provenance:
-    seed: int
-    frame_id: str
     index: int
     attempts: int
     anchor_px: tuple  # (x, y) in grid pixels
@@ -150,8 +154,6 @@ def propose(
     model: LocationModel,
     rng: np.random.Generator,
     cfg: RunConfig,
-    seed: int = 0,
-    frame_id: str = "",
     index: int = 0,
 ) -> PlacementProposal:
     """Run the full ancestral chain; rejects mostly-offscreen boxes.
@@ -159,7 +161,6 @@ def propose(
     A proposal whose box has less than cfg.min_visible_frac of its area
     inside the frame is resampled, up to cfg.max_attempts times.
     """
-    scale = scene.grid_scale
     for attempt in range(1, cfg.max_attempts + 1):
         class_id = sample_class(model, rng)
         cm = model.class_model(scene.camera_id, class_id)
@@ -167,8 +168,7 @@ def propose(
         x, y, d_eff = sample_location(scene, d, cfg.tau, rng)
         h = sample_height(cm, d_eff, rng)
         w = sample_width(cm, h, rng)
-        # anchor at the bottom edge of the chosen grid pixel, in frame coords
-        box = BBox(cx=(x + 0.5) * scale, by=(y + 1.0) * scale, w=w, h=h)
+        box = scene.anchor_box(x, y, w, h)
         if _visible_fraction(box, scene.frame_w, scene.frame_h) < cfg.min_visible_frac:
             continue
         return PlacementProposal(
@@ -177,36 +177,25 @@ def propose(
             d_effective=d_eff,
             box=_clip_box(box, scene.frame_w, scene.frame_h),
             show_prob=cfg.show_prob,
-            provenance=Provenance(
-                seed=seed, frame_id=frame_id, index=index,
-                attempts=attempt, anchor_px=(x, y),
-            ),
+            provenance=Provenance(index=index, attempts=attempt, anchor_px=(x, y)),
         )
     raise MaxAttemptsExceeded(f"no visible proposal after {cfg.max_attempts} attempts")
 
 
 def augment_frame(
-    scene: SceneContext,
-    model: LocationModel,
-    n_objects: int,
-    master_seed: int,
-    frame_id: str,
-    cfg: RunConfig | None = None,
+    scene: SceneContext, model: LocationModel, frame_id: str, cfg: RunConfig
 ) -> FrameAugmentation:
-    """n_objects independent proposals, each on its own RNG substream.
+    """cfg.n_objects independent proposals, each on its own RNG substream
+    keyed on (cfg.seed, frame_id, index).
 
     Proposals that exhaust the attempt budget are dropped and counted.
     """
-    cfg = cfg or RunConfig()
     proposals = []
     dropped = 0
-    for i in range(n_objects):
-        rng = substream(master_seed, frame_id, i)
+    for i in range(cfg.n_objects):
+        rng = substream(cfg.seed, frame_id, i)
         try:
-            proposals.append(
-                propose(scene, model, rng, cfg, seed=master_seed,
-                        frame_id=frame_id, index=i)
-            )
+            proposals.append(propose(scene, model, rng, cfg, index=i))
         except MaxAttemptsExceeded:
             dropped += 1
     return FrameAugmentation(frame_id=frame_id, proposals=proposals, dropped=dropped)

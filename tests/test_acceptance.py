@@ -195,7 +195,7 @@ def test_criterion_5_baseline_separation():
             scene = make_scene(vals, bits, frame_scale=30)
             fid = f"s{s}"
             scenes[fid] = scene
-            aware_augs.append(augment_frame(scene, model, 100, 5, fid, params))
+            aware_augs.append(augment_frame(scene, model, fid, params.replace(n_objects=100, seed=5)))
             rand_augs.append(FrameAugmentation(
                 frame_id=fid,
                 proposals=[propose_random_location(scene, model,

@@ -162,6 +162,8 @@ class TestEvalRender:
         assert first == (t / "o2.ppm").read_bytes()
 
     def test_frames_sharing_grids_read_them_once(self, fixture_dataset, monkeypatch):
+        """fit and eval read a grid file that frames share once; augment reads
+        a frame's grids for that frame alone, so they are freed with it."""
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
         doc = json.loads((t / "annotations.json").read_text())
@@ -173,19 +175,32 @@ class TestEvalRender:
         for sub in ("depth", "semantic"):
             (t / sub / "c.pgm").write_bytes((t / sub / "0.pgm").read_bytes())
         reads = []
-        read_depth_grid = dataset_io.read_depth_grid
-        monkeypatch.setattr(dataset_io, "read_depth_grid",
-                            lambda *a: reads.append(a) or read_depth_grid(*a))
-        reports = {}
-        for name in ("shared", "copies"):
-            reads.clear()
-            assert run(["eval", t / f"{name}.json", "--model", t / "model.json",
-                        "--layouts", t / "layouts",
-                        "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
-                        "--config", _cfg(t), "--out-report", t / f"{name}_report.json"]) == 0
-            reports[name] = (t / f"{name}_report.json").read_bytes()
-            assert len(reads) == (1 if name == "shared" else 2)
-        assert reports["shared"] == reports["copies"]
+        for name in ("read_depth_grid", "read_label_grid"):
+            read = getattr(dataset_io, name)
+            monkeypatch.setattr(dataset_io, name,
+                                lambda *a, name=name, read=read: reads.append(name) or read(*a))
+        grids = ["--depth-dir", t / "depth", "--semantic-dir", t / "semantic", "--config", _cfg(t)]
+        argv = {
+            "fit": lambda name: ["fit", t / f"{name}.json", "--depth-dir", t / "depth",
+                                 "--config", _cfg(t), "--out-model", t / f"{name}_model.json"],
+            "augment": lambda name: ["augment", t / f"{name}.json", "--model", t / "model.json",
+                                     *grids, "--out-layouts", t / f"{name}_layouts"],
+            "eval": lambda name: ["eval", t / f"{name}.json", "--model", t / "model.json",
+                                  "--layouts", t / "layouts", *grids,
+                                  "--out-report", t / f"{name}_report.json"],
+        }
+        # (depth reads, label reads) on the shared pair and on the copies
+        expected = {"fit": {"shared": (1, 0), "copies": (2, 0)},
+                    "augment": {"shared": (2, 2), "copies": (2, 2)},
+                    "eval": {"shared": (1, 1), "copies": (2, 2)}}
+        for command, counts in expected.items():
+            for name, want in counts.items():
+                reads.clear()
+                assert run(argv[command](name)) == 0
+                got = reads.count("read_depth_grid"), reads.count("read_label_grid")
+                assert got == want, (command, name)
+        for out in ("report.json", "layouts/0.json", "layouts/1.json"):
+            assert (t / f"shared_{out}").read_bytes() == (t / f"copies_{out}").read_bytes()
 
     def test_missing_layout_exit_2(self, tmp_path):
         assert run(["render", tmp_path / "nope.json", "--width", 10,
@@ -394,6 +409,26 @@ class TestModelChecks:
                     "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
                     "--out-layouts", t / "layouts", "--config", cfg]) == 2
         assert "no fitted model for class 99" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: [d],
+        lambda d: dict(d, cameras=[]),
+        lambda d: dict(d, cameras=dict(d["cameras"], front=[])),
+        lambda d: dict(d, class_prior=dict(d["class_prior"], classes=["x", 2])),
+    ], ids=["top-level-list", "cameras-list", "camera-list", "classes-not-integers"])
+    def test_malformed_model_exit_2(self, fixture_dataset, capsys, mutate):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "model.json").read_text())
+        assert "front" in doc["cameras"]
+        (t / "model.json").write_text(json.dumps(mutate(doc)))
+        capsys.readouterr()
+        assert run(["eval", t / "annotations.json", "--model", t / "model.json",
+                    "--layouts", t / "layouts", "--depth-dir", t / "depth",
+                    "--semantic-dir", t / "semantic", "--out-report", t / "report.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.json" in err
 
 
 class TestMalformedLayouts:

@@ -65,8 +65,8 @@ class TestLayoutReport:
         cfg = RunConfig()
         model, _ = fit_model(frames, lookup, cfg)
         scene = open_scene(side=200, max_depth=60.0, frame_scale=50, camera_id="cam0")
-        augs = [augment_frame(scene, model, 5000, 3, "big",
-                              RunConfig(tau=5.0, min_visible_frac=0.0))]
+        augs = [augment_frame(scene, model, "big",
+                              RunConfig(tau=5.0, min_visible_frac=0.0, n_objects=5000, seed=3))]
         scenes = {f.frame_id: None for f in frames}
         scenes["big"] = scene
         # reals carry their own depth in the constant grids; rebuild scenes
@@ -94,7 +94,7 @@ class TestLayoutReport:
         bits = rng.random((side, side)) < 0.3
         scene = make_scene(vals, bits, frame_scale=30)
         params = RunConfig(tau=5.0, min_visible_frac=0.0)
-        aware = augment_frame(scene, model, 500, 1, "s", params)
+        aware = augment_frame(scene, model, "s", params.replace(n_objects=500, seed=1))
         rand_props = [propose_random_location(scene, model, substream(2, "r", i), params)
                       for i in range(500)]
         rand = FrameAugmentation(frame_id="s", proposals=rand_props, dropped=0)
@@ -107,7 +107,7 @@ class TestLayoutReport:
     def test_incomparable_class_flagged(self, rng):
         model = make_model([make_class_model(class_id=1)])
         scene = open_scene(side=32, frame_scale=40)
-        aug = augment_frame(scene, model, 5, 0, "f", RunConfig(min_visible_frac=0.0))
+        aug = augment_frame(scene, model, "f", RunConfig(min_visible_frac=0.0, n_objects=5))
         real = [AnnotatedFrame(
             frame_id="g", camera_id="default", width=100, height=100,
             annotations=(Annotation(class_id=9, box=BBox(cx=5, by=9, w=3, h=4)),),
@@ -119,7 +119,7 @@ class TestLayoutReport:
     def test_report_serialization(self, rng, tmp_path):
         model = make_model([make_class_model(class_id=1)])
         scene = open_scene(side=32, frame_scale=40)
-        aug = augment_frame(scene, model, 5, 0, "f", RunConfig(min_visible_frac=0.0))
+        aug = augment_frame(scene, model, "f", RunConfig(min_visible_frac=0.0, n_objects=5))
         report = layout_report([], [aug], {"f": scene}, model, 5.0)
         doc = report.to_json()
         assert doc["n_proposals"] == len(aug.proposals)

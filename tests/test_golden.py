@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from scene_placer import dataset_io
-from scene_placer.cli import _build_scene, main
+from scene_placer.cli import _Grids, main
 from scene_placer.config import RunConfig
 from scene_placer.geometry import DepthGrid, LabelGrid, crop_geometry
 from scene_placer.sampler import augment_frame
@@ -105,13 +105,13 @@ def test_golden_scene_exercises_reset_and_edge_clipping(tmp_path):
     """The fixed scene must keep covering the empty-band reset and clipped
     anchors, or the digests above stop guarding those paths."""
     ann, cfg_path = _write_dataset(tmp_path)
-    cfg = RunConfig.from_file(cfg_path)
+    cfg = RunConfig.from_file(cfg_path).replace(seed=SEED)
     model = dataset_io.load_model(tmp_path / "model.json")
     resets = clipped = coarse = 0
     for frame in dataset_io.read_annotations(ann):
-        scene = _build_scene(frame, cfg, tmp_path / "depth", tmp_path / "semantic")
+        scene = _Grids(cfg, tmp_path / "depth", tmp_path / "semantic").scene(frame)
         coarse += scene.grid_scale > 1
-        aug = augment_frame(scene, model, cfg.n_objects, SEED, frame.frame_id, cfg)
+        aug = augment_frame(scene, model, frame.frame_id, cfg)
         for p in aug.proposals:
             resets += p.d_effective != p.d
             clipped += p.box.x0 == 0.0 or p.box.x1 == float(scene.frame_w)
@@ -171,12 +171,12 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path, monkeypatch
     dropped as occluded and some passed through, or the digests above stop
     guarding those paths."""
     ann, cfg_path, out = _augment_masked(tmp_path, monkeypatch)
-    cfg = RunConfig.from_file(cfg_path)
+    cfg = RunConfig.from_file(cfg_path).replace(seed=SEED)
     model = dataset_io.load_model(tmp_path / "model.json")
     edge = occluded = unmasked = 0
     for frame in dataset_io.read_annotations(ann):
-        scene = _build_scene(frame, cfg, tmp_path / "depth", tmp_path / "semantic")
-        aug = augment_frame(scene, model, cfg.n_objects, SEED, frame.frame_id, cfg)
+        scene = _Grids(cfg, tmp_path / "depth", tmp_path / "semantic").scene(frame)
+        aug = augment_frame(scene, model, frame.frame_id, cfg)
         for i, p in enumerate(aug.proposals):
             patch = crop_geometry(p.box, frame.width, frame.height)
             masked = i % 8 not in (5, 7)

@@ -1,5 +1,7 @@
 import copy
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from scene_placer.fitting import fit_model
 from scene_placer.geometry import BBox, DepthGrid, LabelGrid
 from scene_placer.sampler import FrameAugmentation
 
-from conftest import make_class_model, synthetic_dataset
+from conftest import make_class_model, make_model, synthetic_dataset
 
 
 def write_coco(path, images, annotations, categories):
@@ -266,6 +268,56 @@ class TestModelIO:
             dataset_io.load_model(p)
 
 
+VALID_MODEL = dataset_io.model_to_json(make_model([make_class_model(1), make_class_model(2)]))
+# per type of a value in a model document: values of another type
+WRONG_TYPE = {dict: [None, [], "x"], list: [None, {}, "x"], int: [1.5, "1", None],
+              float: ["x", None, True], bool: [0, "true", None], str: [3, None, []],
+              type(None): ["x", 2.5]}
+
+
+def _nodes(value, path=()):
+    """(path, value) of `value` and of every value nested in it."""
+    yield path, value
+    if type(value) in (dict, list):
+        for key, child in (value.items() if type(value) is dict else enumerate(value)):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def malformed_model_docs(draw):
+    """VALID_MODEL with one value mistyped or one required key deleted."""
+    doc = copy.deepcopy(VALID_MODEL)
+    path, value = draw(st.sampled_from(list(_nodes(doc))))
+    if not path:
+        return draw(st.sampled_from(WRONG_TYPE[dict]))
+    *parent_path, key = path
+    parent = functools.reduce(operator.getitem, parent_path, doc)
+    # camera and class entries may come and go; config fields and fallback have defaults
+    optional = (parent_path[:1] == ["config"] or key == "fallback"
+                or parent_path[:1] == ["cameras"] and len(parent_path) <= 2)
+    if type(parent) is dict and not optional and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from(WRONG_TYPE[type(value)]))
+    return doc
+
+
+class TestMalformedModels:
+    def test_valid_model_round_trips(self, tmp_path):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(VALID_MODEL))
+        dataset_io.save_model(dataset_io.load_model(p), tmp_path / "back.json")
+        assert json.loads((tmp_path / "back.json").read_text()) == VALID_MODEL
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=malformed_model_docs())
+    def test_one_bad_value_raises_version_error_naming_file(self, tmp_path_factory, doc):
+        p = tmp_path_factory.mktemp("fuzz") / "model.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(VersionError, match="model.json"):
+            dataset_io.load_model(p)
+
+
 class TestRenderOverlay:
     def test_empty_layout_blank_canvas(self, tmp_path):
         p = tmp_path / "o.ppm"
@@ -303,8 +355,7 @@ class TestLayoutIO:
             proposals=[PlacementProposal(
                 class_id=3, d=8.0, d_effective=7.5,
                 box=BBox(cx=10, by=20, w=5, h=8), show_prob=0.5,
-                provenance=Provenance(seed=0, frame_id="f1", index=0,
-                                      attempts=1, anchor_px=(1, 2)),
+                provenance=Provenance(index=0, attempts=1, anchor_px=(1, 2)),
             )],
             dropped=2,
         )

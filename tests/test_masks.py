@@ -18,8 +18,7 @@ def _proposal(d, idx=0):
     return PlacementProposal(
         class_id=1, d=d, d_effective=d,
         box=BBox(cx=10, by=10, w=4, h=4), show_prob=0.5,
-        provenance=Provenance(seed=0, frame_id="f", index=idx, attempts=1,
-                              anchor_px=(0, 0)),
+        provenance=Provenance(index=idx, attempts=1, anchor_px=(0, 0)),
     )
 
 

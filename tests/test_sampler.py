@@ -197,31 +197,30 @@ class TestAugmentFrame:
     def test_zero_objects(self):
         scene = open_scene(side=16, frame_scale=10)
         model = make_model([make_class_model()])
-        aug = augment_frame(scene, model, 0, 0, "f0")
+        aug = augment_frame(scene, model, "f0", RunConfig(n_objects=0))
         assert aug.proposals == [] and aug.dropped == 0
 
     def test_default_twelve(self):
         scene = open_scene(side=32, max_depth=40.0, frame_scale=50)
         model = make_model([make_class_model()])
-        aug = augment_frame(scene, model, 12, 5, "f1",
-                            RunConfig(min_visible_frac=0.0))
+        aug = augment_frame(scene, model, "f1",
+                            RunConfig(min_visible_frac=0.0, n_objects=12, seed=5))
         assert len(aug.proposals) + aug.dropped == 12
         assert all(p.show_prob == 0.5 for p in aug.proposals)
 
     def test_determinism_across_runs(self):
         scene = open_scene(side=32, max_depth=40.0, frame_scale=50)
         model = make_model([make_class_model()])
-        a = augment_frame(scene, model, 12, 42, "frame-9")
-        b = augment_frame(scene, model, 12, 42, "frame-9")
+        a = augment_frame(scene, model, "frame-9", RunConfig(n_objects=12, seed=42))
+        b = augment_frame(scene, model, "frame-9", RunConfig(n_objects=12, seed=42))
         assert a == b
 
     def test_substream_isolation(self):
         # proposal i does not depend on how many proposals precede it
         scene = open_scene(side=32, max_depth=40.0, frame_scale=50)
         model = make_model([make_class_model()])
-        full = augment_frame(scene, model, 6, 7, "x")
+        full = augment_frame(scene, model, "x", RunConfig(n_objects=6, seed=7))
         for i in (0, 3, 5):
             rng = substream(7, "x", i)
-            p = propose(scene, model, rng, RunConfig(),
-                        seed=7, frame_id="x", index=i)
+            p = propose(scene, model, rng, RunConfig(), index=i)
             assert p == full.proposals[i]
