@@ -6,7 +6,6 @@ Exit codes: 0 ok, 1 internal error, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -16,9 +15,9 @@ from .config import RunConfig
 from .errors import ScenePlacerError
 from .evaluate import layout_report, save_report
 from .fitting import fit_model
-from .geometry import BBox, DepthGrid, drivable_mask
+from .geometry import DepthGrid, drivable_mask
 from .masks import refine_layout
-from .sampler import FrameAugmentation, PlacementProposal, Provenance, SceneContext, augment_frame
+from .sampler import SceneContext, augment_frame
 
 
 def _resolve(base_dir, path):
@@ -106,37 +105,9 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _proposal_from_json(rec, scale) -> PlacementProposal:
-    cx, by, w, h = rec["box"]
-    ax = min(max(int(cx / scale), 0), 10**9)
-    ay = max(int(round(by / scale)) - 1, 0)
-    return PlacementProposal(
-        class_id=int(rec["class"]),
-        d=float(rec["d"]),
-        d_effective=float(rec["d"]),
-        box=BBox(cx=cx, by=by, w=w, h=h),
-        show_prob=float(rec["show_prob"]),
-        provenance=Provenance(index=0, attempts=1, anchor_px=(ax, ay)),
-        mask_path=rec["mask"],
-    )
-
-
-def _read_layout(path, scenes=None) -> FrameAugmentation:
-    """A layout file; each anchor is rebuilt on the grid of the frame's scene
-    in `scenes`, or in frame pixels when the frame has none."""
-    doc = dataset_io.load_layout(path)
-    scene = (scenes or {}).get(doc["frame_id"])
-    scale = scene.grid_scale if scene is not None else 1.0
-    return FrameAugmentation(
-        frame_id=doc["frame_id"],
-        proposals=[_proposal_from_json(rec, scale) for rec in doc["proposals"]],
-        dropped=doc["dropped"],
-    )
-
-
 def cmd_refine(args) -> int:
     cfg = _load_config(args)
-    aug = _read_layout(args.layout)
+    aug = dataset_io.load_layout(args.layout)
     aug = refine_layout(aug, [p.mask_path for p in aug.proposals],
                         args.width, args.height, cfg.min_visible_composite)
     dataset_io.save_layout(aug, args.out)
@@ -148,19 +119,18 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     frames = dataset_io.read_annotations(args.annotations)
     model = dataset_io.load_model(args.model)
+    augs = [dataset_io.load_layout(os.path.join(args.layouts, name))
+            for name in sorted(os.listdir(args.layouts)) if name.endswith(".json")]
     grids = _Grids(cfg, args.depth_dir, args.semantic_dir)
     scenes = {fr.frame_id: grids.scene(fr) for fr in frames if fr.has_grids}
-    augs = [_read_layout(os.path.join(args.layouts, name), scenes)
-            for name in sorted(os.listdir(args.layouts)) if name.endswith(".json")]
     report = layout_report(frames, augs, scenes, model, cfg.tau)
-    save_report(report, json_path=args.out_report,
-                text_path=args.out_text)
+    save_report(report, json_path=args.out_report, text_path=args.out_text)
     print(report.to_text(), end="")
     return 0
 
 
 def cmd_render(args) -> int:
-    aug = _read_layout(args.layout)
+    aug = dataset_io.load_layout(args.layout)
     real_boxes = []
     if args.annotations:
         for fr in dataset_io.read_annotations(args.annotations):
@@ -249,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenePlacerError, FileNotFoundError, ValueError, json.JSONDecodeError) as e:
+    except (ScenePlacerError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -35,6 +35,7 @@ _RANGES = {
     **dict.fromkeys(("tau", "window", "stride", "depth_scale"), (lambda v: v > 0, "> 0")),
     **dict.fromkeys(("max_attempts", "n_bins", "min_window_count"), (lambda v: v >= 1, ">= 1")),
     "n_objects": (lambda v: v >= 0, ">= 0"),
+    "min_samples": (lambda v: v >= 2, ">= 2"),  # a log-normal fit needs two samples
     "class_prior": (lambda v: v in CLASS_PRIORS, f"one of {CLASS_PRIORS}"),
 }
 _ANY = (lambda v: True, "")
@@ -76,14 +77,18 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+        """The config in JSON file `path`; a ValueError names the file."""
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                raw = json.load(f)
+            if not isinstance(raw, dict):
+                raise ValueError("config must be a JSON object")
+            unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            return cls(**raw)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
 
     def replace(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}

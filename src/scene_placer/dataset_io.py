@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-import reprlib
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -27,6 +27,7 @@ from .fitting import (
     PowerCurve,
 )
 from .geometry import BBox, DepthGrid, LabelGrid
+from .sampler import FrameAugmentation, PlacementProposal, Provenance
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,9 @@ _OBJECT = (lambda v: type(v) is dict, "an object")
 _INTS = (lambda v: type(v) is list and all([type(c) is int for c in v]), "a list of integers")
 _NUMBERS = (lambda v: type(v) is list and all([type(c) in _NUMBER_TYPES for c in v]),
             "a list of numbers")
-_BOX = (lambda v: type(v) is list and len(v) == 4 and all([type(c) in _NUMBER_TYPES for c in v]),
-        "a list of four numbers")
+_BOX = (lambda v: _NUMBERS[0](v) and len(v) == 4 and v[2] > 0 and v[3] > 0,
+        "a list of four numbers, the last two (width, height) > 0")
+_PIXEL = (lambda v: _INTS[0](v) and len(v) == 2, "a list of two integers")
 _MISSING = object()
 
 
@@ -79,16 +81,21 @@ def _read_json(path):
         raise ParseError(f"{path}: {e.msg}", offset=e.pos) from e
 
 
+def _describe(value) -> str:
+    """A rejected value's repr for an error message, or its type if that is long."""
+    return repr(value) if len(repr(value)) <= 32 else f"a {type(value).__name__}"
+
+
 def _get(rec, key, check, where, default=_MISSING):
     """Checked rec[key], or `default` if absent; errors name `where` (file, record)."""
     if type(rec) is not dict:
-        raise SchemaError(f"{where} must be an object, got {reprlib.repr(rec)}")
+        raise SchemaError(f"{where} must be an object, got {_describe(rec)}")
     value = rec.get(key, default)
     if value is _MISSING:
         raise SchemaError(f"{where}: missing key {key!r}")
     accepts, expected = check
     if not accepts(value):
-        raise SchemaError(f"{where}: {key!r} must be {expected}, got {reprlib.repr(value)}")
+        raise SchemaError(f"{where}: {key!r} must be {expected}, got {_describe(value)}")
     return value
 
 
@@ -271,6 +278,8 @@ def _curve_from_json(obj, where) -> PowerCurve:
 
 
 def _class_from_json(cid, rec, where) -> ClassModel:
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", cid):  # str(int(cid)) == cid: one key per class
+        raise SchemaError(f"{where}: class key must be a canonical integer such as '7'")
     depth, mu_curve, sigma_curve, aspect = [
         _get(rec, k, _OBJECT, where)
         for k in ("depth", "height_mu_curve", "height_sigma_curve", "aspect")]
@@ -324,8 +333,9 @@ def model_from_json(doc, where="model") -> LocationModel:
         cameras = _get(doc, "cameras", _OBJECT, "top level")
         prior = _get(doc, "class_prior", _OBJECT, "top level")
         return LocationModel(
-            cameras={cam: {int(cid): _class_from_json(cid, rec, f"cameras[{cam!r}][{cid!r}]")
-                           for cid, rec in _get(cameras, cam, _OBJECT, "cameras").items()}
+            cameras={cam: {cm.class_id: cm for cm in (
+                               _class_from_json(cid, rec, f"cameras[{cam!r}][{cid!r}]")
+                               for cid, rec in _get(cameras, cam, _OBJECT, "cameras").items())}
                      for cam in cameras},
             class_prior=_get(prior, "probs", _NUMBERS, "class_prior"),
             prior_classes=tuple(_get(prior, "classes", _INTS, "class_prior")),
@@ -346,42 +356,58 @@ def load_model(path) -> LocationModel:
 # ---------------------------------------------------------------------------
 # Augmented layouts
 
-def layout_to_json(aug) -> dict:
-    """AugmentedLayout document; field order is fixed for diff stability."""
-    return {
+LAYOUT_SCHEMA_VERSION = 2
+_LAYOUT_SCHEMA = (lambda v: _INT[0](v) and v == LAYOUT_SCHEMA_VERSION, str(LAYOUT_SCHEMA_VERSION))
+
+
+def save_layout(aug: FrameAugmentation, path):
+    """Write `aug` in fixed key order; mask paths relative to the layout's directory."""
+    base = os.path.dirname(os.path.abspath(path))
+    doc = {
+        "schema": LAYOUT_SCHEMA_VERSION,
         "frame_id": aug.frame_id,
         "proposals": [
             {
+                "index": p.provenance.index,
                 "class": p.class_id,
+                "d_sampled": p.d,
                 "d": p.d_effective,
+                "anchor": list(p.provenance.anchor_px),
+                "attempts": p.provenance.attempts,
                 "box": [p.box.cx, p.box.by, p.box.w, p.box.h],
                 "show_prob": p.show_prob,
-                "mask": p.mask_path,
+                "mask": None if p.mask_path is None else os.path.relpath(p.mask_path, base),
             }
             for p in aug.proposals
         ],
         "dropped": aug.dropped,
     }
+    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def save_layout(aug, path):
-    _atomic_write_text(path, json.dumps(layout_to_json(aug), indent=2) + "\n")
-
-
-# per proposal record of a layout: key -> check
-_PROPOSAL_FIELDS = {"class": _INT, "d": _NUMBER, "box": _BOX, "show_prob": _NUMBER, "mask": _PATH}
-
-
-def load_layout(path) -> dict:
-    """A layout document, with every key its readers use checked."""
+def load_layout(path) -> FrameAugmentation:
+    """The FrameAugmentation that save_layout wrote to `path`, every key checked."""
     doc = _read_json(path)
     where = f"{path}: layout"
-    _get(doc, "frame_id", _STR, where)
-    _get(doc, "dropped", _INT, where)
+    _get(doc, "schema", _LAYOUT_SCHEMA, where)
+    base = os.path.dirname(path)
+    proposals = []
     for i, rec in enumerate(_get(doc, "proposals", _LIST, where)):
-        for key, check in _PROPOSAL_FIELDS.items():
-            _get(rec, key, check, f"{path}: proposals[{i}]")
-    return doc
+        at = f"{path}: proposals[{i}]"
+        mask = _get(rec, "mask", _PATH, at)
+        proposals.append(PlacementProposal(
+            class_id=_get(rec, "class", _INT, at),
+            d=_get(rec, "d_sampled", _NUMBER, at),
+            d_effective=_get(rec, "d", _NUMBER, at),
+            box=BBox(*_get(rec, "box", _BOX, at)),
+            show_prob=_get(rec, "show_prob", _NUMBER, at),
+            provenance=Provenance(index=_get(rec, "index", _INT, at),
+                                  attempts=_get(rec, "attempts", _INT, at),
+                                  anchor_px=tuple(_get(rec, "anchor", _PIXEL, at))),
+            mask_path=None if mask is None else os.path.normpath(os.path.join(base, mask)),
+        ))
+    return FrameAugmentation(frame_id=_get(doc, "frame_id", _STR, where),
+                             proposals=proposals, dropped=_get(doc, "dropped", _INT, where))
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def fit_model(dataset, depth_of, config: RunConfig):
     pooled_models = {}
     for class_id in sorted(pooled):
         recs = pooled[class_id]
-        if len(recs) < max(config.min_samples, 2):
+        if len(recs) < config.min_samples:
             warnings.append(
                 f"class {class_id}: only {len(recs)} samples overall, excluded"
             )

@@ -45,14 +45,10 @@ class SceneContext:
         if abs(sx - sy) > 1e-6:
             raise DimensionMismatch("grid-to-frame scale differs between axes")
 
-    @property
-    def grid_scale(self) -> float:
-        return self.frame_w / self.depth.width
-
     def anchor_box(self, x, y, w, h) -> BBox:
         """A w x h box in frame coordinates standing on the bottom edge of
         grid pixel (x, y), centred on it."""
-        scale = self.grid_scale
+        scale = self.frame_w / self.depth.width
         return BBox(cx=(x + 0.5) * scale, by=(y + 1.0) * scale, w=w, h=h)
 
 

@@ -111,10 +111,12 @@ class TestAugment:
     def test_twelve_proposals_default(self, fixture_dataset):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
-        doc = dataset_io.load_layout(t / "layouts" / "0.json")
+        doc = json.loads((t / "layouts" / "0.json").read_text())
+        assert doc["schema"] == 2
         assert len(doc["proposals"]) + doc["dropped"] == 12
         for rec in doc["proposals"]:
-            assert set(rec) == {"class", "d", "box", "show_prob", "mask"}
+            assert set(rec) == {"index", "class", "d_sampled", "d", "anchor", "attempts",
+                                "box", "show_prob", "mask"}
             assert rec["show_prob"] == 0.5
 
     @pytest.mark.parametrize("source, bad", [("flag", "300"), ("config", "-1")])
@@ -211,7 +213,7 @@ class TestRefine:
     def test_refine_with_masks(self, fixture_dataset):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
-        doc = dataset_io.load_layout(t / "layouts" / "0.json")
+        doc = json.loads((t / "layouts" / "0.json").read_text())
         masks_dir = t / "masks"
         masks_dir.mkdir()
         # give the first proposal a mask covering the middle of its patch
@@ -222,22 +224,25 @@ class TestRefine:
         doc["proposals"][0]["mask"] = str(mask_path)
         layout_path = t / "masked_layout.json"
         layout_path.write_text(json.dumps(doc))
-        out = t / "refined.json"
+        # written to another directory, the layout still finds its mask
+        (t / "elsewhere").mkdir()
+        out = t / "elsewhere" / "refined.json"
         assert run(["refine", layout_path, "--width", 48, "--height", 48,
                     "--out", out, "--config", _cfg(t)]) == 0
         refined = dataset_io.load_layout(out)
-        assert len(refined["proposals"]) == len(doc["proposals"])
-        masked = [r for r in refined["proposals"] if r["mask"]]
+        assert len(refined.proposals) == len(doc["proposals"])
+        masked = [p for p in refined.proposals if p.mask_path]
         assert len(masked) == 1
+        assert json.loads(out.read_text())["proposals"][-1]["mask"] == "../masks/p0.pgm"
+        assert os.path.abspath(masked[0].mask_path) == str(mask_path)
         orig = doc["proposals"][0]["box"]
-        new = masked[0]["box"]
         # mask covers the central half of the patch: the refined box shrinks
-        assert new[2] <= 2 * max(orig[2], orig[3]) + 1e-6
+        assert masked[0].box.w <= 2 * max(orig[2], orig[3]) + 1e-6
 
     def test_empty_mask_passes_through(self, fixture_dataset):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
-        doc = dataset_io.load_layout(t / "layouts" / "0.json")
+        doc = json.loads((t / "layouts" / "0.json").read_text())
         full = np.ones((16, 16), bool)
         empty = np.zeros((16, 16), bool)
         for i, bits in enumerate((empty, full)):
@@ -248,13 +253,14 @@ class TestRefine:
         out = t / "refined.json"
         assert run(["refine", layout_path, "--width", 48, "--height", 48,
                     "--out", out, "--config", _cfg(t)]) == 0
+        sampled = dataset_io.load_layout(layout_path)
         refined = dataset_io.load_layout(out)
         # the empty-mask proposal comes through unchanged with the unmasked
         # ones, ahead of the single refined proposal
-        assert refined["proposals"][0] == doc["proposals"][0]
-        assert refined["proposals"][1:-1] == doc["proposals"][2:]
-        assert refined["proposals"][-1]["mask"] == str(t / "p1.pgm")
-        assert refined["dropped"] == doc["dropped"]
+        assert refined.proposals[0] == sampled.proposals[0]
+        assert refined.proposals[1:-1] == sampled.proposals[2:]
+        assert refined.proposals[-1].mask_path == str(t / "p1.pgm")
+        assert refined.dropped == sampled.dropped
 
 
 class TestAugmentMasks:
@@ -270,13 +276,13 @@ class TestAugmentMasks:
                     "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
                     "--masks-dir", masks, "--out-layouts", t / "masked",
                     "--config", _cfg(t), "--seed", 7]) == 0
-        doc = dataset_io.load_layout(t / "masked" / "0.json")
+        aug = dataset_io.load_layout(t / "masked" / "0.json")
         # proposal 0 (empty mask) and the unmasked ones pass through as
         # sampled; only proposal 1 is refined, and it is last
-        assert doc["proposals"][0] == plain["proposals"][0]
-        assert doc["proposals"][1:-1] == plain["proposals"][2:]
-        assert doc["proposals"][-1]["mask"] == str(masks / "0_1.pgm")
-        assert doc["dropped"] == plain["dropped"]
+        assert aug.proposals[0] == plain.proposals[0]
+        assert aug.proposals[1:-1] == plain.proposals[2:]
+        assert aug.proposals[-1].mask_path == str(masks / "0_1.pgm")
+        assert aug.dropped == plain.dropped
 
 
 class TestConfigFile:
@@ -302,15 +308,21 @@ class TestConfigFile:
                     "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
                     "--out-layouts", t / "layouts", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config field ") and repr(field) in err
+        assert err.startswith(f"error: {cfg}: config field ") and repr(field) in err
         assert not (t / "layouts").exists() or not os.listdir(t / "layouts")
 
-    def test_not_an_object_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "JSON object"),
+        ("{\n", "Expecting property name"),
+        ('{"taus": 5}', "unknown config keys: ['taus']"),
+    ], ids=["not-an-object", "not-json", "unknown-key"])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "config.json"
-        cfg.write_text("[1, 2]")
+        cfg.write_text(text)
         assert run(["fit", tmp_path / "annotations.json", "--out-model",
                     tmp_path / "m.json", "--config", cfg]) == 2
-        assert "JSON object" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and named in err
 
     def test_numbers_accepted(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -333,6 +345,9 @@ class TestRanges:
         ("stride", 0.0),
         ("depth_scale", 0),
         ("n_objects", -1),
+        ("min_samples", 1),
+        ("min_samples", 0),
+        ("min_samples", -4),
     ])
     def test_config_out_of_range_exit_2(self, fixture_dataset, capsys, field, value):
         t = fixture_dataset
@@ -345,7 +360,7 @@ class TestRanges:
                     "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
                     "--out-layouts", t / "layouts", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config field {field!r} must be ")
+        assert err.startswith(f"error: {cfg}: config field {field!r} must be ")
         assert not (t / "layouts").exists() or not os.listdir(t / "layouts")
 
     @pytest.mark.parametrize("flag, value, named", [
@@ -411,13 +426,18 @@ class TestModelChecks:
         assert "no fitted model for class 99" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: [d],
-        lambda d: dict(d, cameras=[]),
-        lambda d: dict(d, cameras=dict(d["cameras"], front=[])),
-        lambda d: dict(d, class_prior=dict(d["class_prior"], classes=["x", 2])),
-    ], ids=["top-level-list", "cameras-list", "camera-list", "classes-not-integers"])
-    def test_malformed_model_exit_2(self, fixture_dataset, capsys, mutate):
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda d: [d], "top level"),
+        (lambda d: dict(d, cameras=[]), "'cameras'"),
+        (lambda d: dict(d, cameras=dict(d["cameras"], front=[])), "'front'"),
+        (lambda d: dict(d, class_prior=dict(d["class_prior"], classes=["x", 2])), "classes"),
+        # a second spelling of class 1 must not replace its record
+        (lambda d: dict(d, cameras=dict(d["cameras"], front=dict(
+            d["cameras"]["front"], **{"01": dict(d["cameras"]["front"]["1"], count=7)}))),
+         "cameras['front']['01']"),
+    ], ids=["top-level-list", "cameras-list", "camera-list", "classes-not-integers",
+            "class-key-01"])
+    def test_malformed_model_exit_2(self, fixture_dataset, capsys, mutate, named):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
         doc = json.loads((t / "model.json").read_text())
@@ -427,21 +447,27 @@ class TestModelChecks:
         assert run(["eval", t / "annotations.json", "--model", t / "model.json",
                     "--layouts", t / "layouts", "--depth-dir", t / "depth",
                     "--semantic-dir", t / "semantic", "--out-report", t / "report.json"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "model.json" in err
+        line = capsys.readouterr().err.rstrip("\n")
+        assert line.startswith(f"error: {t / 'model.json'}: ") and named in line
+        assert "\n" not in line and len(line.encode()) < 200
 
 
 class TestMalformedLayouts:
     @pytest.mark.parametrize("command", ["refine", "eval", "render"])
-    @pytest.mark.parametrize("defect", ["no-box", "proposals-int"])
+    @pytest.mark.parametrize("defect", ["no-box", "proposals-int", "v1"])
     def test_exit_2(self, fixture_dataset, capsys, command, defect):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
-        doc = dataset_io.load_layout(t / "layouts" / "0.json")
+        doc = json.loads((t / "layouts" / "0.json").read_text())
         if defect == "no-box":
             del doc["proposals"][0]["box"]
-        else:
+        elif defect == "proposals-int":
             doc["proposals"] = 5
+        else:  # the layout format before schema 2
+            del doc["schema"]
+            for rec in doc["proposals"]:
+                for key in ("index", "d_sampled", "anchor", "attempts"):
+                    del rec[key]
         (t / "layouts" / "0.json").write_text(json.dumps(doc))
         argv = {
             "refine": ["refine", t / "layouts" / "0.json", "--width", 48, "--height", 48,

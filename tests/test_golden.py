@@ -12,6 +12,10 @@ depth reset), and drivable columns at both frame edges (boxes clipped).
 
 A second set of digests covers `augment --masks-dir` on the same scene, so
 refinement, compositing and the visibility filter are pinned the same way.
+
+The bytes include the layout format (schema 2: anchors, sampled depths,
+attempts, mask paths relative to the layout), so a format change moves both
+sets of digests too.
 """
 
 import hashlib
@@ -34,8 +38,8 @@ SEED = 11
 FRAMES = [(0, 80, 40, 40, 20), (1, 48, 24, 48, 24)]
 
 GOLDEN_SHA256 = {
-    "0.json": "228e9069468dc6f66b6e0eac657595b499682ed42c24bc37bd2e65afc6986dce",
-    "1.json": "5e66419eab305751468128c3e1d2938b6e3636ed775326a1a0f1036529f0b10e",
+    "0.json": "528ad0402449ed081b2e5f55cf1378a2473585914c70621eac0e6a506c4176cb",
+    "1.json": "56a047440607d68a9fb71c87bc20a4b044963cb74c54df2896fb062c4fc9de3a",
 }
 
 
@@ -43,8 +47,8 @@ GOLDEN_SHA256 = {
 # all-zero and missing masks, patches against the frame edges and proposals
 # dropped as occluded
 GOLDEN_MASKED_SHA256 = {
-    "0.json": "67f4a0893a4f8218621fbe56f5792a23727c41a5961301eead408395f03ad549",
-    "1.json": "c140ce1e3d53e0028951ce71b80990baa5f797971de68d72e384b7b6439287f1",
+    "0.json": "8947e385a3c57ebda912e8ca8a54bd83f561d228ba0235825e90185f471934cb",
+    "1.json": "86a4386ffe1fdb370533062f8977b30bb1cc1dc052e8a95e28dc691041d3fed2",
 }
 
 # bitmap side per proposal index (mod 4): larger and smaller than the patches
@@ -110,7 +114,7 @@ def test_golden_scene_exercises_reset_and_edge_clipping(tmp_path):
     resets = clipped = coarse = 0
     for frame in dataset_io.read_annotations(ann):
         scene = _Grids(cfg, tmp_path / "depth", tmp_path / "semantic").scene(frame)
-        coarse += scene.grid_scale > 1
+        coarse += scene.frame_w > scene.depth.width
         aug = augment_frame(scene, model, frame.frame_id, cfg)
         for p in aug.proposals:
             resets += p.d_effective != p.d
@@ -144,33 +148,63 @@ def _write_masks(tmp_path, n_objects):
     return masks
 
 
-def _augment_masked(tmp_path, monkeypatch):
-    """Run from the dataset root with a relative --masks-dir: layouts store
-    the mask paths, which must not depend on the temporary directory."""
-    ann, cfg = _write_dataset(tmp_path)
-    _write_masks(tmp_path, RunConfig.from_file(cfg).n_objects)
-    monkeypatch.chdir(tmp_path)
-    out = tmp_path / "layouts"
+def _run_masked_augment(tmp_path, ann, cfg, masks_dir, out):
     assert main([str(a) for a in (
         "augment", ann, "--model", tmp_path / "model.json",
         "--depth-dir", tmp_path / "depth", "--semantic-dir", tmp_path / "semantic",
-        "--masks-dir", "masks", "--out-layouts", out, "--config", cfg,
+        "--masks-dir", masks_dir, "--out-layouts", out, "--config", cfg,
         "--seed", SEED)]) == 0
+
+
+def _augment_masked(tmp_path):
+    ann, cfg = _write_dataset(tmp_path)
+    masks = _write_masks(tmp_path, RunConfig.from_file(cfg).n_objects)
+    out = tmp_path / "layouts"
+    _run_masked_augment(tmp_path, ann, cfg, masks, out)
     return ann, cfg, out
 
 
-def test_masked_augment_layout_bytes_match_recorded_digests(tmp_path, monkeypatch):
-    _, _, out = _augment_masked(tmp_path, monkeypatch)
+def test_masked_augment_layout_bytes_match_recorded_digests(tmp_path):
+    _, _, out = _augment_masked(tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
     assert digests == GOLDEN_MASKED_SHA256
 
 
-def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path, monkeypatch):
+def test_masked_layout_bytes_do_not_depend_on_masks_dir_spelling(tmp_path, monkeypatch):
+    """Layouts store mask paths relative to themselves: a relative
+    --masks-dir from the dataset root and an absolute one from another
+    directory write the same bytes."""
+    ann, cfg, out = _augment_masked(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _run_masked_augment(tmp_path, ann, cfg, "masks", "relative")
+    for name in ("0.json", "1.json"):
+        assert (tmp_path / "relative" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_eval_judges_stored_anchors_of_clipped_refined_proposals(tmp_path):
+    """Refined and clipped boxes no longer stand on their anchors. Every
+    anchor was drawn from its band, so band_validity must read 1.0."""
+    ann, cfg, out = _augment_masked(tmp_path)
+    (tmp_path / "refined").mkdir()
+    for fid, fw, fh, *_ in FRAMES:
+        assert main([str(a) for a in (
+            "refine", out / f"{fid}.json", "--width", fw, "--height", fh,
+            "--out", tmp_path / "refined" / f"{fid}.json", "--config", cfg)]) == 0
+    assert main([str(a) for a in (
+        "eval", ann, "--model", tmp_path / "model.json", "--layouts", tmp_path / "refined",
+        "--depth-dir", tmp_path / "depth", "--semantic-dir", tmp_path / "semantic",
+        "--config", cfg, "--out-report", tmp_path / "report.json")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_proposals"] > 0
+    assert report["band_validity"] == 1.0
+
+
+def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path):
     """Masked proposals must keep touching the frame edges, some must be
     dropped as occluded and some passed through, or the digests above stop
     guarding those paths."""
-    ann, cfg_path, out = _augment_masked(tmp_path, monkeypatch)
+    ann, cfg_path, out = _augment_masked(tmp_path)
     cfg = RunConfig.from_file(cfg_path).replace(seed=SEED)
     model = dataset_io.load_model(tmp_path / "model.json")
     edge = occluded = unmasked = 0
@@ -183,9 +217,9 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path, monkeypatch
             edge += masked and (patch.x0 == 0 or patch.y0 == 0
                                 or patch.x0 + patch.side == frame.width
                                 or patch.y0 + patch.side == frame.height)
-        doc = dataset_io.load_layout(out / f"{frame.frame_id}.json")
-        occluded += doc["dropped"] - aug.dropped
-        unmasked += sum(rec["mask"] is None for rec in doc["proposals"])
+        written = dataset_io.load_layout(out / f"{frame.frame_id}.json")
+        occluded += written.dropped - aug.dropped
+        unmasked += sum(p.mask_path is None for p in written.proposals)
     assert edge > 0
     assert occluded > 0
     assert unmasked > 0

@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import functools
 import json
 import operator
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from scene_placer.errors import (
 )
 from scene_placer.fitting import fit_model
 from scene_placer.geometry import BBox, DepthGrid, LabelGrid
-from scene_placer.sampler import FrameAugmentation
+from scene_placer.sampler import FrameAugmentation, PlacementProposal, Provenance, _clip_box
 
 from conftest import make_class_model, make_model, synthetic_dataset
 
@@ -347,46 +349,80 @@ class TestRenderOverlay:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+@st.composite
+def augmentations(draw):
+    """Layouts as augment and refine leave them: boxes clipped at the frame
+    edge, proposals with no mask or a relative or absolute mask path."""
+    fw, fh = draw(st.integers(1, 2000)), draw(st.integers(1, 2000))
+    coords = st.floats(0.0, 1e4, allow_nan=False)
+    mask_paths = st.lists(st.sampled_from(["masks", "..", ".", "a"]), max_size=3).map(
+        lambda parts: os.path.join(*parts, "m.pgm"))
+    proposals = []
+    for i in range(draw(st.integers(0, 4))):
+        box = BBox(cx=draw(st.floats(0.0, fw, exclude_min=True, exclude_max=True)),
+                   by=draw(st.floats(0.0, fh, exclude_min=True)),
+                   w=draw(st.floats(0.5, 3e3)), h=draw(st.floats(0.5, 3e3)))
+        proposals.append(PlacementProposal(
+            class_id=draw(st.integers(0, 255)), d=draw(coords), d_effective=draw(coords),
+            box=_clip_box(box, fw, fh), show_prob=draw(st.floats(0.0, 1.0)),
+            provenance=Provenance(index=i, attempts=draw(st.integers(1, 25)),
+                                  anchor_px=(draw(st.integers(0, 999)), draw(st.integers(0, 999)))),
+            mask_path=draw(st.none() | mask_paths | mask_paths.map(lambda m: "/" + m))))
+    return FrameAugmentation(frame_id=draw(st.text(max_size=6)), proposals=proposals,
+                             dropped=draw(st.integers(0, 12)))
+
+
+def _absolute_masks(aug):
+    return dataclasses.replace(aug, proposals=[
+        dataclasses.replace(p, mask_path=p.mask_path and os.path.abspath(p.mask_path))
+        for p in aug.proposals])
+
+
+GOOD_PROPOSAL = {"index": 0, "class": 1, "d_sampled": 8.0, "d": 7.5, "anchor": [4, 9],
+                 "attempts": 1, "box": [10, 20, 5, 8], "show_prob": 0.5, "mask": None}
+
+
 class TestLayoutIO:
-    def test_layout_round_trip(self, tmp_path):
-        from scene_placer.sampler import PlacementProposal, Provenance
-        aug = FrameAugmentation(
-            frame_id="f1",
-            proposals=[PlacementProposal(
-                class_id=3, d=8.0, d_effective=7.5,
-                box=BBox(cx=10, by=20, w=5, h=8), show_prob=0.5,
-                provenance=Provenance(index=0, attempts=1, anchor_px=(1, 2)),
-            )],
-            dropped=2,
-        )
-        p = tmp_path / "l.json"
+    @settings(max_examples=100, deadline=None)
+    @given(aug=augmentations())
+    def test_layout_round_trip(self, tmp_path_factory, aug):
+        p = tmp_path_factory.mktemp("layout") / "l.json"
         dataset_io.save_layout(aug, p)
-        doc = dataset_io.load_layout(p)
-        assert doc["frame_id"] == "f1"
-        assert doc["dropped"] == 2
-        assert doc["proposals"][0]["class"] == 3
-        assert doc["proposals"][0]["d"] == 7.5
-        assert doc["proposals"][0]["box"] == [10, 20, 5, 8]
-        assert doc["proposals"][0]["mask"] is None
+        assert _absolute_masks(dataset_io.load_layout(p)) == _absolute_masks(aug)
+        # "d" is the depth after any empty-band reset
+        assert [r["d"] for r in json.loads(p.read_text())["proposals"]] == [
+            q.d_effective for q in aug.proposals]
 
     def test_missing_key(self, tmp_path):
         p = tmp_path / "l.json"
-        p.write_text('{"frame_id": "x", "proposals": []}')
-        with pytest.raises(SchemaError):
+        p.write_text('{"schema": 2, "frame_id": "x", "proposals": []}')
+        with pytest.raises(SchemaError, match="'dropped'"):
+            dataset_io.load_layout(p)
+
+    @pytest.mark.parametrize("schema", [1, 3, "2", 2.0, None, "missing"])
+    def test_other_schema_names_file(self, tmp_path, schema):
+        doc = {"frame_id": "x", "proposals": [GOOD_PROPOSAL], "dropped": 0}
+        if schema != "missing":
+            doc["schema"] = schema
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"l\.json: layout: .*'schema'"):
             dataset_io.load_layout(p)
 
     @pytest.mark.parametrize("key, value", [
         ("class", 1.5), ("d", None), ("box", [1, 2, 3]), ("box", [1, 2, 3, "4"]),
         ("show_prob", "0.5"), ("mask", 3), ("class", "missing"),
+        ("box", [1, 2, 0, 4]), ("anchor", [1.0, 2]), ("anchor", [1]), ("attempts", "1"),
+        ("index", None), ("d_sampled", "missing"),
     ])
     def test_bad_proposal_names_file_and_index(self, tmp_path, key, value):
-        good = {"class": 1, "d": 7.5, "box": [10, 20, 5, 8], "show_prob": 0.5, "mask": None}
-        bad = dict(good)
+        bad = dict(GOOD_PROPOSAL)
         if value == "missing":
             del bad[key]
         else:
             bad[key] = value
         p = tmp_path / "l.json"
-        p.write_text(json.dumps({"frame_id": "x", "proposals": [good, bad], "dropped": 0}))
+        p.write_text(json.dumps({"schema": 2, "frame_id": "x", "dropped": 0,
+                                 "proposals": [GOOD_PROPOSAL, bad]}))
         with pytest.raises(SchemaError, match=r"l\.json: proposals\[1\]"):
             dataset_io.load_layout(p)
