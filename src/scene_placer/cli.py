@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import dataset_io
 from .config import RunConfig
 from .errors import ScenePlacerError
-from .evaluate import layout_report, save_report
+from .evaluate import layout_report
 from .fitting import fit_model
 from .geometry import DepthGrid, drivable_mask
 from .masks import refine_layout
@@ -27,7 +27,7 @@ def _resolve(base_dir, path):
 
 def _load_config(args) -> RunConfig:
     """The --config file (or the defaults) with the command's flags laid over it."""
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    cfg = dataset_io.load_config(args.config) if args.config else RunConfig()
     flags = vars(args)
     classes = flags.get("drivable_classes")
     return cfg.replace(seed=flags.get("seed"), tau=flags.get("tau"),
@@ -124,7 +124,7 @@ def cmd_eval(args) -> int:
     grids = _Grids(cfg, args.depth_dir, args.semantic_dir)
     scenes = {fr.frame_id: grids.scene(fr) for fr in frames if fr.has_grids}
     report = layout_report(frames, augs, scenes, model, cfg.tau)
-    save_report(report, json_path=args.out_report, text_path=args.out_text)
+    dataset_io.save_report(report, json_path=args.out_report, text_path=args.out_text)
     print(report.to_text(), end="")
     return 0
 
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenePlacerError, FileNotFoundError, ValueError) as e:
+    except (ScenePlacerError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -1,16 +1,20 @@
-"""File formats: COCO-style annotations, binary PGM/PPM grids, model JSON,
-and per-frame augmented-layout JSON.
+"""File formats: COCO-style annotations, binary PGM/PPM grids, run-config
+JSON, model JSON, per-frame augmented-layout JSON and the eval report.
 
-All writers produce canonical, diff-stable bytes; all readers reject
-trailing garbage. Depth grids are 16-bit big-endian PGM scaled by a linear
-factor; label and mask grids are 8-bit PGM.
+This is the one module that opens files. All writers produce canonical,
+diff-stable bytes and replace their file atomically; all readers reject
+trailing garbage, and every JSON value passes one table of checks. Depth
+grids are 16-bit big-endian PGM scaled by a linear factor; label and mask
+grids are 8-bit PGM.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -55,19 +59,24 @@ class AnnotatedFrame:
 # ---------------------------------------------------------------------------
 # Schema checks of the JSON readers: (accepts the value, what it must be).
 # Exact types: json.loads makes no subclasses, and a bool is not a number.
+# A number is finite: within +-_MAX, which rejects NaN, +-Infinity (also
+# spelled 1e400) and ints too big for a float, and compares without raising.
 _NUMBER_TYPES = {int, float}
+_MAX = sys.float_info.max
 _INT = (lambda v: type(v) is int, "an integer")
-_NUMBER = (lambda v: type(v) in _NUMBER_TYPES, "a number")
+_SIZE = (lambda v: type(v) is int and v > 0, "an integer > 0")
+_NUMBER = (lambda v: type(v) in _NUMBER_TYPES and -_MAX <= v <= _MAX, "a finite number")
 _STR = (lambda v: type(v) is str, "a string")
 _PATH = (lambda v: v is None or type(v) is str, "a string or null")
 _BOOL = (lambda v: type(v) is bool, "true or false")
 _LIST = (lambda v: type(v) is list, "a list")
 _OBJECT = (lambda v: type(v) is dict, "an object")
 _INTS = (lambda v: type(v) is list and all([type(c) is int for c in v]), "a list of integers")
-_NUMBERS = (lambda v: type(v) is list and all([type(c) in _NUMBER_TYPES for c in v]),
-            "a list of numbers")
+_NUMBERS = (lambda v: type(v) is list
+            and all([type(c) in _NUMBER_TYPES and -_MAX <= c <= _MAX for c in v]),
+            "a list of finite numbers")
 _BOX = (lambda v: _NUMBERS[0](v) and len(v) == 4 and v[2] > 0 and v[3] > 0,
-        "a list of four numbers, the last two (width, height) > 0")
+        "a list of four finite numbers, the last two (width, height) > 0")
 _PIXEL = (lambda v: _INTS[0](v) and len(v) == 2, "a list of two integers")
 _MISSING = object()
 
@@ -81,9 +90,14 @@ def _read_json(path):
         raise ParseError(f"{path}: {e.msg}", offset=e.pos) from e
 
 
+def _write_json(path, doc, sort_keys=True):
+    _atomic_write_bytes(path, (json.dumps(doc, sort_keys=sort_keys, indent=2) + "\n").encode())
+
+
 def _describe(value) -> str:
     """A rejected value's repr for an error message, or its type if that is long."""
-    return repr(value) if len(repr(value)) <= 32 else f"a {type(value).__name__}"
+    text = repr(value)
+    return text if len(text.encode()) <= 32 else f"a {type(value).__name__}"
 
 
 def _get(rec, key, check, where, default=_MISSING):
@@ -129,8 +143,8 @@ def read_annotations(path) -> list:
         frames.append(AnnotatedFrame(
             frame_id=str(image_id),
             camera_id=_get(img, "camera", _STR, rec, "default"),
-            width=_get(img, "width", _INT, rec),
-            height=_get(img, "height", _INT, rec),
+            width=_get(img, "width", _SIZE, rec),
+            height=_get(img, "height", _SIZE, rec),
             annotations=tuple(per_image.get(image_id, [])),
             depth_path=_get(img, "depth_path", _PATH, rec, None),
             semantic_path=_get(img, "semantic_path", _PATH, rec, None),
@@ -173,7 +187,7 @@ def write_annotations(frames, path):
         "annotations": annotations,
         "categories": [{"id": c} for c in sorted(cat_ids)],
     }
-    _atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +279,35 @@ def write_mask_pgm(bits: np.ndarray, path):
 
 
 # ---------------------------------------------------------------------------
+# Run config: a flat object of RunConfig fields
+
+# per RunConfig field annotation: the check of its JSON value
+_CONFIG_CHECKS = {
+    "int": _INT, "float": _NUMBER, "str": _STR, "list[int]": _INTS,
+    "list[int] | None": (lambda v: v is None or _INTS[0](v), "null or a list of integers"),
+}
+
+
+def config_from_json(doc, where) -> RunConfig:
+    """The RunConfig in `doc`, absent fields at their defaults; an unknown key
+    or a mistyped or out-of-range field raises SchemaError naming `where`."""
+    defaults = RunConfig()
+    values = {f.name: _get(doc, f.name, _CONFIG_CHECKS[f.type], where,
+                           getattr(defaults, f.name)) for f in dataclasses.fields(RunConfig)}
+    for key in doc:
+        if key not in values:
+            raise SchemaError(f"{where}: unknown key {_describe(key)}")
+    try:
+        return RunConfig(**values)
+    except ValueError as e:  # a range check
+        raise SchemaError(f"{where}: {e}") from e
+
+
+def load_config(path) -> RunConfig:
+    return config_from_json(_read_json(path), f"{path}: config")
+
+
+# ---------------------------------------------------------------------------
 # Model serialization
 
 def _curve_to_json(curve: PowerCurve) -> dict:
@@ -339,14 +382,13 @@ def model_from_json(doc, where="model") -> LocationModel:
                      for cam in cameras},
             class_prior=_get(prior, "probs", _NUMBERS, "class_prior"),
             prior_classes=tuple(_get(prior, "classes", _INTS, "class_prior")),
-            config=RunConfig(**_get(doc, "config", _OBJECT, "top level")))
+            config=config_from_json(_get(doc, "config", _OBJECT, "top level"), "config"))
     except (SchemaError, TypeError, ValueError) as e:
         raise VersionError(f"{where}: malformed model document: {e}") from e
 
 
 def save_model(model: LocationModel, path):
-    _atomic_write_text(path, json.dumps(model_to_json(model),
-                                        sort_keys=True, indent=2) + "\n")
+    _write_json(path, model_to_json(model))
 
 
 def load_model(path) -> LocationModel:
@@ -382,7 +424,7 @@ def save_layout(aug: FrameAugmentation, path):
         ],
         "dropped": aug.dropped,
     }
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc, sort_keys=False)
 
 
 def load_layout(path) -> FrameAugmentation:
@@ -408,6 +450,17 @@ def load_layout(path) -> FrameAugmentation:
         ))
     return FrameAugmentation(frame_id=_get(doc, "frame_id", _STR, where),
                              proposals=proposals, dropped=_get(doc, "dropped", _INT, where))
+
+
+# ---------------------------------------------------------------------------
+# Eval report
+
+def save_report(report, json_path=None, text_path=None):
+    """Write an evaluate.LayoutReport as sorted JSON, as its text table, or both."""
+    if json_path is not None:
+        _write_json(json_path, report.to_json())
+    if text_path is not None:
+        _atomic_write_bytes(text_path, report.to_text().encode())
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +515,3 @@ def _atomic_write_bytes(path, data: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _atomic_write_text(path, text: str):
-    _atomic_write_bytes(path, text.encode("utf-8"))

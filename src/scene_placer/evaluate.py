@@ -7,7 +7,7 @@ sizes) used purely as a comparison policy.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +15,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import InsufficientData
 from .fitting import LocationModel, object_depth
+from .geometry import in_band
 from .sampler import (
     PlacementProposal,
     Provenance,
@@ -58,24 +59,10 @@ class LayoutReport:
     n_real: int
 
     def to_json(self) -> dict:
-        return {
-            "per_class": [
-                {
-                    "class": s.class_id,
-                    "n_real": s.n_real,
-                    "n_proposed": s.n_proposed,
-                    "ks_depth": s.ks_depth,
-                    "ks_height": s.ks_height,
-                    "ks_aspect": s.ks_aspect,
-                    "comparable": s.comparable,
-                }
-                for s in self.per_class
-            ],
-            "band_validity": self.band_validity,
-            "chi_square": self.chi_square,
-            "n_proposals": self.n_proposals,
-            "n_real": self.n_real,
-        }
+        doc = dataclasses.asdict(self)
+        for rec in doc["per_class"]:
+            rec["class"] = rec.pop("class_id")
+        return doc
 
     def to_text(self) -> str:
         lines = []
@@ -99,11 +86,9 @@ class LayoutReport:
 
 def _anchor_band_valid(scene: SceneContext, prop: PlacementProposal, tau: float) -> bool:
     x, y = prop.provenance.anchor_px
-    if not (0 <= x < scene.depth.width and 0 <= y < scene.depth.height):
-        return False
-    if not scene.drivable.bits[y, x]:
-        return False
-    return abs(float(scene.depth.values[y, x]) - prop.d_effective) <= tau
+    return (0 <= x < scene.depth.width and 0 <= y < scene.depth.height
+            and bool(in_band(scene.depth.values[y, x], scene.drivable.bits[y, x],
+                             prop.d_effective, tau)))
 
 
 def layout_report(real_frames, augmentations, scenes, model: LocationModel,
@@ -194,13 +179,3 @@ def propose_random_location(scene: SceneContext, model: LocationModel,
         show_prob=cfg.show_prob,
         provenance=Provenance(index=0, attempts=1, anchor_px=(x, y)),
     )
-
-
-def save_report(report: LayoutReport, json_path=None, text_path=None):
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as f:
-            json.dump(report.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
-    if text_path is not None:
-        with open(text_path, "w", encoding="utf-8") as f:
-            f.write(report.to_text())

@@ -175,6 +175,11 @@ def drivable_mask(labels: LabelGrid, drivable_classes) -> DrivableMask:
     return DrivableMask(bits)
 
 
+def in_band(disparity, drivable, d: float, tau: float):
+    """The band predicate, elementwise in float32: drivable and |disparity - d| <= tau."""
+    return drivable & (np.abs(disparity - np.float32(d)) <= np.float32(tau))
+
+
 def placement_band(depth: DepthGrid, mask: DrivableMask, d: float, tau: float) -> PixelSet:
     """All drivable pixels whose disparity is within tau of the target d.
 
@@ -186,7 +191,7 @@ def placement_band(depth: DepthGrid, mask: DrivableMask, d: float, tau: float) -
         )
     if not tau > 0:
         raise ValueError("tau must be > 0")
-    hit = mask.bits & (np.abs(depth.values - np.float32(d)) <= tau)
+    hit = in_band(depth.values, mask.bits, d, tau)
     return PixelSet(np.flatnonzero(hit), depth.width)  # ascending = row-major
 
 

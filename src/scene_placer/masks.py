@@ -139,7 +139,7 @@ def _visible_frac(owner, footprints, indices) -> np.ndarray:
     return visible
 
 
-def composite_masks(proposals, masks, order, frame_w: int, frame_h: int) -> CompositePlan:
+def composite_masks(masks, order, frame_w: int, frame_h: int) -> CompositePlan:
     """Resolve overlaps by pasting in the given order; later masks win."""
     footprints = [rasterize_mask(m, frame_w, frame_h) for m in masks]
     owner = _paint(footprints, order, frame_w, frame_h)
@@ -191,7 +191,7 @@ def refine_layout(aug: FrameAugmentation, mask_paths, frame_w: int, frame_h: int
         masks.append(mask)
     kept = []
     if masked:
-        plan = composite_masks(masked, masks, composite_order(masked), frame_w, frame_h)
+        plan = composite_masks(masks, composite_order(masked), frame_w, frame_h)
         kept, _ = visibility_filter(plan, min_visible)
     return FrameAugmentation(
         frame_id=aug.frame_id,

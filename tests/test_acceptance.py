@@ -171,7 +171,7 @@ def test_criterion_4_refinement_oracle():
             props = [_proposal(float(rng.uniform(1, 30)), i) for i in range(n)]
             masks = [_square_mask(int(rng.integers(0, 12)), int(rng.integers(0, 12)),
                                   int(rng.integers(2, 8))) for _ in range(n)]
-            plan = composite_masks(props, masks, composite_order(props), 16, 16)
+            plan = composite_masks(masks, composite_order(props), 16, 16)
             for y in range(16):
                 for x in range(16):
                     covering = [i for i, m in enumerate(masks)

@@ -308,13 +308,13 @@ class TestConfigFile:
                     "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
                     "--out-layouts", t / "layouts", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: config field ") and repr(field) in err
+        assert err.startswith(f"error: {cfg}: config: {field!r} must be ")
         assert not (t / "layouts").exists() or not os.listdir(t / "layouts")
 
     @pytest.mark.parametrize("text, named", [
-        ("[1, 2]", "JSON object"),
+        ("[1, 2]", "config must be an object"),
         ("{\n", "Expecting property name"),
-        ('{"taus": 5}', "unknown config keys: ['taus']"),
+        ('{"taus": 5}', "config: unknown key 'taus'"),
     ], ids=["not-an-object", "not-json", "unknown-key"])
     def test_malformed_file_exit_2(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "config.json"
@@ -328,7 +328,7 @@ class TestConfigFile:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"tau": 4, "window": 1.5, "augmentable_classes": None,
                                    "drivable_classes": [], "class_prior": "frequency"}))
-        assert RunConfig.from_file(cfg).tau == 4
+        assert dataset_io.load_config(cfg).tau == 4
 
 
 class TestRanges:
@@ -348,19 +348,23 @@ class TestRanges:
         ("min_samples", 1),
         ("min_samples", 0),
         ("min_samples", -4),
+        ("tau", "1e400"),  # written as the JSON number 1e400, which parses to inf
+        ("tau", float("inf")),
+        ("stride", float("inf")),
+        pytest.param("depth_scale", 10 ** 400, id="depth_scale-10**400"),
     ])
     def test_config_out_of_range_exit_2(self, fixture_dataset, capsys, field, value):
         t = fixture_dataset
         assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
                     "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
         cfg = t / "bad_config.json"
-        cfg.write_text(json.dumps({field: value}))
+        cfg.write_text(json.dumps({field: value}).replace('"1e400"', "1e400"))
         capsys.readouterr()
         assert run(["augment", t / "annotations.json", "--model", t / "model.json",
                     "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
                     "--out-layouts", t / "layouts", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: config field {field!r} must be ")
+        assert err.startswith(f"error: {cfg}: config: {field!r} must be ")
         assert not (t / "layouts").exists() or not os.listdir(t / "layouts")
 
     @pytest.mark.parametrize("flag, value, named", [
@@ -368,6 +372,7 @@ class TestRanges:
         ("--jobs", -4, "--jobs"),
         ("--jobs", 0, "--jobs"),
         ("--tau", 0, "'tau'"),
+        ("--tau", "inf", "'tau'"),
     ])
     def test_flag_out_of_range_exit_2(self, fixture_dataset, capsys, flag, value, named):
         t = fixture_dataset
@@ -435,8 +440,12 @@ class TestModelChecks:
         (lambda d: dict(d, cameras=dict(d["cameras"], front=dict(
             d["cameras"]["front"], **{"01": dict(d["cameras"]["front"]["1"], count=7)}))),
          "cameras['front']['01']"),
+        (lambda d: dict(d, cameras=dict(d["cameras"], front=dict(d["cameras"]["front"], **{
+            "1": dict(d["cameras"]["front"]["1"], height_mu_curve=dict(
+                d["cameras"]["front"]["1"]["height_mu_curve"], a=float("nan")))}))),
+         "cameras['front']['1'].height_mu_curve: 'a' must be a finite number"),
     ], ids=["top-level-list", "cameras-list", "camera-list", "classes-not-integers",
-            "class-key-01"])
+            "class-key-01", "curve-nan"])
     def test_malformed_model_exit_2(self, fixture_dataset, capsys, mutate, named):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
@@ -454,7 +463,7 @@ class TestModelChecks:
 
 class TestMalformedLayouts:
     @pytest.mark.parametrize("command", ["refine", "eval", "render"])
-    @pytest.mark.parametrize("defect", ["no-box", "proposals-int", "v1"])
+    @pytest.mark.parametrize("defect", ["no-box", "proposals-int", "v1", "infinite-width"])
     def test_exit_2(self, fixture_dataset, capsys, command, defect):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
@@ -463,6 +472,8 @@ class TestMalformedLayouts:
             del doc["proposals"][0]["box"]
         elif defect == "proposals-int":
             doc["proposals"] = 5
+        elif defect == "infinite-width":
+            doc["proposals"][0]["box"][2] = float("inf")
         else:  # the layout format before schema 2
             del doc["schema"]
             for rec in doc["proposals"]:
@@ -482,6 +493,24 @@ class TestMalformedLayouts:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "0.json" in err
+
+
+@pytest.mark.parametrize("case", ["config-is-dir", "annotations-is-dir", "layouts-is-file"])
+def test_path_of_the_wrong_kind_exit_2(fixture_dataset, capsys, case):
+    t = fixture_dataset
+    assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
+    argv, named = {
+        "config-is-dir": (["fit", t / "annotations.json", "--out-model", t / "m.json",
+                           "--config", t / "depth"], t / "depth"),
+        "annotations-is-dir": (["fit", t / "depth", "--out-model", t / "m.json"], t / "depth"),
+        "layouts-is-file": (["eval", t / "annotations.json", "--model", t / "model.json",
+                             "--layouts", t / "model.json"], t / "model.json"),
+    }[case]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,9 +6,11 @@ from scene_placer.dataset_io import Annotation, AnnotatedFrame
 from scene_placer.errors import InsufficientData
 from scene_placer.evaluate import ks_statistic, layout_report, propose_random_location
 from scene_placer.fitting import fit_model
-from scene_placer.geometry import BBox
+from scene_placer.geometry import BBox, placement_band
 from scene_placer.sampler import (
     FrameAugmentation,
+    PlacementProposal,
+    Provenance,
     augment_frame,
     substream,
 )
@@ -123,5 +125,21 @@ class TestLayoutReport:
         report = layout_report([], [aug], {"f": scene}, model, 5.0)
         doc = report.to_json()
         assert doc["n_proposals"] == len(aug.proposals)
+        assert set(doc["per_class"][0]) == {"class", "n_real", "n_proposed", "ks_depth",
+                                            "ks_height", "ks_aspect", "comparable"}
         text = report.to_text()
         assert "band_validity" in text and "chi_square" in text
+
+
+def test_band_validity_uses_the_samplers_float32_band():
+    """d = 10.0000001 rounds to 10 in float32, so pixel (0, 0) at disparity 5
+    is in the band for tau 5, and eval must judge that anchor valid."""
+    scene = make_scene([[5.0, 20.0]], [[True, True]])
+    d = 10.0000001
+    assert (0, 0) in map(tuple, placement_band(scene.depth, scene.drivable, d, 5.0).xy)
+    prop = PlacementProposal(class_id=1, d=d, d_effective=d, box=scene.anchor_box(0, 0, 1, 1),
+                             show_prob=1.0,
+                             provenance=Provenance(index=0, attempts=1, anchor_px=(0, 0)))
+    aug = FrameAugmentation(frame_id="f", proposals=[prop], dropped=0)
+    model = make_model([make_class_model(class_id=1)])
+    assert layout_report([], [aug], {"f": scene}, model, 5.0).band_validity == 1.0

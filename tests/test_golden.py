@@ -109,7 +109,7 @@ def test_golden_scene_exercises_reset_and_edge_clipping(tmp_path):
     """The fixed scene must keep covering the empty-band reset and clipped
     anchors, or the digests above stop guarding those paths."""
     ann, cfg_path = _write_dataset(tmp_path)
-    cfg = RunConfig.from_file(cfg_path).replace(seed=SEED)
+    cfg = dataset_io.load_config(cfg_path).replace(seed=SEED)
     model = dataset_io.load_model(tmp_path / "model.json")
     resets = clipped = coarse = 0
     for frame in dataset_io.read_annotations(ann):
@@ -158,7 +158,7 @@ def _run_masked_augment(tmp_path, ann, cfg, masks_dir, out):
 
 def _augment_masked(tmp_path):
     ann, cfg = _write_dataset(tmp_path)
-    masks = _write_masks(tmp_path, RunConfig.from_file(cfg).n_objects)
+    masks = _write_masks(tmp_path, dataset_io.load_config(cfg).n_objects)
     out = tmp_path / "layouts"
     _run_masked_augment(tmp_path, ann, cfg, masks, out)
     return ann, cfg, out
@@ -205,7 +205,7 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path):
     dropped as occluded and some passed through, or the digests above stop
     guarding those paths."""
     ann, cfg_path, out = _augment_masked(tmp_path)
-    cfg = RunConfig.from_file(cfg_path).replace(seed=SEED)
+    cfg = dataset_io.load_config(cfg_path).replace(seed=SEED)
     model = dataset_io.load_model(tmp_path / "model.json")
     edge = occluded = unmasked = 0
     for frame in dataset_io.read_annotations(ann):

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import functools
@@ -98,14 +99,16 @@ VALID_DOC = {
     "categories": [{"id": 1}, {"id": 2}],
 }
 NOT_INT = [None, "1", 1.5, True, [1], {}]
+NOT_SIZE = NOT_INT + [-48, 0]
 NOT_STR = [None, 3, ["a"], {}]
 NOT_PATH = [3, False, ["a"], {}]
-NOT_BOX = [None, "x", 4, [1, 2, 3], [1, 2, 3, "4"], [1, 2, 3, None], [1, 2, 3, True]]
+NOT_BOX = [None, "x", 4, [1, 2, 3], [1, 2, 3, "4"], [1, 2, 3, None], [1, 2, 3, True],
+           [1, 2, float("inf"), 4], [float("nan"), 2, 3, 4], [1, 2, 3, 10 ** 400]]
 NOT_LIST = [None, 3, "x", {"0": {"id": 1}}]
 NOT_RECORD = [None, 3, "x", [1]]
 # per section and key of a record: (key required, values of a wrong type)
 RECORD_KEYS = {
-    "images": {"id": (True, NOT_INT), "width": (True, NOT_INT), "height": (True, NOT_INT),
+    "images": {"id": (True, NOT_INT), "width": (True, NOT_SIZE), "height": (True, NOT_SIZE),
                "camera": (False, NOT_STR), "depth_path": (False, NOT_PATH),
                "semantic_path": (False, NOT_PATH)},
     "annotations": {"image_id": (True, NOT_INT), "category_id": (True, NOT_INT),
@@ -147,12 +150,19 @@ class TestMalformedAnnotations:
         lambda d: d["annotations"][1].pop("bbox"),
         lambda d: d["images"][0].update(width=None),
         lambda d: d.update(annotations={"1": d["annotations"][0]}),
-    ], ids=["no-bbox", "null-width", "annotations-object"])
+        lambda d: d["annotations"][0].update(bbox=[1, 2, float("inf"), 4]),
+        lambda d: d["annotations"][0].update(bbox=[1, "1e400", 3, 4]),
+        lambda d: d["annotations"][0].update(bbox=[10 ** 400, 2, 3, 4]),
+        lambda d: d["images"][0].update(width=-48),
+        lambda d: d["images"][1].update(height=0),
+    ], ids=["no-bbox", "null-width", "annotations-object", "bbox-infinity", "bbox-1e400",
+            "bbox-huge-int", "width-negative", "height-zero"])
     def test_schema_error_names_file(self, tmp_path, mutate):
         doc = copy.deepcopy(VALID_DOC)
         mutate(doc)
         p = tmp_path / "a.json"
-        p.write_text(json.dumps(doc))
+        # the string "1e400" stands for that JSON number, which json.dumps cannot write
+        p.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
         with pytest.raises(SchemaError, match="a.json"):
             dataset_io.read_annotations(p)
 
@@ -273,8 +283,8 @@ class TestModelIO:
 VALID_MODEL = dataset_io.model_to_json(make_model([make_class_model(1), make_class_model(2)]))
 # per type of a value in a model document: values of another type
 WRONG_TYPE = {dict: [None, [], "x"], list: [None, {}, "x"], int: [1.5, "1", None],
-              float: ["x", None, True], bool: [0, "true", None], str: [3, None, []],
-              type(None): ["x", 2.5]}
+              float: ["x", None, True, float("nan"), float("inf")], bool: [0, "true", None],
+              str: [3, None, []], type(None): ["x", 2.5]}
 
 
 def _nodes(value, path=()):
@@ -318,6 +328,73 @@ class TestMalformedModels:
         p.write_text(json.dumps(doc))
         with pytest.raises(VersionError, match="model.json"):
             dataset_io.load_model(p)
+
+
+CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# per RunConfig field annotation: JSON values of another type
+NOT_CONFIG = {"int": [1.5, "1", None, True, [1]], "float": ["5", None, True, [5.0]],
+              "str": [3, None, ["uniform"]],
+              "list[int]": [1, None, "1,2", [1.5] * 200, ["x"] * 200],
+              "list[int] | None": [1, "1", [None] * 200]}
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def malformed_config_docs(draw):
+    """The default config with one field mistyped, one non-finite number put
+    in, or one unknown key added."""
+    doc = RunConfig().to_dict()
+    name = draw(st.sampled_from(sorted(CONFIG_TYPES)))
+    kind = CONFIG_TYPES[name]
+    how = draw(st.sampled_from(["mistype", "non-finite", "unknown-key"]))
+    if how == "mistype":
+        doc[name] = draw(st.sampled_from(NOT_CONFIG[kind]))
+    elif how == "non-finite":
+        # a float field also rejects an int too big for a float
+        bad = draw(st.sampled_from(NON_FINITE + [10 ** 400] * (kind == "float")))
+        doc[name] = [1, bad] if kind.startswith("list") else bad
+    else:
+        key = draw(st.text(min_size=1).filter(lambda k: k not in CONFIG_TYPES))
+        doc[key] = draw(st.sampled_from([1, "x", None]))
+    return doc
+
+
+class TestMalformedConfigs:
+    def test_default_config_round_trips(self, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(RunConfig().to_dict()))
+        assert dataset_io.load_config(p) == RunConfig()
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=malformed_config_docs())
+    def test_one_bad_value_names_file_in_one_short_line(self, tmp_path_factory, doc):
+        p = tmp_path_factory.mktemp("fuzz") / "config.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ScenePlacerError) as e:
+            dataset_io.load_config(p)
+        line = str(e.value)
+        assert line.startswith(f"{p}: config") and "\n" not in line
+        assert len(line.encode()) < 200
+
+
+def test_only_dataset_io_imports_json_or_opens_files():
+    """dataset_io is the one module that reads or writes files, so its checks
+    and its atomic writer cover every file format."""
+    src = os.path.dirname(dataset_io.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "dataset_io.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            imported = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            called = (node.func.id if isinstance(node.func, ast.Name) else
+                      getattr(node.func, "attr", "")) if isinstance(node, ast.Call) else ""
+            if any(m.split(".")[0] == "json" for m in imported) or called in ("open", "fdopen"):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
 
 
 class TestRenderOverlay:

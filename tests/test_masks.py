@@ -119,13 +119,13 @@ class TestCompositeMasks:
     def test_disjoint_masks_fully_visible(self):
         props = [_proposal(5), _proposal(10)]
         masks = [_square_mask(0, 0, 4), _square_mask(10, 10, 4)]
-        plan = composite_masks(props, masks, composite_order(props), 20, 20)
+        plan = composite_masks(masks, composite_order(props), 20, 20)
         assert plan.visible_frac.tolist() == [1.0, 1.0]
 
     def test_total_occlusion(self):
         props = [_proposal(5), _proposal(10)]  # second is nearer
         masks = [_square_mask(2, 2, 4), _square_mask(2, 2, 4)]
-        plan = composite_masks(props, masks, composite_order(props), 10, 10)
+        plan = composite_masks(masks, composite_order(props), 10, 10)
         assert plan.visible_frac[0] == 0.0
         assert plan.visible_frac[1] == 1.0
 
@@ -139,7 +139,7 @@ class TestCompositeMasks:
                 side = int(rng.integers(2, 8))
                 masks.append(_square_mask(int(rng.integers(0, 12)),
                                           int(rng.integers(0, 12)), side))
-            plan = composite_masks(props, masks, composite_order(props), 16, 16)
+            plan = composite_masks(masks, composite_order(props), 16, 16)
             # oracle: the visible proposal at a pixel is the max-disparity one
             for y in range(16):
                 for x in range(16):
@@ -155,7 +155,7 @@ class TestCompositeMasks:
     def test_visible_masks_disjoint_union_preserved(self, rng):
         props = [_proposal(float(d), i) for i, d in enumerate([3, 8, 8, 15])]
         masks = [_square_mask(i * 2, i * 2, 5) for i in range(4)]
-        plan = composite_masks(props, masks, composite_order(props), 16, 16)
+        plan = composite_masks(masks, composite_order(props), 16, 16)
         union = np.zeros((16, 16), bool)
         for i in range(4):
             vm = plan.visible_mask(i)
@@ -172,14 +172,14 @@ class TestVisibilityFilter:
     def test_zero_threshold_keeps_all(self):
         props = [_proposal(5), _proposal(10)]
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4)]
-        plan = composite_masks(props, masks, composite_order(props), 10, 10)
+        plan = composite_masks(masks, composite_order(props), 10, 10)
         kept, _ = visibility_filter(plan, 0.0)
         assert kept == [0, 1]
 
     def test_fully_occluded_dropped(self):
         props = [_proposal(5), _proposal(10)]
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4)]
-        plan = composite_masks(props, masks, composite_order(props), 10, 10)
+        plan = composite_masks(masks, composite_order(props), 10, 10)
         kept, new_plan = visibility_filter(plan, 0.2)
         assert kept == [1]
         assert new_plan.visible_frac[0] == 0.0
@@ -187,7 +187,7 @@ class TestVisibilityFilter:
     def test_removing_occluded_preserves_others(self):
         props = [_proposal(5), _proposal(10), _proposal(20)]
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4), _square_mask(8, 8, 4)]
-        plan = composite_masks(props, masks, composite_order(props), 16, 16)
+        plan = composite_masks(masks, composite_order(props), 16, 16)
         kept, new_plan = visibility_filter(plan, 0.2)
         assert kept == [1, 2]
         assert (new_plan.visible_mask(2) == plan.visible_mask(2)).all()
@@ -196,7 +196,7 @@ class TestVisibilityFilter:
         props = [_proposal(5), _proposal(10), _proposal(20)]
         # middle mask is covered by the near mask, far mask mostly covered too
         masks = [_square_mask(0, 0, 6), _square_mask(0, 0, 5), _square_mask(0, 0, 5)]
-        plan = composite_masks(props, masks, composite_order(props), 10, 10)
+        plan = composite_masks(masks, composite_order(props), 10, 10)
         kept, _ = visibility_filter(plan, 0.2)
         # exhaustive oracle over subsets: keep exactly those above threshold
         fracs = plan.visible_frac
@@ -274,7 +274,7 @@ class TestBoxClippedCompositingMatchesFullFrame:
             order = composite_order(props)
             min_visible = float(rng.choice([0.0, 0.2, 0.5, 1.0]))
 
-            plan = composite_masks(props, masks, order, frame_w, frame_h)
+            plan = composite_masks(masks, order, frame_w, frame_h)
             ref_fps, ref_owner, ref_visible = _ref_composite(masks, order, frame_w, frame_h)
             assert plan.owner.shape == (frame_h, frame_w)
             assert plan.owner.dtype == np.int32
