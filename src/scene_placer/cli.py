@@ -80,8 +80,8 @@ def _augment_one(frame, model, cfg, args):
     scene = _Grids(cfg, args.depth_dir, args.semantic_dir).scene(frame)
     aug = augment_frame(scene, model, frame.frame_id, cfg)
     if args.masks_dir:
-        paths = [os.path.join(args.masks_dir, f"{aug.frame_id}_{i}.pgm")
-                 for i in range(len(aug.proposals))]
+        paths = [os.path.join(args.masks_dir, f"{aug.frame_id}_{p.provenance.index}.pgm")
+                 for p in aug.proposals]
         aug = refine_layout(aug, paths, frame.width, frame.height,
                             cfg.min_visible_composite)
     dataset_io.save_layout(aug, os.path.join(args.out_layouts, f"{frame.frame_id}.json"))

@@ -6,6 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
+from .errors import describe
 
 CLASS_PRIORS = ("uniform", "frequency")
 
@@ -20,6 +21,9 @@ _RANGES = {
     "n_objects": (lambda v: v >= 0, ">= 0"),
     "min_samples": (lambda v: v >= 2, ">= 2"),  # a log-normal fit needs two samples
     "class_prior": (lambda v: v in CLASS_PRIORS, f"one of {CLASS_PRIORS}"),
+    # labels are uint8: a class outside 0..255 would silently match nothing
+    "drivable_classes": (lambda v: len(v) > 0 and all(0 <= c <= 255 for c in v),
+                         "a non-empty list of labels in 0..255"),
 }
 
 
@@ -57,7 +61,7 @@ class RunConfig:
         for name, (accepts, expected) in _RANGES.items():
             value = getattr(self, name)
             if not accepts(value):
-                raise ValueError(f"{name!r} must be {expected}, got {value!r}")
+                raise ValueError(f"{name!r} must be {expected}, got {describe(value)}")
 
     def replace(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}

@@ -1,11 +1,11 @@
-"""File formats: COCO-style annotations, binary PGM/PPM grids, run-config
-JSON, model JSON, per-frame augmented-layout JSON and the eval report.
+"""File formats: COCO-style annotations, binary PGM grids, run-config JSON,
+model JSON, per-frame augmented-layout JSON, the eval report and PPM overlays.
 
 This is the one module that opens files. All writers produce canonical,
 diff-stable bytes and replace their file atomically; all readers reject
-trailing garbage, and every JSON value passes one table of checks. Depth
-grids are 16-bit big-endian PGM scaled by a linear factor; label and mask
-grids are 8-bit PGM.
+trailing garbage, every JSON value passes one table of checks and every PGM
+header one pattern. Depth grids are 16-bit big-endian PGM scaled by a linear
+factor; label and mask grids are 8-bit PGM.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import FormatError, ParseError, SchemaError, VersionError
+from .errors import FormatError, ParseError, SchemaError, VersionError, describe
 from .fitting import (
     ClassModel,
     Histogram,
@@ -94,22 +94,16 @@ def _write_json(path, doc, sort_keys=True):
     _atomic_write_bytes(path, (json.dumps(doc, sort_keys=sort_keys, indent=2) + "\n").encode())
 
 
-def _describe(value) -> str:
-    """A rejected value's repr for an error message, or its type if that is long."""
-    text = repr(value)
-    return text if len(text.encode()) <= 32 else f"a {type(value).__name__}"
-
-
 def _get(rec, key, check, where, default=_MISSING):
     """Checked rec[key], or `default` if absent; errors name `where` (file, record)."""
     if type(rec) is not dict:
-        raise SchemaError(f"{where} must be an object, got {_describe(rec)}")
+        raise SchemaError(f"{where} must be an object, got {describe(rec)}")
     value = rec.get(key, default)
     if value is _MISSING:
         raise SchemaError(f"{where}: missing key {key!r}")
     accepts, expected = check
     if not accepts(value):
-        raise SchemaError(f"{where}: {key!r} must be {expected}, got {_describe(value)}")
+        raise SchemaError(f"{where}: {key!r} must be {expected}, got {describe(value)}")
     return value
 
 
@@ -193,55 +187,38 @@ def write_annotations(frames, path):
 # ---------------------------------------------------------------------------
 # PGM / PPM rasters
 
-def _parse_pnm_header(data: bytes, path):
-    """Returns (magic, width, height, maxval, data_offset)."""
-    pos = 0
-    fields = []
-
-    def skip_ws(p):
-        while p < len(data):
-            if data[p : p + 1].isspace():
-                p += 1
-            elif data[p : p + 1] == b"#":
-                while p < len(data) and data[p : p + 1] != b"\n":
-                    p += 1
-            else:
-                break
-        return p
-
-    if data[:2] not in (b"P5", b"P6"):
-        raise FormatError(f"{path}: bad magic {data[:2]!r}")
-    magic = data[:2].decode()
-    pos = 2
-    while len(fields) < 3:
-        pos = skip_ws(pos)
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated header")
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
-    return magic, w, h, maxval, pos
+# A binary PGM header: P5, then width, height and maxval, each after
+# whitespace or '#' comments running to a newline, then one whitespace byte.
+# Each number is a positive decimal integer of at most nine digits after any
+# leading zeros (Netpbm itself rejects numbers past a C int).
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+0*([1-9][0-9]{0,8})" * 3 + rb"\s")
 
 
 def _read_pgm(path, expect_maxval):
     with open(path, "rb") as f:
         data = f.read()
-    magic, w, h, maxval, off = _parse_pnm_header(data, path)
-    if magic != "P5":
-        raise FormatError(f"{path}: expected P5, got {magic}")
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FormatError(f"{path}: not a binary PGM header"
+                          " (P5, then positive width, height and maxval)")
+    w, h, maxval = map(int, header.groups())
     if maxval != expect_maxval:
         raise FormatError(f"{path}: expected maxval {expect_maxval}, got {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
     n_bytes = w * h * dtype.itemsize
+    off = header.end()
     if len(data) - off != n_bytes:
         raise FormatError(
             f"{path}: expected {n_bytes} data bytes, found {len(data) - off}"
         )
     raw = np.frombuffer(data, dtype=dtype, count=w * h, offset=off)
     return raw.reshape(h, w)
+
+
+def _write_pnm(path, magic, maxval, pixels: np.ndarray):
+    """A binary PNM of `pixels`, (height, width) or (height, width, 3)."""
+    h, w = pixels.shape[:2]
+    _atomic_write_bytes(path, f"{magic}\n{w} {h}\n{maxval}\n".encode() + pixels.tobytes())
 
 
 def read_depth_grid(path, scale: float) -> DepthGrid:
@@ -251,9 +228,7 @@ def read_depth_grid(path, scale: float) -> DepthGrid:
 
 
 def write_depth_grid(grid: DepthGrid, path, scale: float):
-    raw = np.round(grid.values / np.float32(scale)).astype(">u2")
-    header = f"P5\n{grid.width} {grid.height}\n65535\n".encode()
-    _atomic_write_bytes(path, header + raw.tobytes())
+    _write_pnm(path, "P5", 65535, np.round(grid.values / np.float32(scale)).astype(">u2"))
 
 
 def read_label_grid(path) -> LabelGrid:
@@ -262,8 +237,7 @@ def read_label_grid(path) -> LabelGrid:
 
 
 def write_label_grid(grid: LabelGrid, path):
-    header = f"P5\n{grid.width} {grid.height}\n255\n".encode()
-    _atomic_write_bytes(path, header + grid.labels.tobytes())
+    _write_pnm(path, "P5", 255, grid.labels)
 
 
 def read_mask_pgm(path) -> np.ndarray:
@@ -273,9 +247,7 @@ def read_mask_pgm(path) -> np.ndarray:
 
 
 def write_mask_pgm(bits: np.ndarray, path):
-    raw = np.where(np.asarray(bits, dtype=bool), 255, 0).astype(np.uint8)
-    header = f"P5\n{raw.shape[1]} {raw.shape[0]}\n255\n".encode()
-    _atomic_write_bytes(path, header + raw.tobytes())
+    _write_pnm(path, "P5", 255, np.where(np.asarray(bits, dtype=bool), 255, 0).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +268,7 @@ def config_from_json(doc, where) -> RunConfig:
                            getattr(defaults, f.name)) for f in dataclasses.fields(RunConfig)}
     for key in doc:
         if key not in values:
-            raise SchemaError(f"{where}: unknown key {_describe(key)}")
+            raise SchemaError(f"{where}: unknown key {describe(key)}")
     try:
         return RunConfig(**values)
     except ValueError as e:  # a range check
@@ -497,8 +469,7 @@ def render_overlay(frame_w, frame_h, real_boxes, proposal_boxes, path):
         _draw_rect(img, box, REAL_BOX_COLOR)
     for box in proposal_boxes:
         _draw_rect(img, box, PROPOSAL_COLOR)
-    header = f"P6\n{frame_w} {frame_h}\n255\n".encode()
-    _atomic_write_bytes(path, header + img.tobytes())
+    _write_pnm(path, "P6", 255, img)
 
 
 # ---------------------------------------------------------------------------

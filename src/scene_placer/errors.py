@@ -1,4 +1,10 @@
-"""Exception hierarchy for scene-placer."""
+"""Exception hierarchy for scene-placer, and the bounded value text of its messages."""
+
+
+def describe(value) -> str:
+    """A rejected value's repr for an error message, or its type if that is long."""
+    text = repr(value)
+    return text if len(text.encode()) <= 32 else f"a {type(value).__name__}"
 
 
 class ScenePlacerError(Exception):

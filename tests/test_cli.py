@@ -327,7 +327,7 @@ class TestConfigFile:
     def test_numbers_accepted(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"tau": 4, "window": 1.5, "augmentable_classes": None,
-                                   "drivable_classes": [], "class_prior": "frequency"}))
+                                   "drivable_classes": [0, 255], "class_prior": "frequency"}))
         assert dataset_io.load_config(cfg).tau == 4
 
 
@@ -345,6 +345,10 @@ class TestRanges:
         ("stride", 0.0),
         ("depth_scale", 0),
         ("n_objects", -1),
+        pytest.param("drivable_classes", [], id="drivable_classes-empty"),
+        pytest.param("drivable_classes", [300], id="drivable_classes-300"),
+        pytest.param("drivable_classes", [-1], id="drivable_classes-minus-1"),
+        pytest.param("class_prior", "x" * 300, id="class_prior-300-chars"),
         ("min_samples", 1),
         ("min_samples", 0),
         ("min_samples", -4),
@@ -365,6 +369,7 @@ class TestRanges:
                     "--out-layouts", t / "layouts", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: config: {field!r} must be ")
+        assert "\n" not in err[:-1] and len(err.encode()) < 200
         assert not (t / "layouts").exists() or not os.listdir(t / "layouts")
 
     @pytest.mark.parametrize("flag, value, named", [
@@ -493,6 +498,56 @@ class TestMalformedLayouts:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "0.json" in err
+
+
+class TestMalformedGrids:
+    def _argv(self, t, command):
+        return {
+            "fit": ["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "m.json", "--config", _cfg(t)],
+            "augment": ["augment", t / "annotations.json", "--model", t / "model.json",
+                        "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                        "--out-layouts", t / "out", "--config", _cfg(t)],
+            "eval": ["eval", t / "annotations.json", "--model", t / "model.json",
+                     "--layouts", t / "layouts", "--depth-dir", t / "depth",
+                     "--semantic-dir", t / "semantic", "--out-report", t / "report.json",
+                     "--config", _cfg(t)],
+        }[command]
+
+    def test_non_numeric_header_field_exit_2(self, fixture_dataset, capsys):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        bad = t / "semantic" / "3.pgm"
+        bad.write_bytes(b"P5\nxx 4\n255\n" + bytes(16))
+        capsys.readouterr()
+        assert run(self._argv(t, "augment")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("command", ["fit", "augment", "eval"])
+    def test_zero_size_grids_exit_2(self, fixture_dataset, capsys, command):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        (t / "depth" / "2.pgm").write_bytes(b"P5\n0 0\n65535\n")
+        (t / "semantic" / "2.pgm").write_bytes(b"P5\n0 0\n255\n")
+        capsys.readouterr()
+        assert run(self._argv(t, command)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {t / 'depth' / '2.pgm'}: ") and "\n" not in err[:-1]
+
+    def test_zero_size_mask_in_refine_exit_2(self, fixture_dataset, capsys):
+        """A 0x0 mask is a malformed file, not an empty mask to pass through."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        mask = t / "m.pgm"
+        mask.write_bytes(b"P5\n0 0\n255\n")
+        doc = json.loads((t / "layouts" / "0.json").read_text())
+        doc["proposals"][0]["mask"] = str(mask)
+        (t / "layouts" / "0.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["refine", t / "layouts" / "0.json", "--width", 48, "--height", 48,
+                    "--out", t / "refined.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {mask}: ")
+        assert not (t / "refined.json").exists()
 
 
 @pytest.mark.parametrize("case", ["config-is-dir", "annotations-is-dir", "layouts-is-file"])

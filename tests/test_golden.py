@@ -182,6 +182,31 @@ def test_masked_layout_bytes_do_not_depend_on_masks_dir_spelling(tmp_path, monke
         assert (tmp_path / "relative" / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_masks_dir_picks_each_mask_by_proposal_index(tmp_path):
+    """Proposals dropped at max_attempts leave gaps in the indices; a kept
+    proposal still gets the mask file of its own index, not of its position."""
+    ann, _ = _write_dataset(tmp_path)
+    cfg = tmp_path / "strict.json"
+    cfg.write_text(json.dumps({"drivable_classes": [1, 3], "n_objects": 16,
+                               "max_attempts": 1, "min_visible_frac": 1.0}))
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for fid, *_ in FRAMES:
+        for i in range(16):
+            dataset_io.write_mask_pgm(np.ones((8, 8), bool), masks / f"{fid}_{i}.pgm")
+    _run_masked_augment(tmp_path, ann, cfg, masks, tmp_path / "layouts")
+    run_cfg = dataset_io.load_config(cfg).replace(seed=SEED)
+    model = dataset_io.load_model(tmp_path / "model.json")
+    sampling_drops = 0
+    for frame in dataset_io.read_annotations(ann):
+        scene = _Grids(run_cfg, tmp_path / "depth", tmp_path / "semantic").scene(frame)
+        sampling_drops += augment_frame(scene, model, frame.frame_id, run_cfg).dropped
+        aug = dataset_io.load_layout(tmp_path / "layouts" / f"{frame.frame_id}.json")
+        for p in aug.proposals:
+            assert p.mask_path == str(masks / f"{frame.frame_id}_{p.provenance.index}.pgm")
+    assert sampling_drops > 0
+
+
 def test_eval_judges_stored_anchors_of_clipped_refined_proposals(tmp_path):
     """Refined and clipped boxes no longer stand on their anchors. Every
     anchor was drawn from its band, so band_validity must read 1.0."""

@@ -229,6 +229,34 @@ class TestGridIO:
         dataset_io.write_mask_pgm(bits, p)
         assert np.array_equal(dataset_io.read_mask_pgm(p), bits)
 
+    def test_header_comments_and_leading_zeros_round_trip(self, tmp_path):
+        """Comments anywhere between the fields, also right after a number,
+        and a width with leading zeros read as the canonical header does."""
+        pixels = bytes([0, 255, 7, 255, 0, 1])
+        p = tmp_path / "l.pgm"
+        p.write_bytes(b"P5#magic\n 003#width\n\t2\n# maxval next\n#\n255\n" + pixels)
+        grid = dataset_io.read_label_grid(p)
+        assert grid.labels.tolist() == [[0, 255, 7], [255, 0, 1]]
+        dataset_io.write_label_grid(grid, tmp_path / "back.pgm")
+        assert (tmp_path / "back.pgm").read_bytes() == b"P5\n3 2\n255\n" + pixels
+        assert np.array_equal(dataset_io.read_label_grid(tmp_path / "back.pgm").labels,
+                              grid.labels)
+
+    @pytest.mark.parametrize("data", [
+        b"P5\nxx 4\n255\n" + bytes(4), b"P5\n0 0\n255\n", b"P5\n2 0\n255\n",
+        b"P5\n00 1\n255\n", b"P5\n+2 1\n255\n\0\0", b"P5\n-2 1\n255\n\0\0",
+        b"P5\n1_0 1\n255\n" + bytes(10), b"P5\n2 1\n255", b"P5\n2 1\n255#c\n\0\0",
+        b"P5\n2 1 #c", b"P52 1 255\n\0\0", b"P6\n2 1\n255\n" + bytes(6),
+        b"P5\n1234567890 1\n255\n", b"",
+    ], ids=["non-numeric", "zero-size", "zero-height", "zeros", "plus-sign", "minus-sign",
+            "underscore", "truncated", "comment-after-maxval", "comment-to-eof",
+            "no-space-after-magic", "ppm", "ten-digits", "empty"])
+    def test_malformed_header_names_file(self, tmp_path, data):
+        p = tmp_path / "l.pgm"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=r"l\.pgm: "):
+            dataset_io.read_label_grid(p)
+
 
 class TestModelIO:
     @pytest.fixture
@@ -312,6 +340,51 @@ def malformed_model_docs(draw):
     else:
         parent[key] = draw(st.sampled_from(WRONG_TYPE[type(value)]))
     return doc
+
+
+# per raster kind: (reader, maxval, bytes per pixel)
+RASTERS = {"depth": (lambda p: dataset_io.read_depth_grid(p, 1 / 256), 65535, 2),
+           "label": (dataset_io.read_label_grid, 255, 1),
+           "mask": (dataset_io.read_mask_pgm, 255, 1)}
+HEADER_TOKENS = [b"P5", b"P6", b"P2", b"2", b"3", b"0", b"00", b"007", b"255", b"65535",
+                 b"-2", b"+3", b"1_0", b"xx", b"1e3", b"\xff", b"#c\n", b"#", b" ", b"\n",
+                 b"\t", b"\r\n", b""]
+
+
+@st.composite
+def mutated_pgms(draw):
+    """A valid PGM of one raster kind with header tokens replaced, inserted
+    or deleted, and its pixel data a few bytes short or long."""
+    kind = draw(st.sampled_from(sorted(RASTERS)))
+    _, maxval, itemsize = RASTERS[kind]
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    tokens = [b"P5", b"\n", b"%d" % w, b" ", b"%d" % h, b"\n", b"%d" % maxval, b"\n"]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        how = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if how == "delete":
+            del tokens[i]
+        else:
+            tokens[i:i + (how == "replace")] = [draw(st.sampled_from(HEADER_TOKENS))]
+    n_data = max(0, w * h * itemsize + draw(st.sampled_from([0, 0, -2, -1, 1, 2])))
+    return kind, b"".join(tokens) + draw(st.binary(min_size=n_data, max_size=n_data))
+
+
+class TestMalformedRasters:
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_pgms())
+    def test_reader_returns_a_grid_or_format_error_naming_file(self, tmp_path_factory, case):
+        kind, data = case
+        p = tmp_path_factory.mktemp("fuzz") / f"{kind}.pgm"
+        p.write_bytes(data)
+        read = RASTERS[kind][0]
+        try:
+            grid = read(p)
+        except FormatError as e:
+            assert str(e).startswith(f"{p}: ")
+            return
+        shape = getattr(grid, "values", getattr(grid, "labels", grid)).shape
+        assert len(shape) == 2 and min(shape) > 0
 
 
 class TestMalformedModels:
