@@ -152,6 +152,16 @@ _FLAGS = {
 }
 
 
+def _frame_size(text: str) -> int:
+    """argparse type of --width/--height: a frame side in pixels, >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def _add_flags(p, *names):
     for name in names:
         p.add_argument(name, **_FLAGS[name])
@@ -187,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="mask-based box refinement of a layout")
     _add_flags(p, "--config")
     p.add_argument("layout")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--width", type=_frame_size, required=True)
+    p.add_argument("--height", type=_frame_size, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 
@@ -206,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a layout overlay PPM")
     p.add_argument("layout")
     p.add_argument("--annotations")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--width", type=_frame_size, required=True)
+    p.add_argument("--height", type=_frame_size, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

@@ -1,8 +1,8 @@
 """Layout-statistics evaluation: distributional distance between real and
 sampled layouts, band validity, and class-frequency fit.
 
-Also hosts the random-location baseline (uniform frame positions, model
-sizes) used purely as a comparison policy.
+Real objects' disparities come from `fitting.object_depth`, one call per
+frame with every box of the frame.
 """
 
 from __future__ import annotations
@@ -12,19 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import InsufficientData
 from .fitting import LocationModel, object_depth
 from .geometry import in_band
-from .sampler import (
-    PlacementProposal,
-    Provenance,
-    SceneContext,
-    sample_class,
-    sample_depth,
-    sample_height,
-    sample_width,
-)
+from .sampler import PlacementProposal, SceneContext
 
 
 def ks_statistic(a, b) -> float:
@@ -103,11 +94,15 @@ def layout_report(real_frames, augmentations, scenes, model: LocationModel,
     n_real = 0
     for fr in real_frames:
         scene = scenes.get(fr.frame_id)
-        for ann in fr.annotations:
+        anns = fr.annotations
+        depths = [None] * len(anns) if scene is None else object_depth(
+            scene.depth, np.array([a.box.cx for a in anns]),
+            np.array([a.box.by for a in anns])).tolist()
+        for ann, d in zip(anns, depths):
             n_real += 1
             rec = real.setdefault(ann.class_id, {"d": [], "h": [], "r": []})
-            if scene is not None:
-                rec["d"].append(object_depth(scene.depth, ann.box.cx, ann.box.by))
+            if d is not None:
+                rec["d"].append(d)
             rec["h"].append(ann.box.h)
             rec["r"].append(ann.box.w / ann.box.h)
 
@@ -163,19 +158,3 @@ def layout_report(real_frames, augmentations, scenes, model: LocationModel,
         n_real=n_real,
     )
 
-
-def propose_random_location(scene: SceneContext, model: LocationModel,
-                            rng, cfg: RunConfig) -> PlacementProposal:
-    """Baseline policy: class/size from the model, location uniform in frame."""
-    class_id = sample_class(model, rng)
-    cm = model.class_model(scene.camera_id, class_id)
-    d = sample_depth(cm, rng)
-    x = int(rng.integers(scene.depth.width))
-    y = int(rng.integers(scene.depth.height))
-    h = sample_height(cm, d, rng)
-    w = sample_width(cm, h, rng)
-    return PlacementProposal(
-        class_id=class_id, d=d, d_effective=d, box=scene.anchor_box(x, y, w, h),
-        show_prob=cfg.show_prob,
-        provenance=Provenance(index=0, attempts=1, anchor_px=(x, y)),
-    )

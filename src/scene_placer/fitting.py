@@ -4,6 +4,10 @@ Per (camera, class) we fit: a log-normal over object disparities, power
 curves a + b * x**c interpolating the log-height mean/std across disparity
 windows, and an empirical aspect-ratio histogram. Classes with too few
 samples per camera fall back to a model pooled over all cameras.
+
+An object's disparity is read from the depth grid at its box's
+bottom-center by `object_depth`, which takes every box of a frame as arrays
+and returns an array; the fit and the evaluation call it once per frame.
 """
 
 from __future__ import annotations
@@ -223,13 +227,35 @@ def build_aspect_histogram(ratios, n_bins: int) -> Histogram:
     return Histogram(edges=edges, probs=counts / counts.sum())
 
 
-def object_depth(grid: DepthGrid, cx: float, by: float) -> float:
-    """Disparity at a box's bottom-center: median of the 3x3 neighborhood."""
-    ix = min(max(int(math.floor(cx)), 0), grid.width - 1)
-    iy = min(max(int(math.floor(by - 1e-9)), 0), grid.height - 1)
-    y0, y1 = max(iy - 1, 0), min(iy + 2, grid.height)
-    x0, x1 = max(ix - 1, 0), min(ix + 2, grid.width)
-    return float(np.median(grid.values[y0:y1, x0:x1]))
+# row and column offsets of a probe's 3x3 window around its pixel
+_WINDOW = np.arange(-1, 2)
+
+
+def object_depth(grid: DepthGrid, cx, by) -> np.ndarray:
+    """Disparities at boxes' bottom-centers, one per box.
+
+    cx, by: 1-D arrays of bottom-centers, used as grid pixel coordinates
+    as given. (Callers pass frame coordinates, so on a grid coarser than the
+    frame the probe reads the wrong pixel; a known defect.) Each probe takes
+    the median of the 3x3 neighborhood of its pixel, clipped to the grid; a
+    bottom-center off the grid probes the nearest edge pixel, whose window
+    holds 1 to 6 cells. Returns a float64 array holding, bit for bit, what
+    ``np.median`` gives on each clipped float32 window.
+    """
+    h, w = grid.values.shape
+    ix = np.clip(np.floor(np.asarray(cx, dtype=np.float64)), 0, w - 1).astype(np.intp)
+    iy = np.clip(np.floor(np.asarray(by, dtype=np.float64) - 1e-9), 0, h - 1).astype(np.intp)
+    ys = iy[:, None] + _WINDOW
+    xs = ix[:, None] + _WINDOW
+    inside = ((ys >= 0) & (ys < h))[:, :, None] & ((xs >= 0) & (xs < w))[:, None, :]
+    cells = grid.values[np.clip(ys, 0, h - 1)[:, :, None], np.clip(xs, 0, w - 1)[:, None, :]]
+    cells = np.where(inside, cells, np.float32(np.nan)).reshape(len(iy), _WINDOW.size ** 2)
+    cells.sort(axis=1)  # cells outside the grid (NaN) sort last
+    n = inside.sum(axis=(1, 2))
+    rows = np.arange(len(n))
+    # np.median's float32 arithmetic: the middle cell, or the mean of the two
+    mid = (cells[rows, (n - 1) // 2] + cells[rows, n // 2]) / np.float32(2)
+    return mid.astype(np.float64)
 
 
 def _fit_class(class_id, depths, heights, ratios, config, fallback=False):
@@ -285,29 +311,37 @@ def _constant_curves(profile):
 def fit_model(dataset, depth_of, config: RunConfig):
     """Fit a LocationModel from annotated frames.
 
-    depth_of maps an AnnotatedFrame to its DepthGrid. Returns
-    (model, warnings): classes below min_samples on a camera fall back to the
-    all-camera pooled fit; classes that are still too small are excluded and
+    depth_of maps an AnnotatedFrame to its DepthGrid; each frame's boxes are
+    probed in one object_depth call. Returns (model, warnings): boxes whose
+    probe reads disparity <= 0 are left out and counted per class; classes
+    below min_samples on a camera fall back to the all-camera pooled fit;
+    classes that are still too small are excluded. Counts and exclusions are
     reported in the warnings list.
     """
     if not dataset:
         raise InsufficientData("empty dataset")
     per_cam = {}  # camera -> class -> [(d, h, w/h)]
     pooled = {}  # class -> [(d, h, w/h)]
+    nonpositive = {}  # class -> samples on disparity <= 0, left out of the fit
     for frame in sorted(dataset, key=lambda f: str(f.frame_id)):
-        grid = depth_of(frame)
-        for ann in frame.annotations:
-            d = object_depth(grid, ann.box.cx, ann.box.by)
-            if d <= 0:
-                d = 1e-6  # disparity 0 breaks the log fit; clamp
+        anns = frame.annotations
+        depths = object_depth(depth_of(frame), np.array([a.box.cx for a in anns]),
+                              np.array([a.box.by for a in anns]))
+        for ann, d in zip(anns, depths.tolist()):
+            if d <= 0:  # the log-normal depth fit has no place for log(0)
+                nonpositive[ann.class_id] = nonpositive.get(ann.class_id, 0) + 1
+                continue
             rec = (d, ann.box.h, ann.box.w / ann.box.h)
             per_cam.setdefault(frame.camera_id, {}).setdefault(ann.class_id, []).append(rec)
             pooled.setdefault(ann.class_id, []).append(rec)
 
     warnings = []
     pooled_models = {}
-    for class_id in sorted(pooled):
-        recs = pooled[class_id]
+    for class_id in sorted(pooled.keys() | nonpositive.keys()):
+        if class_id in nonpositive:
+            warnings.append(f"class {class_id}: {nonpositive[class_id]} samples on"
+                            f" disparity <= 0, excluded from the fit")
+        recs = pooled.get(class_id, [])
         if len(recs) < config.min_samples:
             warnings.append(
                 f"class {class_id}: only {len(recs)} samples overall, excluded"

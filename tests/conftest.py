@@ -1,4 +1,5 @@
-"""Shared synthetic fixtures: hand-built models, scenes, and datasets.
+"""Shared synthetic fixtures: hand-built models, scenes, and datasets, and
+the random-location baseline policy the evaluation tests compare against.
 
 The synthetic generative process defined here is the oracle for the fit and
 sampling tests: data are drawn from known parameters, and the tests check
@@ -18,7 +19,15 @@ from scene_placer.fitting import (
     PowerCurve,
 )
 from scene_placer.geometry import BBox, DepthGrid, DrivableMask
-from scene_placer.sampler import SceneContext
+from scene_placer.sampler import (
+    PlacementProposal,
+    Provenance,
+    SceneContext,
+    sample_class,
+    sample_depth,
+    sample_height,
+    sample_width,
+)
 
 
 def make_class_model(
@@ -107,6 +116,23 @@ def synthetic_dataset(class_models, n_per_class, rng, camera_id="cam0"):
             ))
             fid += 1
     return frames, lambda frame: grids[frame.frame_id]
+
+
+def propose_random_location(scene: SceneContext, model: LocationModel,
+                            rng, cfg: RunConfig) -> PlacementProposal:
+    """Baseline policy: class/size from the model, location uniform in frame."""
+    class_id = sample_class(model, rng)
+    cm = model.class_model(scene.camera_id, class_id)
+    d = sample_depth(cm, rng)
+    x = int(rng.integers(scene.depth.width))
+    y = int(rng.integers(scene.depth.height))
+    h = sample_height(cm, d, rng)
+    w = sample_width(cm, h, rng)
+    return PlacementProposal(
+        class_id=class_id, d=d, d_effective=d, box=scene.anchor_box(x, y, w, h),
+        show_prob=cfg.show_prob,
+        provenance=Provenance(index=0, attempts=1, anchor_px=(x, y)),
+    )
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import pytest
 from scene_placer import dataset_io
 from scene_placer.cli import main as cli_main
 from scene_placer.config import RunConfig
-from scene_placer.evaluate import ks_statistic, layout_report, propose_random_location
+from scene_placer.evaluate import ks_statistic, layout_report
 from scene_placer.fitting import fit_model, fit_power_curve
 from scene_placer.geometry import DepthGrid, DrivableMask, LabelGrid, PatchRect, placement_band
 from scene_placer.masks import InstanceMask, composite_masks, composite_order, refine_bbox
@@ -31,6 +31,7 @@ from conftest import (
     make_model,
     make_scene,
     open_scene,
+    propose_random_location,
     synthetic_dataset,
 )
 

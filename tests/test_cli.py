@@ -582,6 +582,25 @@ def test_flag_not_taken_by_command_exit_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["refine", "render"])
+@pytest.mark.parametrize("width, height, named", [
+    ("0", "0", "--width"), ("0", "5", "--width"), ("5", "-3", "--height"),
+    ("4.5", "4", "--width")])
+def test_frame_size_below_one_exit_2(fixture_dataset, capsys, command, width, height, named):
+    """A frame side below 1 (or not an integer) is a usage error naming the
+    flag; no zero-size overlay or layout is written."""
+    t = fixture_dataset
+    _fit_and_augment(t, "layouts", 1)
+    out = t / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main([str(a) for a in (command, t / "layouts" / "0.json", "--width", width,
+                                "--height", height, "--out", out)])
+    assert e.value.code == 2
+    assert f"argument {named}: must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_lists_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

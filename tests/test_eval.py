@@ -4,7 +4,7 @@ import pytest
 from scene_placer.config import RunConfig
 from scene_placer.dataset_io import Annotation, AnnotatedFrame
 from scene_placer.errors import InsufficientData
-from scene_placer.evaluate import ks_statistic, layout_report, propose_random_location
+from scene_placer.evaluate import ks_statistic, layout_report
 from scene_placer.fitting import fit_model
 from scene_placer.geometry import BBox, placement_band
 from scene_placer.sampler import (
@@ -15,7 +15,14 @@ from scene_placer.sampler import (
     substream,
 )
 
-from conftest import make_class_model, make_model, make_scene, open_scene, synthetic_dataset
+from conftest import (
+    make_class_model,
+    make_model,
+    make_scene,
+    open_scene,
+    propose_random_location,
+    synthetic_dataset,
+)
 
 
 def brute_force_ks(a, b):

@@ -1,9 +1,13 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scene_placer.config import RunConfig
+from scene_placer.dataset_io import AnnotatedFrame, Annotation
 from scene_placer.errors import DegenerateFit, InsufficientData, InvalidSample
 from scene_placer.fitting import (
     build_aspect_histogram,
@@ -11,7 +15,9 @@ from scene_placer.fitting import (
     fit_lognormal,
     fit_model,
     fit_power_curve,
+    object_depth,
 )
+from scene_placer.geometry import BBox, DepthGrid
 
 from conftest import make_class_model, synthetic_dataset
 
@@ -143,6 +149,57 @@ class TestAspectHistogram:
         assert h.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _median_of_clipped_window(values, cx, by):
+    """Scalar reference probe: np.median of the 3x3 window around the pixel
+    holding (cx, by), the pixel clamped into the grid and the window clipped."""
+    h, w = values.shape
+    ix = min(max(math.floor(cx), 0), w - 1)
+    iy = min(max(math.floor(by - 1e-9), 0), h - 1)
+    return float(np.median(values[max(iy - 1, 0):iy + 2, max(ix - 1, 0):ix + 2]))
+
+
+@st.composite
+def probe_cases(draw):
+    """A grid (1x1, 1xN, Nx1 or any small shape; random float32 values or
+    PGM-quantised k/256 ones, with many ties when k's range is small) and
+    probes inside it and off every edge, integer coordinates included."""
+    h, w = draw(st.one_of(st.just((1, 1)),
+                          st.tuples(st.just(1), st.integers(2, 12)),
+                          st.tuples(st.integers(2, 12), st.just(1)),
+                          st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = r.uniform(0, 100, (h, w)).astype(np.float32)
+    else:
+        k = r.integers(0, draw(st.sampled_from([3, 65536])), (h, w))
+        values = k.astype(np.float32) * np.float32(1 / 256)
+
+    def coord(n):
+        return st.one_of(st.floats(-4, n + 4), st.integers(-3, n + 3).map(float))
+
+    return values, draw(st.lists(st.tuples(coord(w), coord(h)), max_size=24))
+
+
+class TestObjectDepth:
+    @settings(max_examples=300, deadline=None)
+    @given(case=probe_cases())
+    def test_matches_scalar_median_bit_for_bit(self, case):
+        values, probes = case
+        got = object_depth(DepthGrid(values), np.array([x for x, _ in probes]),
+                           np.array([y for _, y in probes]))
+        want = np.array([_median_of_clipped_window(values, x, y) for x, y in probes],
+                        dtype=np.float64)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty_probe_list(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = object_depth(DepthGrid(np.ones((3, 4))), np.array([]), np.array([]))
+        assert got.dtype == np.float64
+        assert got.shape == (0,)
+
+
 class TestFitModel:
     def test_recovers_synthetic_truth(self, rng):
         cm = make_class_model(class_id=1)
@@ -161,8 +218,6 @@ class TestFitModel:
         assert not warnings
 
     def test_constant_boxes_zero_sigma(self):
-        from scene_placer.dataset_io import AnnotatedFrame, Annotation
-        from scene_placer.geometry import BBox, DepthGrid
         frames = []
         grid = DepthGrid(np.full((8, 8), 5.0, dtype=np.float32))
         box = BBox(cx=10.0, by=20.0, w=8.0, h=16.0)
@@ -220,6 +275,32 @@ class TestFitModel:
         assert model.class_model("camB", 1).fallback
         assert not model.class_model("camA", 1).fallback
         assert any("fallback" in w for w in warnings)
+
+    def test_zero_disparity_samples_excluded_and_counted(self, rng):
+        """Boxes standing on disparity 0 leave the fit: class 1 fits as if
+        they were absent, and class 2, which has no other sample, is
+        excluded. Each class's count is named in the warnings."""
+        cm = make_class_model(class_id=1)
+        frames, lookup = synthetic_dataset([cm], 200, rng)
+        box = BBox(cx=32.0, by=48.0, w=4.0, h=8.0)
+        on_zero = AnnotatedFrame(
+            frame_id="zero", camera_id="cam0", width=64, height=64,
+            annotations=(Annotation(class_id=1, box=box),) * 7
+            + (Annotation(class_id=2, box=box),) * 40,
+        )
+        zero = DepthGrid(np.zeros((8, 8), np.float32))
+        model, got_warnings = fit_model(
+            frames + [on_zero], lambda f: zero if f is on_zero else lookup(f), RunConfig())
+        clean, _ = fit_model(frames, lookup, RunConfig())
+        got = model.class_model("cam0", 1)
+        assert got.depth == clean.class_model("cam0", 1).depth
+        assert got.sample_count == 200
+        assert model.prior_classes == (1,)
+        assert got_warnings == [
+            "class 1: 7 samples on disparity <= 0, excluded from the fit",
+            "class 2: 40 samples on disparity <= 0, excluded from the fit",
+            "class 2: only 0 samples overall, excluded",
+        ]
 
     def test_empty_dataset(self):
         with pytest.raises(InsufficientData):

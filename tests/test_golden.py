@@ -1,4 +1,5 @@
-"""Cross-commit golden check: `augment` layout bytes on a small fixed scene.
+"""Cross-commit golden checks: `augment` layout bytes on a small fixed scene,
+and `fit` model and `eval` report bytes on a small fixed dataset.
 
 The digests below are a recorded reference for the row-major band pick. Any
 change to which band pixel a draw picks, to the empty-band depth reset, or to
@@ -13,9 +14,13 @@ depth reset), and drivable columns at both frame edges (boxes clipped).
 A second set of digests covers `augment --masks-dir` on the same scene, so
 refinement, compositing and the visibility filter are pinned the same way.
 
+A third pair of digests covers `fit` and `eval` (the depth probe at every
+box's bottom-center, the depth log-normal, the power curves, the pooled
+fallback and the report), on its own dataset described at the digests.
+
 The bytes include the layout format (schema 2: anchors, sampled depths,
 attempts, mask paths relative to the layout), so a format change moves both
-sets of digests too.
+sets of layout digests too.
 """
 
 import hashlib
@@ -248,3 +253,107 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path):
     assert edge > 0
     assert occluded > 0
     assert unmasked > 0
+
+
+# `fit` and `eval` on a second fixed dataset: two cameras, a 40x20 grid under
+# an 80x40 frame, a full-resolution grid, and 1x1, 1x5 and 6x1 grids, with
+# bottom-centers inside every grid and off each edge and corner, so the depth
+# probe's clipped window holds 1, 2, 3, 4, 6 or 9 cells. Every grid cell is
+# > 0, so no probe reads disparity 0. Class 2 is scarce on camera "right" and
+# falls back to the pooled fit there.
+GOLDEN_FIT_SHA256 = "c90760df0b75d5eb8fbc46cc56dd92073920f72b8b97b8114073019f507096fb"
+GOLDEN_EVAL_SHA256 = "d8908a6c22ddd121bb61bbd68543c9b1cc5ebca933d2bb41d233fc973a7ed1ed"
+
+# (frame id, camera, frame width, frame height, grid width, grid height)
+FIT_FRAMES = [(0, "left", 80, 40, 40, 20), (1, "right", 48, 24, 48, 24),
+              (2, "left", 8, 8, 1, 1), (3, "right", 4, 20, 1, 5),
+              (4, "left", 24, 4, 6, 1)]
+FIT_MIN_SAMPLES = 12
+
+
+def _fit_boxes(rng, fw, fh, n_random):
+    """Bottom-centers on the 3x3 lattice {before, inside, after} x the same
+    for rows, then `n_random` more spread past every edge; as (cx, by)."""
+    lattice = [(cx, by) for cx in (-2.5, fw / 2, fw + 2.5) for by in (-2.5, fh / 2, fh + 2.5)]
+    spread = zip(rng.uniform(-0.3 * fw, 1.3 * fw, n_random),
+                 rng.uniform(-0.3 * fh, 1.3 * fh, n_random))
+    return lattice + [(round(float(cx), 2), round(float(by), 2)) for cx, by in spread]
+
+
+def _write_fit_dataset(tmp_path):
+    rng = np.random.default_rng(SEED)
+    (tmp_path / "depth").mkdir()
+    (tmp_path / "semantic").mkdir()
+    images, annotations = [], []
+    for fid, camera, fw, fh, gw, gh in FIT_FRAMES:
+        # disparities k/256 with k in [64, 4096): quantised like a PGM read, all > 0
+        depth = rng.integers(64, 4096, (gh, gw)).astype(np.float32) * np.float32(DEPTH_SCALE)
+        labels = np.where(rng.random((gh, gw)) < 0.7, 1, 7).astype(np.uint8)
+        labels.flat[0] = 1  # the 1x1 grid stays drivable
+        dataset_io.write_depth_grid(DepthGrid(depth), tmp_path / "depth" / f"{fid}.pgm",
+                                    DEPTH_SCALE)
+        dataset_io.write_label_grid(LabelGrid(labels), tmp_path / "semantic" / f"{fid}.pgm")
+        images.append({"id": fid, "width": fw, "height": fh, "camera": camera,
+                       "depth_path": f"{fid}.pgm", "semantic_path": f"{fid}.pgm"})
+        for i, (cx, by) in enumerate(_fit_boxes(rng, fw, fh, 40 if gw > 1 < gh else 6)):
+            scarce = camera == "right" and i % 7 != 3
+            w, h = (round(float(v), 2) for v in rng.uniform(1.0, 9.0, 2))
+            annotations.append({"id": len(annotations) + 1, "image_id": fid,
+                                "category_id": 1 if i % 2 == 0 or scarce else 2,
+                                "bbox": [cx - w / 2, by - h, w, h]})
+    ann = tmp_path / "annotations.json"
+    ann.write_text(json.dumps({"images": images, "annotations": annotations,
+                               "categories": [{"id": 1}, {"id": 2}]}))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"drivable_classes": [1], "n_objects": 6,
+                               "min_samples": FIT_MIN_SAMPLES}))
+    return ann, cfg
+
+
+def _fit_and_eval(tmp_path):
+    ann, cfg = _write_fit_dataset(tmp_path)
+    grids = ["--depth-dir", tmp_path / "depth"]
+    assert main([str(a) for a in (
+        "fit", ann, *grids, "--out-model", tmp_path / "model.json", "--config", cfg)]) == 0
+    grids += ["--semantic-dir", tmp_path / "semantic"]
+    assert main([str(a) for a in (
+        "augment", ann, "--model", tmp_path / "model.json", *grids,
+        "--out-layouts", tmp_path / "layouts", "--config", cfg, "--seed", SEED)]) == 0
+    assert main([str(a) for a in (
+        "eval", ann, "--model", tmp_path / "model.json", "--layouts", tmp_path / "layouts",
+        *grids, "--config", cfg, "--out-report", tmp_path / "report.json")]) == 0
+    return ann
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_fit_and_eval_bytes_match_recorded_digests(tmp_path):
+    _fit_and_eval(tmp_path)
+    assert _sha256(tmp_path / "model.json") == GOLDEN_FIT_SHA256
+    assert _sha256(tmp_path / "report.json") == GOLDEN_EVAL_SHA256
+
+
+def test_golden_fit_dataset_exercises_windows_cameras_and_fallback(tmp_path):
+    """The fixed dataset must keep probing every clipped window size on
+    positive disparities and keep a pooled fallback on two cameras, or the
+    digests above stop guarding those paths."""
+    ann = _fit_and_eval(tmp_path)
+    sizes = set()
+    for frame in dataset_io.read_annotations(ann):
+        grid = dataset_io.read_depth_grid(tmp_path / "depth" / frame.depth_path, DEPTH_SCALE)
+        for a in frame.annotations:
+            ix = min(max(int(np.floor(a.box.cx)), 0), grid.width - 1)
+            iy = min(max(int(np.floor(a.box.by - 1e-9)), 0), grid.height - 1)
+            window = grid.values[max(iy - 1, 0):iy + 2, max(ix - 1, 0):ix + 2]
+            sizes.add(window.size)
+            assert window.min() > 0
+    assert sizes == {1, 2, 3, 4, 6, 9}
+    model = dataset_io.load_model(tmp_path / "model.json")
+    assert set(model.cameras) == {"left", "right", "*"}
+    assert model.cameras["right"][2].fallback
+    assert not model.cameras["left"][2].fallback
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_proposals"] > 0
+    assert all(c["ks_depth"] is not None for c in report["per_class"])
