@@ -7,6 +7,7 @@ constrained to drivable-space placement bands.
 
 from .config import RunConfig
 from .geometry import (
+    BandIndex,
     BBox,
     DepthGrid,
     DrivableMask,

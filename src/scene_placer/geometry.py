@@ -175,39 +175,73 @@ def drivable_mask(labels: LabelGrid, drivable_classes) -> DrivableMask:
     return DrivableMask(bits)
 
 
+def _within_tau(disparity, d: float, tau: float):
+    """|disparity - d| <= tau, elementwise in float32."""
+    return np.abs(disparity - np.float32(d)) <= np.float32(tau)
+
+
 def in_band(disparity, drivable, d: float, tau: float):
     """The band predicate, elementwise in float32: drivable and |disparity - d| <= tau."""
-    return drivable & (np.abs(disparity - np.float32(d)) <= np.float32(tau))
+    return drivable & _within_tau(disparity, d, tau)
 
 
-def placement_band(depth: DepthGrid, mask: DrivableMask, d: float, tau: float) -> PixelSet:
+class BandIndex:
+    """One frame's drivable pixels, grouped by row, for band queries.
+
+    `flat` holds the drivable pixels' row-major flat indices (ascending) and
+    `values` their float32 disparities; row r's pixels are
+    `flat[row_start[r]:row_start[r + 1]]`. For each row in `rows` (those with
+    a drivable pixel) `row_lo`/`row_hi` are its least and greatest disparity.
+    """
+
+    def __init__(self, depth: DepthGrid, mask: DrivableMask):
+        if depth.values.shape != mask.bits.shape:
+            raise DimensionMismatch(
+                f"depth {depth.values.shape} vs mask {mask.bits.shape}"
+            )
+        self.width = depth.width
+        self.flat = _frozen_array(np.flatnonzero(mask.bits), np.int64)
+        self.values = _frozen_array(depth.values[mask.bits], np.float32)
+        # flat index of each row's first pixel, and of the end of the grid
+        row_first = np.arange(depth.height + 1) * depth.width
+        self.row_start = _frozen_array(np.searchsorted(self.flat, row_first), np.int64)
+        # bounds of non-empty rows only: reduceat of an empty row would
+        # return the next row's first value instead of an empty extreme
+        self.rows = _frozen_array(np.flatnonzero(np.diff(self.row_start)), np.int64)
+        starts = self.row_start[self.rows]
+        self.row_lo = _frozen_array(np.minimum.reduceat(self.values, starts), np.float32)
+        self.row_hi = _frozen_array(np.maximum.reduceat(self.values, starts), np.float32)
+
+
+def placement_band(index: BandIndex, d: float, tau: float) -> PixelSet:
     """All drivable pixels whose disparity is within tau of the target d.
 
     This is the admissible anchor region for an object sampled at depth d.
+    Membership is exactly the float32 `in_band` predicate, and the pixels
+    come in row-major order. Only the drivable pixels of the candidate row
+    span are compared: from the first to the last row whose disparity range,
+    clipped towards d, passes the predicate. Float32 subtraction is monotone,
+    so a row whose nearest bound fails holds no band pixel.
     """
-    if depth.values.shape != mask.bits.shape:
-        raise DimensionMismatch(
-            f"depth {depth.values.shape} vs mask {mask.bits.shape}"
-        )
     if not tau > 0:
         raise ValueError("tau must be > 0")
-    hit = in_band(depth.values, mask.bits, d, tau)
-    return PixelSet(np.flatnonzero(hit), depth.width)  # ascending = row-major
+    nearest = np.clip(np.float32(d), index.row_lo, index.row_hi)
+    cand = index.rows[_within_tau(nearest, d, tau)]
+    if cand.size == 0:
+        return PixelSet(np.empty(0, np.int64), index.width)
+    s, e = index.row_start[cand[0]], index.row_start[cand[-1] + 1]
+    hit = _within_tau(index.values[s:e], d, tau)
+    return PixelSet(index.flat[s:e][hit], index.width)  # ascending = row-major
 
 
-def closest_allowed_depth(depth: DepthGrid, mask: DrivableMask, d: float) -> float:
-    """Depth of the drivable pixel nearest to d; ties go to row-major order."""
-    if depth.values.shape != mask.bits.shape:
-        raise DimensionMismatch(
-            f"depth {depth.values.shape} vs mask {mask.bits.shape}"
-        )
-    flat_idx = np.flatnonzero(mask.bits)
-    if flat_idx.size == 0:
+def closest_allowed_depth(index: BandIndex, d: float) -> float:
+    """Depth of the drivable pixel nearest to d in float32; ties go to
+    row-major order. Compares every drivable pixel."""
+    if index.values.size == 0:
         raise EmptyDrivableSpace("cannot reset depth: no drivable pixels")
-    vals = depth.values.reshape(-1)[flat_idx]
     # argmin returns the first minimum, which is the row-major tie-break
-    best = np.argmin(np.abs(vals - np.float32(d)))
-    return float(vals[best])
+    best = np.argmin(np.abs(index.values - np.float32(d)))
+    return float(index.values[best])
 
 
 def crop_geometry(box: BBox, frame_w: int, frame_h: int) -> PatchRect:

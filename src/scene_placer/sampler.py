@@ -14,13 +14,21 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import DimensionMismatch, EmptyDrivableSpace, MaxAttemptsExceeded
 from .fitting import ClassModel, Histogram, LocationModel
-from .geometry import BBox, DepthGrid, DrivableMask, placement_band, closest_allowed_depth
+from .geometry import (
+    BandIndex,
+    BBox,
+    DepthGrid,
+    DrivableMask,
+    closest_allowed_depth,
+    placement_band,
+)
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,12 @@ class SceneContext:
         sy = self.frame_h / self.depth.height
         if abs(sx - sy) > 1e-6:
             raise DimensionMismatch("grid-to-frame scale differs between axes")
+
+    @cached_property
+    def band_index(self) -> BandIndex:
+        """The frame's band index, built on the first band query: scenes
+        that are only evaluated never pay for it."""
+        return BandIndex(self.depth, self.drivable)
 
     def anchor_box(self, x, y, w, h) -> BBox:
         """A w x h box in frame coordinates standing on the bottom edge of
@@ -110,11 +124,12 @@ def sample_location(scene: SceneContext, d: float, tau: float, rng):
 
     Returns (x, y, d_effective) with (x, y) in grid pixel coordinates.
     """
-    band = placement_band(scene.depth, scene.drivable, d, tau)
+    index = scene.band_index
+    band = placement_band(index, d, tau)
     d_eff = d
     if len(band) == 0:
-        d_eff = closest_allowed_depth(scene.depth, scene.drivable, d)
-        band = placement_band(scene.depth, scene.drivable, d_eff, tau)
+        d_eff = closest_allowed_depth(index, d)
+        band = placement_band(index, d_eff, tau)
     if len(band) == 0:
         raise EmptyDrivableSpace("drivable mask has no set pixels")
     x, y = band[int(rng.integers(len(band)))]

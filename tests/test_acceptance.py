@@ -68,7 +68,7 @@ def test_criterion_1_band_correctness():
 
             # placement_band vs brute-force enumeration on this scene
             d_probe = float(rng.uniform(0, 30))
-            band = placement_band(scene.depth, scene.drivable, d_probe, 5.0)
+            band = placement_band(scene.band_index, d_probe, 5.0)
             expect = [
                 (x, y)
                 for y in range(side)

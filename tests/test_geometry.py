@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scene_placer.errors import (
     DimensionMismatch,
@@ -8,6 +9,7 @@ from scene_placer.errors import (
     InvalidBox,
 )
 from scene_placer.geometry import (
+    BandIndex,
     BBox,
     DepthGrid,
     DrivableMask,
@@ -15,6 +17,7 @@ from scene_placer.geometry import (
     closest_allowed_depth,
     crop_geometry,
     drivable_mask,
+    in_band,
     placement_band,
 )
 
@@ -65,28 +68,28 @@ class TestPlacementBand:
     def test_uniform_depth_full_mask(self):
         depth = DepthGrid(np.full((3, 5), 7.0))
         mask = DrivableMask(np.ones((3, 5), bool))
-        band = placement_band(depth, mask, 7.0, 5.0)
+        band = placement_band(BandIndex(depth, mask), 7.0, 5.0)
         assert len(band) == 15
 
     def test_linear_depths(self):
         depth = DepthGrid(np.arange(16, dtype=np.float32).reshape(4, 4))
         mask = DrivableMask(np.ones((4, 4), bool))
-        band = placement_band(depth, mask, 7.0, 2.0)
+        band = placement_band(BandIndex(depth, mask), 7.0, 2.0)
         linear = [x + 4 * y for x, y in band.xy.tolist()]
         assert linear == [5, 6, 7, 8, 9]
 
     def test_default_tau_matches_brute_force(self, rng):
         depth_vals = rng.uniform(0, 30, (16, 16)).astype(np.float32)
         mask_vals = rng.random((16, 16)) < 0.5
-        band = placement_band(DepthGrid(depth_vals), DrivableMask(mask_vals), 12.0, 5.0)
+        band = placement_band(BandIndex(DepthGrid(depth_vals), DrivableMask(mask_vals)),
+                              12.0, 5.0)
         assert [tuple(p) for p in band.xy.tolist()] == brute_force_band(
             depth_vals, mask_vals, 12.0, 5.0
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            placement_band(DepthGrid(np.zeros((2, 2))),
-                           DrivableMask(np.ones((3, 3), bool)), 1.0, 1.0)
+            BandIndex(DepthGrid(np.zeros((2, 2))), DrivableMask(np.ones((3, 3), bool)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -100,7 +103,7 @@ class TestPlacementBand:
         r = np.random.default_rng(seed)
         depth_vals = r.uniform(0, 30, (h, w)).astype(np.float32)
         mask_vals = r.random((h, w)) < 0.6
-        band = placement_band(DepthGrid(depth_vals), DrivableMask(mask_vals), d, tau)
+        band = placement_band(BandIndex(DepthGrid(depth_vals), DrivableMask(mask_vals)), d, tau)
         assert [tuple(p) for p in band.xy.tolist()] == brute_force_band(
             depth_vals, mask_vals, d, tau
         )
@@ -116,8 +119,8 @@ class TestPixelSet:
         # a full band lists every pixel once; (3, 5) is wider than tall, so
         # decoding by height instead of width would give wrong pixels
         h, w = shape
-        band = placement_band(DepthGrid(np.full(shape, 4.0)),
-                              DrivableMask(np.ones(shape, bool)), 4.0, 1.0)
+        band = placement_band(BandIndex(DepthGrid(np.full(shape, 4.0)),
+                                        DrivableMask(np.ones(shape, bool))), 4.0, 1.0)
         expect = [(x, y) for y in range(h) for x in range(w)]
         assert len(band) == h * w
         assert [band[i] for i in range(len(band))] == expect
@@ -126,7 +129,7 @@ class TestPixelSet:
     def test_partial_band_on_wide_grid(self):
         depth = np.zeros((2, 6), np.float32)
         depth[1, 4] = depth[0, 5] = depth[1, 0] = 9.0
-        band = placement_band(DepthGrid(depth), DrivableMask(np.ones((2, 6), bool)),
+        band = placement_band(BandIndex(DepthGrid(depth), DrivableMask(np.ones((2, 6), bool))),
                               9.0, 0.5)
         assert [band[i] for i in range(len(band))] == [(5, 0), (0, 1), (4, 1)]
         assert band.xy.tolist() == [[5, 0], [0, 1], [4, 1]]
@@ -134,12 +137,12 @@ class TestPixelSet:
     def test_band_includes_pixels_exactly_tau_away(self):
         # |2 - 7| == 5 exactly in float32: the bound is inclusive
         depth = DepthGrid([[2.0, 1.9], [12.0, 12.1]])
-        band = placement_band(depth, DrivableMask(np.ones((2, 2), bool)), 7.0, 5.0)
+        band = placement_band(BandIndex(depth, DrivableMask(np.ones((2, 2), bool))), 7.0, 5.0)
         assert [band[i] for i in range(len(band))] == [(0, 0), (0, 1)]
 
     def test_empty_band(self):
-        band = placement_band(DepthGrid(np.zeros((2, 3))),
-                              DrivableMask(np.ones((2, 3), bool)), 20.0, 1.0)
+        band = placement_band(BandIndex(DepthGrid(np.zeros((2, 3))),
+                                        DrivableMask(np.ones((2, 3), bool))), 20.0, 1.0)
         assert len(band) == 0
         assert band.xy.shape == (0, 2)
 
@@ -148,18 +151,18 @@ class TestClosestAllowedDepth:
     def test_exact_depth_present(self):
         depth = DepthGrid([[10.0, 7.0], [3.0, 1.0]])
         mask = DrivableMask(np.ones((2, 2), bool))
-        assert closest_allowed_depth(depth, mask, 7.0) == 7.0
+        assert closest_allowed_depth(BandIndex(depth, mask), 7.0) == 7.0
 
     def test_nearest_of_two(self):
         depth = DepthGrid([[10.0, 20.0]])
         mask = DrivableMask([[True, True]])
-        assert closest_allowed_depth(depth, mask, 13.0) == 10.0
+        assert closest_allowed_depth(BandIndex(depth, mask), 13.0) == 10.0
 
     def test_brute_force_argmin(self, rng):
         depth_vals = rng.uniform(0, 30, (4, 4)).astype(np.float32)
         mask_vals = rng.random((4, 4)) < 0.7
         mask_vals[0, 0] = True
-        got = closest_allowed_depth(DepthGrid(depth_vals), DrivableMask(mask_vals), 7.3)
+        got = closest_allowed_depth(BandIndex(DepthGrid(depth_vals), DrivableMask(mask_vals)), 7.3)
         allowed = [float(depth_vals[y, x]) for y in range(4) for x in range(4)
                    if mask_vals[y, x]]
         assert got == min(allowed, key=lambda v: abs(v - 7.3))
@@ -168,8 +171,115 @@ class TestClosestAllowedDepth:
 
     def test_empty_mask(self):
         with pytest.raises(EmptyDrivableSpace):
-            closest_allowed_depth(DepthGrid(np.zeros((2, 2))),
-                                  DrivableMask(np.zeros((2, 2), bool)), 1.0)
+            closest_allowed_depth(BandIndex(DepthGrid(np.zeros((2, 2))),
+                                            DrivableMask(np.zeros((2, 2), bool))), 1.0)
+
+
+def parent_band(depth, mask, d, tau):
+    """The unindexed query: the float32 predicate over every pixel."""
+    return np.flatnonzero(in_band(depth, mask, d, tau))
+
+
+def parent_closest(depth, mask, d):
+    """The unindexed reset: first float32 argmin over the drivable pixels."""
+    vals = depth.reshape(-1)[np.flatnonzero(mask)]
+    if vals.size == 0:
+        raise EmptyDrivableSpace("no drivable pixels")
+    return float(vals[np.argmin(np.abs(vals - np.float32(d)))])
+
+
+def assert_index_matches_parent(depth, mask, d, tau):
+    index = BandIndex(DepthGrid(depth), DrivableMask(mask))
+    band = placement_band(index, d, tau)
+    assert band.flat.tolist() == parent_band(depth, mask, d, tau).tolist()
+    try:
+        expect = parent_closest(depth, mask, d)
+    except EmptyDrivableSpace:
+        with pytest.raises(EmptyDrivableSpace):
+            closest_allowed_depth(index, d)
+    else:
+        assert closest_allowed_depth(index, d) == expect
+
+
+def _step(x, direction, dtype):
+    """x, or its neighbour in dtype towards -inf (-1) or +inf (+1)."""
+    if direction == 0:
+        return float(x)
+    return float(np.nextafter(dtype(x), dtype(direction * np.inf)))
+
+
+@st.composite
+def band_queries(draw):
+    """Grids of k/256 disparities (exact in float32, not monotone across
+    rows) with whole undrivable rows, and d on or next to a row bound +- tau."""
+    h = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 6))
+    depth = (draw(hnp.arrays(np.int64, (h, w), elements=st.integers(0, 16 * 256)))
+             / 256).astype(np.float32)
+    mask = draw(hnp.arrays(np.bool_, (h, w)))
+    mask[draw(hnp.arrays(np.bool_, h))] = False
+    tau = draw(st.integers(1, 4 * 256)) / 256
+    rows = [r for r in range(h) if mask[r].any()]
+    kind = draw(st.sampled_from(["edge", "grid", "inf"] if rows else ["grid", "inf"]))
+    if kind == "inf":
+        d = draw(st.sampled_from([np.inf, -np.inf]))
+    elif kind == "grid":  # halves of 1/256 also make ties for the reset
+        d = draw(st.integers(-4 * 512, 24 * 512)) / 512
+    else:
+        r = draw(st.sampled_from(rows))
+        lo, hi = depth[r][mask[r]].min(), depth[r][mask[r]].max()
+        bound = draw(st.sampled_from([float(lo) - tau, float(hi) + tau]))
+        d = _step(bound, draw(st.sampled_from([-1, 0, 1])),
+                  draw(st.sampled_from([np.float64, np.float32])))
+    return depth, mask, d, tau
+
+
+class TestBandIndexExactness:
+    """The row-pruned index answers exactly like the whole-grid predicate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(query=band_queries())
+    def test_matches_whole_grid_predicate(self, query):
+        assert_index_matches_parent(*query)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+    @pytest.mark.parametrize("bound", ["lo", "hi"])
+    @pytest.mark.parametrize("direction", [-1, 0, 1])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_d_next_to_a_bound_on_line_grids(self, shape, bound, direction, dtype):
+        # one pixel per row on N x 1, one row on 1 x N; tau = 1
+        depth = (np.array([2, 3, 9, 5, 4]) + np.array([0, 1, 2, 3, 4]) / 256)
+        depth = depth.astype(np.float32).reshape(shape)
+        mask = np.array([True, True, False, True, True]).reshape(shape)
+        edge = float(depth[mask].min()) - 1.0 if bound == "lo" else float(depth[mask].max()) + 1.0
+        assert_index_matches_parent(depth, mask, _step(edge, direction, dtype), 1.0)
+
+    @pytest.mark.parametrize("d", [np.inf, -np.inf, 0.0, 3.0])
+    def test_all_false_mask(self, d):
+        shape = (3, 4)
+        assert_index_matches_parent(np.full(shape, 3.0, np.float32), np.zeros(shape, bool), d, 1.0)
+
+    @pytest.mark.parametrize("d", [np.inf, -np.inf])
+    def test_infinite_d(self, d):
+        depth = np.array([[1.0, 8.0], [4.0, 2.0]], np.float32)
+        assert_index_matches_parent(depth, np.array([[False, True], [True, True]]), d, 1.0)
+
+    def test_reset_ties_go_to_row_major_order(self):
+        depth = np.array([[3.0, 1.0], [1.0, 3.0]], np.float32)
+        mask = np.ones((2, 2), bool)
+        assert_index_matches_parent(depth, mask, 2.0, 0.5)
+        assert closest_allowed_depth(BandIndex(DepthGrid(depth), DrivableMask(mask)), 2.0) == 3.0
+
+    def test_index_keeps_only_drivable_pixels(self):
+        mask = np.array([[False, True, True], [False, False, False], [True, False, True]])
+        depth = np.array([[5, 7, 6], [1, 1, 1], [0, 9, 2]], np.float32)
+        index = BandIndex(DepthGrid(depth), DrivableMask(mask))
+        assert index.flat.tolist() == [1, 2, 6, 8]
+        assert index.values.tolist() == [7.0, 6.0, 0.0, 2.0]
+        assert index.row_start.tolist() == [0, 2, 2, 4]
+        assert index.rows.tolist() == [0, 2]
+        assert index.row_lo.tolist() == [6.0, 0.0]
+        assert index.row_hi.tolist() == [7.0, 2.0]
 
 
 class TestCropGeometry:
@@ -220,8 +330,7 @@ class TestCropGeometry:
 def test_operations_are_pure(rng):
     depth_vals = rng.uniform(0, 30, (8, 8)).astype(np.float32)
     mask_vals = rng.random((8, 8)) < 0.5
-    depth = DepthGrid(depth_vals)
-    mask = DrivableMask(mask_vals)
-    a = placement_band(depth, mask, 9.0, 3.0)
-    b = placement_band(depth, mask, 9.0, 3.0)
+    index = BandIndex(DepthGrid(depth_vals), DrivableMask(mask_vals))
+    a = placement_band(index, 9.0, 3.0)
+    b = placement_band(index, 9.0, 3.0)
     assert a.xy.tobytes() == b.xy.tobytes()

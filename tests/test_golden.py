@@ -28,10 +28,11 @@ import json
 
 import numpy as np
 
-from scene_placer import dataset_io
+from scene_placer import dataset_io, sampler
 from scene_placer.cli import _Grids, main
 from scene_placer.config import RunConfig
-from scene_placer.geometry import DepthGrid, LabelGrid, crop_geometry
+from scene_placer.evaluate import layout_report
+from scene_placer.geometry import BandIndex, DepthGrid, LabelGrid, crop_geometry
 from scene_placer.sampler import augment_frame
 
 from conftest import make_class_model, make_model
@@ -127,6 +128,42 @@ def test_golden_scene_exercises_reset_and_edge_clipping(tmp_path):
     assert coarse == 1
     assert resets > 0
     assert clipped > 0
+
+
+def test_band_index_is_built_once_per_augmented_frame_and_never_by_eval(tmp_path, monkeypatch):
+    """Each scene builds its band index on its first band query and reuses
+    it for every later draw; eval draws no band, so it builds none."""
+    ann, cfg = _write_dataset(tmp_path)
+    built = []
+
+    def counting_index(depth, mask):
+        built.append(depth.values.shape)
+        return BandIndex(depth, mask)
+
+    monkeypatch.setattr(sampler, "BandIndex", counting_index)
+    dirs = ("--depth-dir", tmp_path / "depth", "--semantic-dir", tmp_path / "semantic",
+            "--config", cfg)
+    out = tmp_path / "layouts"
+    assert main([str(a) for a in ("augment", ann, "--model", tmp_path / "model.json",
+                                  "--out-layouts", out, "--seed", SEED, *dirs)]) == 0
+    assert sorted(built) == sorted((gh, gw) for *_, gw, gh in FRAMES)
+
+    built.clear()
+    assert main([str(a) for a in ("eval", ann, "--model", tmp_path / "model.json",
+                                  "--layouts", out, "--out-report", tmp_path / "r.json",
+                                  *dirs)]) == 0
+    assert built == []
+
+    run_cfg = dataset_io.load_config(cfg)
+    frames = dataset_io.read_annotations(ann)
+    grids = _Grids(run_cfg, tmp_path / "depth", tmp_path / "semantic")
+    scenes = {fr.frame_id: grids.scene(fr) for fr in frames}
+    augs = [dataset_io.load_layout(out / f"{fr.frame_id}.json") for fr in frames]
+    report = layout_report(frames, augs, scenes, dataset_io.load_model(tmp_path / "model.json"),
+                           run_cfg.tau)
+    assert report.band_validity == 1.0
+    assert not any("band_index" in vars(scene) for scene in scenes.values())
+    assert built == []
 
 
 def _mask_bits(i):
