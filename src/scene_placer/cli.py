@@ -15,7 +15,7 @@ from .config import RunConfig
 from .errors import ScenePlacerError
 from .evaluate import layout_report
 from .fitting import fit_model
-from .geometry import DepthGrid, drivable_mask
+from .geometry import BBox, DepthGrid, drivable_mask
 from .masks import refine_layout
 from .sampler import SceneContext, augment_frame
 
@@ -135,7 +135,7 @@ def cmd_render(args) -> int:
     if args.annotations:
         for fr in dataset_io.read_annotations(args.annotations):
             if fr.frame_id == aug.frame_id:
-                real_boxes = [a.box for a in fr.annotations]
+                real_boxes = [BBox(*row) for row in fr.boxes.tolist()]
     dataset_io.render_overlay(args.width, args.height, real_boxes,
                               [p.box for p in aug.proposals], args.out)
     return 0

@@ -11,6 +11,7 @@ factor; label and mask grids are 8-bit PGM.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -30,26 +31,32 @@ from .fitting import (
     MODEL_SCHEMA_VERSION,
     PowerCurve,
 )
-from .geometry import BBox, DepthGrid, LabelGrid
+from .geometry import BBox, DepthGrid, LabelGrid, _frozen_array
 from .sampler import FrameAugmentation, PlacementProposal, Provenance
 
 
 @dataclass(frozen=True)
-class Annotation:
-    class_id: int
-    box: BBox
-    mask_path: str | None = None
-
-
-@dataclass(frozen=True)
 class AnnotatedFrame:
+    """One image and its boxes as columns: `class_ids` (int64, shape (n,)) and
+    `boxes` (float64, shape (n, 4), each row `cx, by, w, h`), both read-only."""
+
     frame_id: str
     camera_id: str
     width: int
     height: int
-    annotations: tuple
+    class_ids: np.ndarray
+    boxes: np.ndarray
     depth_path: str | None = None
     semantic_path: str | None = None
+
+    def __post_init__(self):
+        class_ids = _frozen_array(self.class_ids, np.int64)
+        boxes = _frozen_array(self.boxes, np.float64)
+        if class_ids.ndim != 1 or boxes.shape != (class_ids.size, 4):
+            raise ValueError(f"frame {self.frame_id}: need n class ids and an (n, 4) box"
+                             f" array, got shapes {class_ids.shape} and {boxes.shape}")
+        object.__setattr__(self, "class_ids", class_ids)
+        object.__setattr__(self, "boxes", boxes)
 
     @property
     def has_grids(self) -> bool:
@@ -110,78 +117,94 @@ def _get(rec, key, check, where, default=_MISSING):
 # ---------------------------------------------------------------------------
 # COCO-style annotations
 
-def read_annotations(path) -> list:
-    """Parse a COCO-style JSON subset into AnnotatedFrames.
+def _get_id(rec, key, where) -> int:
+    """Checked rec[key], an integer that fits in int64 (an image or class id)."""
+    value = _get(rec, key, _INT, where)
+    if not -2**63 <= value < 2**63:
+        raise SchemaError(f"{where}: {key!r} must fit in int64, got {describe(value)}")
+    return value
 
-    Boxes are converted from [x, y, w, h] corner format to the bottom-center
-    anchor representation used everywhere else.
+
+def _check_annotation(ann, categories, where):
+    """One annotation record's checks, in the order that names its first bad key."""
+    cat = _get_id(ann, "category_id", where)
+    if cat not in categories:
+        raise SchemaError(f"{where} references unknown category {cat}")
+    _get(ann, "bbox", _BOX, where)
+    _get_id(ann, "image_id", where)
+    _get(ann, "mask", _PATH, where, None)
+
+
+def _annotation_columns(anns, categories):
+    """(image ids, class ids, boxes) of all annotation records, or None if a
+    record fails any check of `_check_annotation`, which are all made here in
+    bulk. Boxes go from [x, y, w, h] corners to `cx, by, w, h` rows."""
+    if set(map(type, anns)) - {dict}:
+        return None
+    cats, images, bboxes, masks = [list(map(dict.get, anns, itertools.repeat(key)))
+                                   for key in ("category_id", "image_id", "bbox", "mask")]
+    if (set(map(type, cats + images)) - {int} or set(map(type, masks)) - {str, type(None)}
+            or set(map(type, bboxes)) - {list} or set(map(len, bboxes)) - {4}
+            or not categories.issuperset(cats)):
+        return None
+    flat = list(itertools.chain.from_iterable(bboxes))
+    if set(map(type, flat)) - _NUMBER_TYPES:
+        return None
+    try:
+        image_ids = np.array(images, dtype=np.int64)
+        class_ids = np.array(cats, dtype=np.int64)
+        boxes = np.array(flat, dtype=np.float64).reshape(-1, 4)
+    except OverflowError:  # an id past int64, or an int past the float range
+        return None
+    size = np.abs(boxes)
+    # an int just past _MAX converts to _MAX: compare those values exactly
+    if (not np.all(size <= _MAX) or not np.all(boxes[:, 2:] > 0)
+            or any(abs(flat[i]) > _MAX for i in np.flatnonzero(size == _MAX).tolist())):
+        return None
+    with np.errstate(over="ignore"):  # a sum past the float range is inf, as in scalar math
+        boxes[:, 0] += boxes[:, 2] / 2.0
+        boxes[:, 1] += boxes[:, 3]
+    return image_ids, class_ids, boxes
+
+
+def read_annotations(path) -> list:
+    """Parse a COCO-style JSON subset into AnnotatedFrames, sorted by image id.
+
+    Every annotation record is checked in bulk; only if one fails do the
+    per-record checks run, in document order, to name the first bad record.
+    Annotations of an image that is not listed are ignored.
     """
     doc = _read_json(path)
     where = f"{path}: top level"
-    categories = {_get(c, "id", _INT, f"{path}: categories[{i}]")
+    categories = {_get_id(c, "id", f"{path}: categories[{i}]")
                   for i, c in enumerate(_get(doc, "categories", _LIST, where, []))}
-    per_image = {}
-    for i, ann in enumerate(_get(doc, "annotations", _LIST, where, [])):
-        rec = f"{path}: annotations[{i}]"
-        cat = _get(ann, "category_id", _INT, rec)
-        if cat not in categories:
-            raise SchemaError(f"{rec} references unknown category {cat}")
-        x, y, w, h = _get(ann, "bbox", _BOX, rec)
-        per_image.setdefault(_get(ann, "image_id", _INT, rec), []).append(Annotation(
-            class_id=cat, box=BBox(cx=x + w / 2.0, by=y + h, w=w, h=h),
-            mask_path=_get(ann, "mask", _PATH, rec, None)))
-    frames = []
+    anns = _get(doc, "annotations", _LIST, where, [])
+    columns = _annotation_columns(anns, categories)
+    if columns is None:
+        for i, ann in enumerate(anns):
+            _check_annotation(ann, categories, f"{path}: annotations[{i}]")
+        raise AssertionError(f"{path}: the bulk annotation checks failed, no record did")
+    image_ids, class_ids, boxes = columns
+    order = np.argsort(image_ids, kind="stable")  # document order within an image
+    image_ids, class_ids, boxes = image_ids[order], class_ids[order], boxes[order]
+    images = {}  # image id -> (record index, frame fields)
     for i, img in enumerate(_get(doc, "images", _LIST, where, [])):
         rec = f"{path}: images[{i}]"
-        image_id = _get(img, "id", _INT, rec)
-        frames.append(AnnotatedFrame(
-            frame_id=str(image_id),
+        image_id = _get_id(img, "id", rec)
+        if image_id in images:
+            raise SchemaError(f"{rec} repeats the id {image_id} of images[{images[image_id][0]}]")
+        images[image_id] = i, dict(
             camera_id=_get(img, "camera", _STR, rec, "default"),
             width=_get(img, "width", _SIZE, rec),
             height=_get(img, "height", _SIZE, rec),
-            annotations=tuple(per_image.get(image_id, [])),
             depth_path=_get(img, "depth_path", _PATH, rec, None),
-            semantic_path=_get(img, "semantic_path", _PATH, rec, None),
-        ))
-    return sorted(frames, key=lambda f: int(f.frame_id))
-
-
-def write_annotations(frames, path):
-    """Write frames back out as normalized COCO-style JSON (sorted, canonical)."""
-    images = []
-    annotations = []
-    cat_ids = set()
-    ann_id = 1
-    for fr in sorted(frames, key=lambda f: int(f.frame_id)):
-        img = {
-            "id": int(fr.frame_id),
-            "camera": fr.camera_id,
-            "width": fr.width,
-            "height": fr.height,
-        }
-        if fr.depth_path is not None:
-            img["depth_path"] = fr.depth_path
-        if fr.semantic_path is not None:
-            img["semantic_path"] = fr.semantic_path
-        images.append(img)
-        for ann in fr.annotations:
-            cat_ids.add(ann.class_id)
-            rec = {
-                "id": ann_id,
-                "image_id": int(fr.frame_id),
-                "category_id": ann.class_id,
-                "bbox": [ann.box.x0, ann.box.y0, ann.box.w, ann.box.h],
-            }
-            if ann.mask_path is not None:
-                rec["mask"] = ann.mask_path
-            annotations.append(rec)
-            ann_id += 1
-    doc = {
-        "images": images,
-        "annotations": annotations,
-        "categories": [{"id": c} for c in sorted(cat_ids)],
-    }
-    _write_json(path, doc)
+            semantic_path=_get(img, "semantic_path", _PATH, rec, None))
+    ids = np.array(sorted(images), dtype=np.int64)
+    spans = zip(np.searchsorted(image_ids, ids, "left").tolist(),
+                np.searchsorted(image_ids, ids, "right").tolist())
+    return [AnnotatedFrame(frame_id=str(image_id), class_ids=class_ids[lo:hi], boxes=boxes[lo:hi],
+                           **images[image_id][1])
+            for image_id, (lo, hi) in zip(ids.tolist(), spans)]
 
 
 # ---------------------------------------------------------------------------

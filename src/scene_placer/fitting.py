@@ -316,52 +316,59 @@ def fit_model(dataset, depth_of, config: RunConfig):
     probe reads disparity <= 0 are left out and counted per class; classes
     below min_samples on a camera fall back to the all-camera pooled fit;
     classes that are still too small are excluded. Counts and exclusions are
-    reported in the warnings list.
+    reported in the warnings list. Each class is fitted on its boxes in frame
+    order (frames sorted by id as strings).
     """
     if not dataset:
         raise InsufficientData("empty dataset")
-    per_cam = {}  # camera -> class -> [(d, h, w/h)]
-    pooled = {}  # class -> [(d, h, w/h)]
-    nonpositive = {}  # class -> samples on disparity <= 0, left out of the fit
-    for frame in sorted(dataset, key=lambda f: str(f.frame_id)):
-        anns = frame.annotations
-        depths = object_depth(depth_of(frame), np.array([a.box.cx for a in anns]),
-                              np.array([a.box.by for a in anns]))
-        for ann, d in zip(anns, depths.tolist()):
-            if d <= 0:  # the log-normal depth fit has no place for log(0)
-                nonpositive[ann.class_id] = nonpositive.get(ann.class_id, 0) + 1
-                continue
-            rec = (d, ann.box.h, ann.box.w / ann.box.h)
-            per_cam.setdefault(frame.camera_id, {}).setdefault(ann.class_id, []).append(rec)
-            pooled.setdefault(ann.class_id, []).append(rec)
+    frames = sorted(dataset, key=lambda f: str(f.frame_id))
+    depths = np.concatenate([object_depth(depth_of(fr), fr.boxes[:, 0], fr.boxes[:, 1])
+                             for fr in frames])
+    class_ids = np.concatenate([fr.class_ids for fr in frames])
+    boxes = np.concatenate([fr.boxes for fr in frames])
+    camera_ids = sorted({fr.camera_id for fr in frames}, key=str)
+    camera_of = np.repeat([camera_ids.index(fr.camera_id) for fr in frames],
+                          [fr.class_ids.size for fr in frames])
+    kept = depths > 0  # the log-normal depth fit has no place for log(0)
+    heights = boxes[:, 3]
+    ratios = boxes[:, 2] / heights
+
+    def fit(class_id, sel, fallback=False):
+        return _fit_class(class_id, depths[sel], heights[sel], ratios[sel], config, fallback)
 
     warnings = []
     pooled_models = {}
-    for class_id in sorted(pooled.keys() | nonpositive.keys()):
-        if class_id in nonpositive:
-            warnings.append(f"class {class_id}: {nonpositive[class_id]} samples on"
+    n_kept = {}  # class -> samples left in the fit
+    # sorted(set()), not np.unique: its first call in a process imports numpy.ma (5 ms)
+    for class_id in sorted(set(class_ids.tolist())):
+        of_class = class_ids == class_id
+        n_bad = int(np.count_nonzero(of_class & ~kept))
+        if n_bad:
+            warnings.append(f"class {class_id}: {n_bad} samples on"
                             f" disparity <= 0, excluded from the fit")
-        recs = pooled.get(class_id, [])
-        if len(recs) < config.min_samples:
+        n_kept[class_id] = int(np.count_nonzero(of_class & kept))
+        if n_kept[class_id] < config.min_samples:
             warnings.append(
-                f"class {class_id}: only {len(recs)} samples overall, excluded"
+                f"class {class_id}: only {n_kept[class_id]} samples overall, excluded"
             )
             continue
-        d, h, r = zip(*recs)
-        pooled_models[class_id] = _fit_class(class_id, d, h, r, config, fallback=True)
+        pooled_models[class_id] = fit(class_id, of_class & kept, fallback=True)
 
     cameras = {}
-    for camera_id in sorted(per_cam, key=str):
+    for k, camera_id in enumerate(camera_ids):
+        on_camera = kept & (camera_of == k)
+        if not on_camera.any():
+            continue
         cam_models = {}
-        for class_id in sorted(per_cam[camera_id]):
-            recs = per_cam[camera_id][class_id]
-            if len(recs) >= config.min_samples:
-                d, h, r = zip(*recs)
-                cam_models[class_id] = _fit_class(class_id, d, h, r, config)
+        for class_id in sorted(set(class_ids[on_camera].tolist())):
+            sel = on_camera & (class_ids == class_id)
+            n = int(np.count_nonzero(sel))
+            if n >= config.min_samples:
+                cam_models[class_id] = fit(class_id, sel)
             elif class_id in pooled_models:
                 cam_models[class_id] = pooled_models[class_id]
                 warnings.append(
-                    f"camera {camera_id} class {class_id}: {len(recs)} samples,"
+                    f"camera {camera_id} class {class_id}: {n} samples,"
                     f" using pooled fallback"
                 )
             # else: already warned at pooled level
@@ -375,7 +382,7 @@ def fit_model(dataset, depth_of, config: RunConfig):
     if not prior_classes:
         raise InsufficientData("no class has enough samples to fit")
     if config.class_prior == "frequency":
-        counts = np.array([len(pooled.get(c, [])) for c in prior_classes], dtype=np.float64)
+        counts = np.array([n_kept.get(c, 0) for c in prior_classes], dtype=np.float64)
         probs = counts / counts.sum()
     else:
         probs = np.full(len(prior_classes), 1.0 / len(prior_classes))

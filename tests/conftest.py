@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from scene_placer.config import RunConfig
-from scene_placer.dataset_io import Annotation, AnnotatedFrame
+from scene_placer.dataset_io import AnnotatedFrame
 from scene_placer.fitting import (
     ClassModel,
     Histogram,
@@ -18,7 +18,7 @@ from scene_placer.fitting import (
     LogNormalParams,
     PowerCurve,
 )
-from scene_placer.geometry import BBox, DepthGrid, DrivableMask
+from scene_placer.geometry import DepthGrid, DrivableMask
 from scene_placer.sampler import (
     PlacementProposal,
     Provenance,
@@ -109,13 +109,39 @@ def synthetic_dataset(class_models, n_per_class, rng, camera_id="cam0"):
         d, h, ratio = draw_objects(cm, n_per_class, rng)
         for i in range(n_per_class):
             grids[str(fid)] = DepthGrid(np.full((8, 8), d[i], dtype=np.float32))
-            box = BBox(cx=32.0, by=48.0, w=float(ratio[i] * h[i]), h=float(h[i]))
             frames.append(AnnotatedFrame(
                 frame_id=str(fid), camera_id=camera_id, width=64, height=64,
-                annotations=(Annotation(class_id=cm.class_id, box=box),),
+                class_ids=[cm.class_id], boxes=[[32.0, 48.0, ratio[i] * h[i], h[i]]],
             ))
             fid += 1
     return frames, lambda frame: grids[frame.frame_id]
+
+
+def expected_columns(doc) -> dict:
+    """Per listed image id of a COCO-style document, the class ids and the
+    `cx, by, w, h` rows its annotations give, in document order: each box
+    value is taken as float64, then cx = x + w/2 and by = y + h. Annotations
+    of unlisted images are left out."""
+    out = {img["id"]: ([], []) for img in doc["images"]}
+    for ann in doc["annotations"]:
+        if ann["image_id"] in out:
+            x, y, w, h = map(float, ann["bbox"])
+            out[ann["image_id"]][0].append(ann["category_id"])
+            out[ann["image_id"]][1].append([x + w / 2, y + h, w, h])
+    return out
+
+
+def assert_frames_hold_columns(frames, doc):
+    """`frames`, as read from `doc`, are sorted by integer id and hold the
+    expected columns bit for bit, as read-only int64 and float64 arrays."""
+    want = expected_columns(doc)
+    assert [f.frame_id for f in frames] == [str(i) for i in sorted(want)]
+    for f in frames:
+        ids, rows = want[int(f.frame_id)]
+        assert f.class_ids.dtype == np.int64 and f.class_ids.tolist() == ids
+        assert f.boxes.dtype == np.float64 and f.boxes.shape == (len(ids), 4)
+        assert f.boxes.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+        assert not f.class_ids.flags.writeable and not f.boxes.flags.writeable
 
 
 def propose_random_location(scene: SceneContext, model: LocationModel,

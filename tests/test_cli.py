@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from scene_placer import dataset_io
+from scene_placer import dataset_io, evaluate, fitting
 from scene_placer.cli import main
 from scene_placer.config import RunConfig
 from scene_placer.geometry import DepthGrid, LabelGrid
@@ -137,6 +137,68 @@ class TestAugment:
                     "--out-layouts", t / "layouts", *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and bad in err and "0..255" in err
+
+
+class TestAnnotationInput:
+    def test_duplicate_image_id_exit_2(self, fixture_dataset, capsys):
+        """Two images records with one id would make two frames sharing one
+        box list, counted twice, and two writes of one layout file."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "annotations.json").read_text())
+        doc["images"].append(dict(doc["images"][2]))
+        (t / "dup.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["augment", t / "dup.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "dup_layouts", "--jobs", 2]) == 2
+        assert f"{t / 'dup.json'}: images[6] repeats the id 2 of images[2]" \
+            in capsys.readouterr().err
+        assert not (t / "dup_layouts").exists()
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+    def test_id_past_int64_exit_2(self, fixture_dataset, capsys, value):
+        t = fixture_dataset
+        doc = json.loads((t / "annotations.json").read_text())
+        doc["annotations"][3]["image_id"] = value
+        (t / "big.json").write_text(json.dumps(doc))
+        assert run(["fit", t / "big.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "m.json"]) == 2
+        assert f"big.json: annotations[3]: 'image_id' must fit in int64, got {value}" \
+            in capsys.readouterr().err
+
+    def test_fit_and_eval_read_once_and_probe_each_frame_once(self, fixture_dataset,
+                                                              monkeypatch):
+        """The call shape perfbench's tracer counts: fit and eval each call
+        read_annotations once and object_depth once per frame with that
+        frame's full box columns, through the module-level names."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        frames = dataset_io.read_annotations(t / "annotations.json")
+        reads, probes = [], []
+        read, probe = dataset_io.read_annotations, fitting.object_depth
+        monkeypatch.setattr(dataset_io, "read_annotations",
+                            lambda path: reads.append(path) or read(path))
+
+        def counted_probe(grid, cx, by):
+            probes.append((np.asarray(cx).tolist(), np.asarray(by).tolist()))
+            return probe(grid, cx, by)
+
+        monkeypatch.setattr(fitting, "object_depth", counted_probe)
+        monkeypatch.setattr(evaluate, "object_depth", counted_probe)
+        grids = ["--depth-dir", t / "depth", "--config", _cfg(t)]
+        argv = {"fit": ["fit", t / "annotations.json", *grids, "--out-model", t / "m.json"],
+                "eval": ["eval", t / "annotations.json", "--model", t / "model.json",
+                         "--layouts", t / "layouts", "--semantic-dir", t / "semantic",
+                         *grids, "--out-report", t / "r.json"]}
+        order = {"fit": sorted(frames, key=lambda f: f.frame_id), "eval": frames}
+        for command in ("fit", "eval"):
+            reads.clear()
+            probes.clear()
+            assert run(argv[command]) == 0
+            assert reads == [str(t / "annotations.json")]
+            assert probes == [(f.boxes[:, 0].tolist(), f.boxes[:, 1].tolist())
+                              for f in order[command]]
 
 
 class TestEvalRender:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from scene_placer.config import RunConfig
-from scene_placer.dataset_io import Annotation, AnnotatedFrame
+from scene_placer.dataset_io import AnnotatedFrame
 from scene_placer.errors import InsufficientData
 from scene_placer.evaluate import ks_statistic, layout_report
 from scene_placer.fitting import fit_model
-from scene_placer.geometry import BBox, placement_band
+from scene_placer.geometry import placement_band
 from scene_placer.sampler import (
     FrameAugmentation,
     PlacementProposal,
@@ -119,7 +119,7 @@ class TestLayoutReport:
         aug = augment_frame(scene, model, "f", RunConfig(min_visible_frac=0.0, n_objects=5))
         real = [AnnotatedFrame(
             frame_id="g", camera_id="default", width=100, height=100,
-            annotations=(Annotation(class_id=9, box=BBox(cx=5, by=9, w=3, h=4)),),
+            class_ids=[9], boxes=[[5, 9, 3, 4]],
         )]
         report = layout_report(real, [aug], {"f": scene}, model, 5.0)
         flags = {s.class_id: s.comparable for s in report.per_class}

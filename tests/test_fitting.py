@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scene_placer.config import RunConfig
-from scene_placer.dataset_io import AnnotatedFrame, Annotation
+from scene_placer.dataset_io import AnnotatedFrame
 from scene_placer.errors import DegenerateFit, InsufficientData, InvalidSample
 from scene_placer.fitting import (
     build_aspect_histogram,
@@ -17,7 +17,7 @@ from scene_placer.fitting import (
     fit_power_curve,
     object_depth,
 )
-from scene_placer.geometry import BBox, DepthGrid
+from scene_placer.geometry import DepthGrid
 
 from conftest import make_class_model, synthetic_dataset
 
@@ -220,11 +220,10 @@ class TestFitModel:
     def test_constant_boxes_zero_sigma(self):
         frames = []
         grid = DepthGrid(np.full((8, 8), 5.0, dtype=np.float32))
-        box = BBox(cx=10.0, by=20.0, w=8.0, h=16.0)
         for i in range(50):
             frames.append(AnnotatedFrame(
                 frame_id=str(i), camera_id="c", width=64, height=64,
-                annotations=(Annotation(class_id=3, box=box),),
+                class_ids=[3], boxes=[[10.0, 20.0, 8.0, 16.0]],
             ))
         model, _ = fit_model(frames, lambda f: grid, RunConfig())
         got = model.class_model("c", 3)
@@ -259,7 +258,7 @@ class TestFitModel:
         for i, fr in enumerate(frames_b):
             frames_b[i] = type(fr)(
                 frame_id=f"b{fr.frame_id}", camera_id=fr.camera_id,
-                width=fr.width, height=fr.height, annotations=fr.annotations,
+                width=fr.width, height=fr.height, class_ids=fr.class_ids, boxes=fr.boxes,
             )
         grids = {f.frame_id: lookup_a(f) for f in frames_a}
         rekeyed = {}
@@ -282,11 +281,9 @@ class TestFitModel:
         excluded. Each class's count is named in the warnings."""
         cm = make_class_model(class_id=1)
         frames, lookup = synthetic_dataset([cm], 200, rng)
-        box = BBox(cx=32.0, by=48.0, w=4.0, h=8.0)
         on_zero = AnnotatedFrame(
             frame_id="zero", camera_id="cam0", width=64, height=64,
-            annotations=(Annotation(class_id=1, box=box),) * 7
-            + (Annotation(class_id=2, box=box),) * 40,
+            class_ids=[1] * 7 + [2] * 40, boxes=[[32.0, 48.0, 4.0, 8.0]] * 47,
         )
         zero = DepthGrid(np.zeros((8, 8), np.float32))
         model, got_warnings = fit_model(

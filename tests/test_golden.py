@@ -380,9 +380,9 @@ def test_golden_fit_dataset_exercises_windows_cameras_and_fallback(tmp_path):
     sizes = set()
     for frame in dataset_io.read_annotations(ann):
         grid = dataset_io.read_depth_grid(tmp_path / "depth" / frame.depth_path, DEPTH_SCALE)
-        for a in frame.annotations:
-            ix = min(max(int(np.floor(a.box.cx)), 0), grid.width - 1)
-            iy = min(max(int(np.floor(a.box.by - 1e-9)), 0), grid.height - 1)
+        for cx, by in frame.boxes[:, :2].tolist():
+            ix = min(max(int(np.floor(cx)), 0), grid.width - 1)
+            iy = min(max(int(np.floor(by - 1e-9)), 0), grid.height - 1)
             window = grid.values[max(iy - 1, 0):iy + 2, max(ix - 1, 0):ix + 2]
             sizes.add(window.size)
             assert window.min() > 0

@@ -5,6 +5,8 @@ import functools
 import json
 import operator
 import os
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +25,12 @@ from scene_placer.fitting import fit_model
 from scene_placer.geometry import BBox, DepthGrid, LabelGrid
 from scene_placer.sampler import FrameAugmentation, PlacementProposal, Provenance, _clip_box
 
-from conftest import make_class_model, make_model, synthetic_dataset
+from conftest import (
+    assert_frames_hold_columns,
+    make_class_model,
+    make_model,
+    synthetic_dataset,
+)
 
 
 def write_coco(path, images, annotations, categories):
@@ -47,8 +54,8 @@ class TestReadAnnotations:
             [{"id": 2}],
         )
         frames = dataset_io.read_annotations(p)
-        box = frames[0].annotations[0].box
-        assert (box.cx, box.by, box.w, box.h) == (25, 60, 30, 40)
+        assert frames[0].class_ids.tolist() == [2]
+        assert frames[0].boxes.tolist() == [[25, 60, 30, 40]]
 
     def test_round_trip_normalized(self, tmp_path, rng):
         images, annotations = [], []
@@ -65,12 +72,8 @@ class TestReadAnnotations:
                 ann_id += 1
         p1 = tmp_path / "a.json"
         write_coco(p1, images, annotations, [{"id": c} for c in (1, 2, 3)])
-        frames = dataset_io.read_annotations(p1)
-        p2 = tmp_path / "b.json"
-        p3 = tmp_path / "c.json"
-        dataset_io.write_annotations(frames, p2)
-        dataset_io.write_annotations(dataset_io.read_annotations(p2), p3)
-        assert p2.read_bytes() == p3.read_bytes()
+        assert_frames_hold_columns(dataset_io.read_annotations(p1),
+                                   json.loads(p1.read_text()))
 
     def test_malformed_json_reports_offset(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -144,7 +147,7 @@ class TestMalformedAnnotations:
         p.write_text(json.dumps(VALID_DOC))
         frames = dataset_io.read_annotations(p)
         assert [f.frame_id for f in frames] == ["0", "1", "2"]
-        assert frames[2].annotations[0].box.w == 3
+        assert frames[2].boxes[0, 2] == 3
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d["annotations"][1].pop("bbox"),
@@ -172,6 +175,146 @@ class TestMalformedAnnotations:
         p = tmp_path_factory.mktemp("fuzz") / "a.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(ScenePlacerError):
+            dataset_io.read_annotations(p)
+
+    def test_duplicate_image_id_names_both_records(self, tmp_path):
+        doc = copy.deepcopy(VALID_DOC)
+        doc["images"][2]["id"] = 0
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError,
+                           match=r"a\.json: images\[2\] repeats the id 0 of images\[0\]"):
+            dataset_io.read_annotations(p)
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+# any finite JSON number: ints up to the float range, and floats
+NUMBER = st.integers(-int(sys.float_info.max), int(sys.float_info.max)) | st.floats(
+    allow_nan=False, allow_infinity=False)
+POSITIVE = st.integers(1, int(sys.float_info.max)) | st.floats(
+    min_value=0.0, exclude_min=True, allow_infinity=False)
+# ids past int64, which the reader refuses; the parent read them
+NOT_INT64 = [2**63, -2**63 - 1]
+# boxes only the bulk checks' edges reach: a size <= 0, and ints just past
+# the float range that convert to +-sys.float_info.max
+NOT_BOX_EDGE = [[1, 2, 0, 4], [1, 2, 3, -0.5], [1, 2, 3, 0.0],
+                [int(sys.float_info.max) + 1, 2, 3, 4], [1, -int(sys.float_info.max) - 1, 3, 4]]
+SECTION_ORDER = ("categories", "annotations", "images")  # the order the reader checks them
+_MISSING = object()
+
+
+@st.composite
+def annotation_docs(draw, min_records=0):
+    """A valid document: unsorted unique image ids, boxes of any finite
+    values, and annotations of unlisted images among them."""
+    image_ids = draw(st.lists(INT64, min_size=min_records, max_size=8, unique=True))
+    classes = draw(st.lists(INT64, min_size=1, max_size=4, unique=True))
+    image_id = (st.sampled_from(image_ids) | INT64) if image_ids else INT64
+    annotations = draw(st.lists(st.fixed_dictionaries(
+        {"image_id": image_id, "category_id": st.sampled_from(classes),
+         "bbox": st.tuples(NUMBER, NUMBER, POSITIVE, POSITIVE).map(list)},
+        optional={"id": INT64, "mask": st.none() | st.text(max_size=3)}),
+        min_size=min_records, max_size=40))
+    return {"images": [{"id": i, "width": 64, "height": 48} for i in image_ids],
+            "annotations": annotations, "categories": [{"id": c} for c in classes]}
+
+
+@st.composite
+def corrupted_annotation_docs(draw):
+    """(document, (section, index) of its first bad record): a valid document
+    of many records with one or two records corrupted."""
+    doc = draw(annotation_docs(min_records=1))
+    classes = {c["id"] for c in doc["categories"]}
+    spots = []
+    for _ in range(draw(st.integers(1, 2))):
+        # annotations, which the bulk checks read, twice as often as the others
+        section = draw(st.sampled_from(SECTION_ORDER + ("annotations",)))
+        i = draw(st.integers(0, len(doc[section]) - 1))
+        spots.append((SECTION_ORDER.index(section), i))
+        if draw(st.integers(0, 5)) == 0:
+            doc[section][i] = draw(st.sampled_from(NOT_RECORD))
+            continue
+        if type(doc[section][i]) is not dict:  # already replaced
+            continue
+        key = draw(st.sampled_from(sorted(RECORD_KEYS[section])))
+        required, wrong = RECORD_KEYS[section][key]
+        if key in ("id", "image_id", "category_id"):
+            wrong = wrong + NOT_INT64
+        if key == "category_id":
+            wrong = wrong + [draw(INT64.filter(lambda c: c not in classes))]
+        if key == "bbox":
+            wrong = wrong + NOT_BOX_EDGE
+        if required and draw(st.booleans()):
+            doc[section][i].pop(key, None)  # a second pick of the key may find it gone
+        else:
+            doc[section][i][key] = draw(st.sampled_from(wrong))
+    rank, i = min(spots)
+    return doc, (SECTION_ORDER[rank], i)
+
+
+class TestBulkAnnotationChecks:
+    """The reader checks all annotation records at once and falls back to
+    the per-record checks only to name the first bad one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=corrupted_annotation_docs())
+    def test_corrupted_doc_names_its_first_bad_record(self, tmp_path_factory, case):
+        doc, (section, i) = case
+        p = tmp_path_factory.mktemp("bulk") / "a.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^" + re.escape(f"{p}: {section}[{i}]") + "[: ]"):
+            dataset_io.read_annotations(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=annotation_docs())
+    def test_valid_doc_columns_are_the_formulas(self, tmp_path_factory, doc):
+        p = tmp_path_factory.mktemp("bulk") / "a.json"
+        p.write_text(json.dumps(doc))
+        assert_frames_hold_columns(dataset_io.read_annotations(p), doc)
+
+    def test_image_without_boxes_and_unlisted_image(self, tmp_path):
+        doc = copy.deepcopy(VALID_DOC)
+        doc["annotations"][1]["image_id"] = 7  # no image 7: ignored, as is its box
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(doc))
+        frames = dataset_io.read_annotations(p)
+        assert [f.class_ids.size for f in frames] == [1, 0, 1]
+        assert frames[1].class_ids.shape == (0,) and frames[1].boxes.shape == (0, 4)
+        assert_frames_hold_columns(frames, doc)
+
+    @pytest.mark.parametrize("key,value", [
+        (key, value) for key, (_, wrong) in RECORD_KEYS["annotations"].items() for value in wrong
+    ] + [("bbox", box) for box in NOT_BOX_EDGE] + [("category_id", 3)]
+      + [(key, v) for key in ("image_id", "category_id") for v in NOT_INT64]
+      + [(key, _MISSING) for key in ("image_id", "category_id", "bbox")]
+      + [(None, record) for record in NOT_RECORD])
+    def test_every_bad_annotation_is_named(self, tmp_path, key, value):
+        """Each wrong annotation value, at record 17 of 30 valid ones."""
+        doc = copy.deepcopy(VALID_DOC)
+        doc["annotations"] = [dict(doc["annotations"][i % 3], bbox=[i, 2.5, 1 + i, 4])
+                              for i in range(30)]
+        if key is None:
+            doc["annotations"][17] = value
+        elif value is _MISSING:
+            del doc["annotations"][17][key]
+        else:
+            doc["annotations"][17][key] = value
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^" + re.escape(f"{p}: annotations[17]") + "[: ]"):
+            dataset_io.read_annotations(p)
+
+    @pytest.mark.parametrize("value", NOT_INT64)
+    @pytest.mark.parametrize("section,key", [
+        ("images", "id"), ("annotations", "image_id"), ("annotations", "category_id"),
+        ("categories", "id")])
+    def test_id_past_int64_names_the_record(self, tmp_path, section, key, value):
+        doc = copy.deepcopy(VALID_DOC)
+        doc[section][1][key] = value
+        p = tmp_path / "a.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(f"a.json: {section}[1]: {key!r} must"
+                                                        f" fit in int64, got {value}")):
             dataset_io.read_annotations(p)
 
 
