@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import dataset_io
 from .config import RunConfig
-from .errors import ScenePlacerError
+from .errors import InvalidBox, ScenePlacerError
 from .evaluate import layout_report
 from .fitting import fit_model
 from .geometry import BBox, DepthGrid, drivable_mask
@@ -29,10 +29,9 @@ def _load_config(args) -> RunConfig:
     """The --config file (or the defaults) with the command's flags laid over it."""
     cfg = dataset_io.load_config(args.config) if args.config else RunConfig()
     flags = vars(args)
-    classes = flags.get("drivable_classes")
     return cfg.replace(seed=flags.get("seed"), tau=flags.get("tau"),
                        n_objects=flags.get("objects_per_frame"),
-                       drivable_classes=[int(c) for c in classes.split(",")] if classes else None)
+                       drivable_classes=flags.get("drivable_classes"))
 
 
 class _Grids:
@@ -108,8 +107,11 @@ def cmd_augment(args) -> int:
 def cmd_refine(args) -> int:
     cfg = _load_config(args)
     aug = dataset_io.load_layout(args.layout)
-    aug = refine_layout(aug, [p.mask_path for p in aug.proposals],
-                        args.width, args.height, cfg.min_visible_composite)
+    try:
+        aug = refine_layout(aug, [p.mask_path for p in aug.proposals],
+                            args.width, args.height, cfg.min_visible_composite)
+    except InvalidBox as e:
+        raise InvalidBox(f"{args.layout}: {e}") from None
     dataset_io.save_layout(aug, args.out)
     print(f"refined layout: {len(aug.proposals)} proposals kept, {aug.dropped} dropped")
     return 0
@@ -141,6 +143,15 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _class_list(text: str) -> list[int]:
+    """argparse type of --drivable-classes: comma-separated integers, none empty."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
+
+
 # the run-parameter flags; each command takes only those it reads
 _FLAGS = {
     "--config": dict(help="JSON config file (flat RunConfig fields); flags override it"),
@@ -148,7 +159,8 @@ _FLAGS = {
     "--jobs": dict(type=int, default=1, help="worker threads (default 1)"),
     "--tau": dict(type=float, help="placement band depth threshold (default 5.0)"),
     "--objects-per-frame": dict(type=int, help="proposals per frame (default 12)"),
-    "--drivable-classes": dict(help="comma-separated drivable class indices (default 1,2,3)"),
+    "--drivable-classes": dict(type=_class_list,
+                               help="comma-separated drivable class indices (default 1,2,3)"),
 }
 
 

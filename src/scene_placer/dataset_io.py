@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -499,8 +498,12 @@ def render_overlay(frame_w, frame_h, real_boxes, proposal_boxes, path):
 # Atomic writes
 
 def _atomic_write_bytes(path, data: bytes):
+    """Write `data` to a new file beside `path`, then rename it over `path`.
+    The file is created with mode 0o666 less the umask, as open(path, "w")
+    would create it."""
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

@@ -252,7 +252,7 @@ def crop_geometry(box: BBox, frame_w: int, frame_h: int) -> PatchRect:
     dimension is it clipped to fit.
     """
     if box.x1 <= 0 or box.x0 >= frame_w or box.y1 <= 0 or box.y0 >= frame_h:
-        raise InvalidBox("box does not intersect the frame")
+        raise InvalidBox(f"box does not intersect the {frame_w}x{frame_h} frame")
     side = int(round(2.0 * max(box.w, box.h)))
     side = max(side, 1)
     if side > min(frame_w, frame_h):

@@ -6,6 +6,8 @@ their PatchRect. Compositing pastes masks far-to-near (ascending order of
 yielding pairwise-disjoint visible regions and a visibility fraction per
 proposal. A mask covers only its patch, so each is rasterized over the part
 of its patch inside the frame, and painting and counting stay in that box.
+The owner map is painted once per frame: dropping occluded proposals selects
+on the fractions counted there and paints nothing again.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dataset_io
-from .errors import EmptyMask
+from .errors import EmptyMask, InvalidBox
 from .geometry import BBox, PatchRect, crop_geometry
 from .sampler import FrameAugmentation
 
@@ -65,16 +67,12 @@ class CompositePlan:
 
     owner[y, x] holds the index of the proposal visible at that pixel, or -1.
     footprints[i] is proposal i's box-clipped rasterized footprint (before
-    occlusion), kept so the plan can be recomputed after drops.
+    occlusion) and visible_frac[i] the share of it that owner assigns to i.
     """
 
-    order: list  # paste order, far to near
     owner: np.ndarray  # (frame_h, frame_w) int32
     footprints: list  # list of Footprint
     visible_frac: np.ndarray  # per proposal, 0..1
-
-    def visible_mask(self, i: int) -> np.ndarray:
-        return self.owner == i
 
 
 def refine_bbox(mask: InstanceMask) -> BBox:
@@ -120,50 +118,33 @@ def rasterize_mask(mask: InstanceMask, frame_w: int, frame_h: int) -> Footprint:
     return Footprint(box=(slice(fy0, fy1), slice(fx0, fx1)), bits=mask.bits[np.ix_(ys, xs)])
 
 
-def _paint(footprints, order, frame_w: int, frame_h: int) -> np.ndarray:
-    """Owner map after pasting the footprints in order; later ones win."""
+def composite_masks(masks, order, frame_w: int, frame_h: int) -> CompositePlan:
+    """Resolve overlaps by pasting in the given order (later masks win) and
+    count the share of each footprint left visible."""
+    footprints = [rasterize_mask(m, frame_w, frame_h) for m in masks]
     owner = np.full((frame_h, frame_w), -1, dtype=np.int32)
     for i in order:
         box, bits = footprints[i]
         owner[box][bits] = i
-    return owner
-
-
-def _visible_frac(owner, footprints, indices) -> np.ndarray:
-    """Share of each listed footprint that owner assigns to it; 0 elsewhere."""
     visible = np.zeros(len(footprints))
-    for i in indices:
-        box, bits = footprints[i]
+    for i, (box, bits) in enumerate(footprints):
         total = np.count_nonzero(bits)
         visible[i] = np.count_nonzero(owner[box][bits] == i) / total if total else 0.0
-    return visible
+    return CompositePlan(owner=owner, footprints=footprints, visible_frac=visible)
 
 
-def composite_masks(masks, order, frame_w: int, frame_h: int) -> CompositePlan:
-    """Resolve overlaps by pasting in the given order; later masks win."""
-    footprints = [rasterize_mask(m, frame_w, frame_h) for m in masks]
-    owner = _paint(footprints, order, frame_w, frame_h)
-    visible = _visible_frac(owner, footprints, range(len(footprints)))
-    return CompositePlan(order=list(order), owner=owner,
-                         footprints=footprints, visible_frac=visible)
+def visibility_filter(plan: CompositePlan, min_visible: float):
+    """Split the plan's proposals at min_visible.
 
-
-def visibility_filter(plan: CompositePlan, min_visible: float = 0.2):
-    """Drop proposals occluded below min_visible and recompute the plan.
-
-    Returns (kept_indices, new_plan); new_plan keeps the original indexing
-    (dropped proposals simply own no pixels and have visible_frac 0).
+    Returns (kept, dropped): ascending indices of the proposals visible at
+    least min_visible, and of the rest.
     """
     if not 0.0 <= min_visible <= 1.0:
         raise ValueError("min_visible must be in [0, 1]")
-    kept = [i for i in range(len(plan.footprints)) if plan.visible_frac[i] >= min_visible]
-    keep = set(kept)
-    order = [i for i in plan.order if i in keep]
-    frame_h, frame_w = plan.owner.shape
-    owner = _paint(plan.footprints, order, frame_w, frame_h)
-    new_plan = CompositePlan(order=order, owner=owner, footprints=plan.footprints,
-                             visible_frac=_visible_frac(owner, plan.footprints, kept))
-    return kept, new_plan
+    kept, dropped = [], []
+    for i, frac in enumerate(plan.visible_frac.tolist()):
+        (kept if frac >= min_visible else dropped).append(i)
+    return kept, dropped
 
 
 def refine_layout(aug: FrameAugmentation, mask_paths, frame_w: int, frame_h: int,
@@ -180,8 +161,12 @@ def refine_layout(aug: FrameAugmentation, mask_paths, frame_w: int, frame_h: int
         if path is None or not os.path.exists(path):
             passthrough.append(p)
             continue
-        mask = InstanceMask(bits=dataset_io.read_mask_pgm(path),
-                            patch=crop_geometry(p.box, frame_w, frame_h))
+        bits = dataset_io.read_mask_pgm(path)
+        try:
+            patch = crop_geometry(p.box, frame_w, frame_h)
+        except InvalidBox as e:
+            raise InvalidBox(f"proposal {p.provenance.index}: {e}") from None
+        mask = InstanceMask(bits=bits, patch=patch)
         try:
             box = refine_bbox(mask)
         except EmptyMask:
@@ -189,12 +174,12 @@ def refine_layout(aug: FrameAugmentation, mask_paths, frame_w: int, frame_h: int
             continue
         masked.append(replace(p, box=box, mask_path=path))
         masks.append(mask)
-    kept = []
+    kept, dropped = [], []
     if masked:
         plan = composite_masks(masks, composite_order(masked), frame_w, frame_h)
-        kept, _ = visibility_filter(plan, min_visible)
+        kept, dropped = visibility_filter(plan, min_visible)
     return FrameAugmentation(
         frame_id=aug.frame_id,
         proposals=passthrough + [masked[i] for i in kept],
-        dropped=aug.dropped + len(masked) - len(kept),
+        dropped=aug.dropped + len(dropped),
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -323,6 +324,25 @@ class TestRefine:
         assert refined.proposals[1:-1] == sampled.proposals[2:]
         assert refined.proposals[-1].mask_path == str(t / "p1.pgm")
         assert refined.dropped == sampled.dropped
+
+
+    def test_masked_box_outside_the_frame_names_layout_and_proposal(self, fixture_dataset,
+                                                                    capsys):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "layouts" / "0.json").read_text())
+        dataset_io.write_mask_pgm(np.ones((16, 16), bool), t / "m.pgm")
+        rec = doc["proposals"][0]
+        rec["mask"], rec["box"] = str(t / "m.pgm"), [30.0, 40.0, 4.0, 4.0]
+        layout_path = t / "masked_layout.json"
+        layout_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["refine", layout_path, "--width", 5, "--height", 5,
+                    "--out", t / "refined.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {layout_path}: proposal {rec['index']}: "
+            "box does not intersect the 5x5 frame\n")
+        assert not (t / "refined.json").exists()
 
 
 class TestAugmentMasks:
@@ -661,6 +681,51 @@ def test_frame_size_below_one_exit_2(fixture_dataset, capsys, command, width, he
     assert e.value.code == 2
     assert f"argument {named}: must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["augment", "a.json", "--model", "m.json", "--out-layouts", "l"],
+    ["eval", "a.json", "--model", "m.json", "--layouts", "l"],
+])
+@pytest.mark.parametrize("value", ["", ",", "1,,2", "1,", "1,x", "1.5"])
+def test_drivable_classes_not_a_list_of_integers_exit_2(argv, value, capsys):
+    """An empty list, an empty item or a non-integer is a usage error naming
+    the flag, not the default classes or a bare int() message."""
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--drivable-classes", value])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --drivable-classes: must be comma-separated integers, got {value!r}" in err
+
+
+def test_outputs_get_the_mode_of_a_plain_open(fixture_dataset):
+    """Every file a command writes gets the mode that open(path, "w") gives
+    in the same directory under the same umask, and no temporary file stays."""
+    t = fixture_dataset
+    umask = os.umask(0o022)
+    try:
+        _fit_and_augment(t, "layouts", 1)
+        assert run(["refine", t / "layouts" / "0.json", "--width", 48, "--height", 48,
+                    "--out", t / "refined.json"]) == 0
+        assert run(["eval", t / "annotations.json", "--model", t / "model.json",
+                    "--layouts", t / "layouts", "--depth-dir", t / "depth",
+                    "--semantic-dir", t / "semantic", "--config", _cfg(t),
+                    "--out-report", t / "report.json", "--out-text", t / "report.txt"]) == 0
+        assert run(["render", t / "layouts" / "0.json", "--width", 48, "--height", 48,
+                    "--out", t / "o.ppm"]) == 0
+        for directory in (t, t / "layouts"):
+            with open(directory / "plain", "w"):
+                pass
+    finally:
+        os.umask(umask)
+    layouts = sorted((t / "layouts").glob("*.json"))
+    assert len(layouts) == 6
+    for path in [t / "model.json", *layouts, t / "refined.json", t / "report.json",
+                 t / "report.txt", t / "o.ppm"]:
+        want = stat.S_IMODE(os.stat(path.parent / "plain").st_mode)
+        assert stat.S_IMODE(os.stat(path).st_mode) == want, path
+    assert not [p for p in (*t.iterdir(), *(t / "layouts").iterdir())
+                if p.name.startswith(".tmp-")]
 
 
 def test_help_lists_defaults(capsys):

@@ -158,7 +158,7 @@ class TestCompositeMasks:
         plan = composite_masks(masks, composite_order(props), 16, 16)
         union = np.zeros((16, 16), bool)
         for i in range(4):
-            vm = plan.visible_mask(i)
+            vm = plan.owner == i
             assert not (vm & union).any()  # pairwise disjoint
             union |= vm
         all_input = np.zeros((16, 16), bool)
@@ -180,27 +180,34 @@ class TestVisibilityFilter:
         props = [_proposal(5), _proposal(10)]
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4)]
         plan = composite_masks(masks, composite_order(props), 10, 10)
-        kept, new_plan = visibility_filter(plan, 0.2)
-        assert kept == [1]
-        assert new_plan.visible_frac[0] == 0.0
+        assert visibility_filter(plan, 0.2) == ([1], [0])
 
     def test_removing_occluded_preserves_others(self):
         props = [_proposal(5), _proposal(10), _proposal(20)]
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4), _square_mask(8, 8, 4)]
         plan = composite_masks(masks, composite_order(props), 16, 16)
-        kept, new_plan = visibility_filter(plan, 0.2)
-        assert kept == [1, 2]
-        assert (new_plan.visible_mask(2) == plan.visible_mask(2)).all()
+        assert visibility_filter(plan, 0.2) == ([1, 2], [0])
+        # the kept masks composited alone own the same pixels as before
+        alone = composite_masks(masks[1:], composite_order(props[1:]), 16, 16)
+        for j, i in enumerate([1, 2]):
+            assert np.array_equal(alone.owner == j, plan.owner == i)
 
     def test_stacked_chain_matches_exhaustive_recompute(self):
         props = [_proposal(5), _proposal(10), _proposal(20)]
         # middle mask is covered by the near mask, far mask mostly covered too
         masks = [_square_mask(0, 0, 6), _square_mask(0, 0, 5), _square_mask(0, 0, 5)]
         plan = composite_masks(masks, composite_order(props), 10, 10)
-        kept, _ = visibility_filter(plan, 0.2)
+        kept, dropped = visibility_filter(plan, 0.2)
         # exhaustive oracle over subsets: keep exactly those above threshold
         fracs = plan.visible_frac
         assert kept == [i for i in range(3) if fracs[i] >= 0.2]
+        assert dropped == [i for i in range(3) if fracs[i] < 0.2]
+
+    @pytest.mark.parametrize("min_visible", [-0.1, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, min_visible):
+        plan = composite_masks([_square_mask(0, 0, 4)], [0], 10, 10)
+        with pytest.raises(ValueError, match="min_visible"):
+            visibility_filter(plan, min_visible)
 
 
 # Full-frame reference: compositing as it was before footprints were clipped
@@ -235,17 +242,8 @@ def _ref_composite(masks, order, frame_w, frame_h):
     return footprints, owner, visible
 
 
-def _ref_visibility_filter(footprints, order, owner_shape, visible_frac, min_visible):
-    kept = [i for i in range(len(footprints)) if visible_frac[i] >= min_visible]
-    owner = np.full(owner_shape, -1, dtype=np.int32)
-    for i in order:
-        if i in kept:
-            owner[footprints[i]] = i
-    visible = np.zeros(len(footprints))
-    for i in kept:
-        total = footprints[i].sum()
-        visible[i] = (owner == i).sum() / total if total else 0.0
-    return kept, owner, visible
+def _ref_kept(visible_frac, min_visible):
+    return [i for i in range(len(visible_frac)) if visible_frac[i] >= min_visible]
 
 
 def _random_mask(rng, frame_w, frame_h):
@@ -264,7 +262,7 @@ def _random_mask(rng, frame_w, frame_h):
 class TestBoxClippedCompositingMatchesFullFrame:
     def test_random_cases(self, rng):
         shapes = {"left": 0, "top": 0, "right": 0, "bottom": 0, "outside": 0,
-                  "empty": 0, "larger": 0, "smaller": 0, "ties": 0}
+                  "empty": 0, "larger": 0, "smaller": 0, "ties": 0, "raised": 0}
         for _ in range(400):
             frame_w, frame_h = (int(v) for v in rng.integers(4, 24, 2))
             n = int(rng.integers(1, 8))
@@ -286,13 +284,18 @@ class TestBoxClippedCompositingMatchesFullFrame:
                 pasted[fp.box] = fp.bits
                 assert np.array_equal(pasted, ref)
 
-            kept, new_plan = visibility_filter(plan, min_visible)
-            ref_kept, ref_new_owner, ref_new_visible = _ref_visibility_filter(
-                ref_fps, order, (frame_h, frame_w), ref_visible, min_visible)
-            assert kept == ref_kept
-            assert new_plan.order == [i for i in order if i in ref_kept]
-            assert np.array_equal(new_plan.owner, ref_new_owner)
-            assert np.array_equal(new_plan.visible_frac, ref_new_visible)
+            kept, dropped = visibility_filter(plan, min_visible)
+            assert kept == _ref_kept(ref_visible, min_visible)
+            assert dropped == [i for i in range(n) if i not in kept]
+
+            # dropping occluded masks never lowers a kept mask's visible
+            # share, so compositing the kept ones alone drops none of them
+            alone = composite_masks([masks[i] for i in kept],
+                                    composite_order([props[i] for i in kept]),
+                                    frame_w, frame_h)
+            assert (alone.visible_frac >= plan.visible_frac[kept]).all()
+            shapes["raised"] += bool((alone.visible_frac > plan.visible_frac[kept]).any())
+            assert visibility_filter(alone, min_visible) == (list(range(len(kept))), [])
 
             for m in masks:
                 p = m.patch
