@@ -249,27 +249,15 @@ def read_depth_grid(path, scale: float) -> DepthGrid:
     return DepthGrid(raw.astype(np.float32) * np.float32(scale))
 
 
-def write_depth_grid(grid: DepthGrid, path, scale: float):
-    _write_pnm(path, "P5", 65535, np.round(grid.values / np.float32(scale)).astype(">u2"))
-
-
 def read_label_grid(path) -> LabelGrid:
     """8-bit PGM of semantic class indices."""
     return LabelGrid(_read_pgm(path, 255))
-
-
-def write_label_grid(grid: LabelGrid, path):
-    _write_pnm(path, "P5", 255, grid.labels)
 
 
 def read_mask_pgm(path) -> np.ndarray:
     """Binary instance mask: 0 = background, 255 = object."""
     raw = _read_pgm(path, 255)
     return raw >= 128
-
-
-def write_mask_pgm(bits: np.ndarray, path):
-    _write_pnm(path, "P5", 255, np.where(np.asarray(bits, dtype=bool), 255, 0).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -56,14 +56,6 @@ class LabelGrid:
         if self.labels.ndim != 2:
             raise DimensionMismatch("label grid must be 2-D")
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
 
 @dataclass(frozen=True)
 class DrivableMask:
@@ -123,8 +115,7 @@ class PixelSet:
     """Pixels of a grid `width` pixels wide, as row-major flat indices.
 
     Flat index i is the pixel (x, y) = (i % width, i // width), so ascending
-    indices are the canonical row-major order. Picks decode one index each;
-    the (n, 2) array of (x, y) pairs is built only when `xy` is read.
+    indices are the canonical row-major order. Picks decode one index each.
     """
 
     flat: np.ndarray
@@ -139,11 +130,6 @@ class PixelSet:
     def __getitem__(self, i):
         y, x = divmod(int(self.flat[i]), self.width)
         return x, y
-
-    @property
-    def xy(self) -> np.ndarray:
-        ys, xs = np.divmod(self.flat, self.width)
-        return _frozen_array(np.stack([xs, ys], axis=1), np.int64)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ their PatchRect. Compositing pastes masks far-to-near (ascending order of
 1/disparity, i.e. nearest last) so that near objects overwrite far ones,
 yielding pairwise-disjoint visible regions and a visibility fraction per
 proposal. A mask covers only its patch, so each is rasterized over the part
-of its patch inside the frame, and painting and counting stay in that box.
-The owner map is painted once per frame: dropping occluded proposals selects
-on the fractions counted there and paints nothing again.
+of its patch inside the frame as soon as it is read, and only that footprint
+is kept: one full-resolution mask is alive at a time. The owner map covers
+the union of the footprints' boxes, not the frame, and is painted once per
+frame: dropping occluded proposals selects on the fractions counted there
+and paints nothing again.
 """
 
 from __future__ import annotations
@@ -63,14 +65,18 @@ class Footprint(NamedTuple):
 
 @dataclass
 class CompositePlan:
-    """Overwrite-resolved stack of masks in frame coordinates.
+    """Overwrite-resolved stack of footprints over the union of their boxes.
 
-    owner[y, x] holds the index of the proposal visible at that pixel, or -1.
-    footprints[i] is proposal i's box-clipped rasterized footprint (before
-    occlusion) and visible_frac[i] the share of it that owner assigns to i.
+    box is that union, in Footprint.box's convention (empty when no footprint
+    meets the frame): owner[r, c] holds the index of the proposal visible at
+    frame pixel (box[1].start + c, box[0].start + r), or -1; no footprint
+    covers a pixel outside box. footprints[i] is proposal i's box-clipped
+    rasterized footprint (before occlusion) and visible_frac[i] the share of
+    it that owner assigns to i.
     """
 
-    owner: np.ndarray  # (frame_h, frame_w) int32
+    box: tuple  # (row slice, column slice) into a (frame_h, frame_w) array
+    owner: np.ndarray  # (box rows, box columns) int32
     footprints: list  # list of Footprint
     visible_frac: np.ndarray  # per proposal, 0..1
 
@@ -118,19 +124,26 @@ def rasterize_mask(mask: InstanceMask, frame_w: int, frame_h: int) -> Footprint:
     return Footprint(box=(slice(fy0, fy1), slice(fx0, fx1)), bits=mask.bits[np.ix_(ys, xs)])
 
 
-def composite_masks(masks, order, frame_w: int, frame_h: int) -> CompositePlan:
-    """Resolve overlaps by pasting in the given order (later masks win) and
-    count the share of each footprint left visible."""
-    footprints = [rasterize_mask(m, frame_w, frame_h) for m in masks]
-    owner = np.full((frame_h, frame_w), -1, dtype=np.int32)
+def composite_masks(footprints, order) -> CompositePlan:
+    """Resolve overlaps by pasting footprints in the given order (later ones
+    win) and count the share of each footprint left visible."""
+    boxes = [box for box, bits in footprints if bits.size]
+    if boxes:
+        y0, x0 = min(b[0].start for b in boxes), min(b[1].start for b in boxes)
+        y1, x1 = max(b[0].stop for b in boxes), max(b[1].stop for b in boxes)
+    else:
+        y0 = x0 = y1 = x1 = 0
+    owner = np.full((y1 - y0, x1 - x0), -1, dtype=np.int32)
+    local = [(slice(r.start - y0, r.stop - y0), slice(c.start - x0, c.stop - x0))
+             for (r, c), _ in footprints]
     for i in order:
-        box, bits = footprints[i]
-        owner[box][bits] = i
+        owner[local[i]][footprints[i].bits] = i
     visible = np.zeros(len(footprints))
-    for i, (box, bits) in enumerate(footprints):
+    for i, (_, bits) in enumerate(footprints):
         total = np.count_nonzero(bits)
-        visible[i] = np.count_nonzero(owner[box][bits] == i) / total if total else 0.0
-    return CompositePlan(owner=owner, footprints=footprints, visible_frac=visible)
+        visible[i] = np.count_nonzero(owner[local[i]][bits] == i) / total if total else 0.0
+    return CompositePlan(box=(slice(y0, y1), slice(x0, x1)), owner=owner,
+                         footprints=footprints, visible_frac=visible)
 
 
 def visibility_filter(plan: CompositePlan, min_visible: float):
@@ -147,36 +160,45 @@ def visibility_filter(plan: CompositePlan, min_visible: float):
     return kept, dropped
 
 
+def _refine_one(p, path, frame_w: int, frame_h: int):
+    """Proposal p refined to the tight box of its mask, with the mask's
+    footprint; None when p has no mask file or its mask has no set bits. The
+    full-resolution mask is freed on return."""
+    try:
+        patch = crop_geometry(p.box, frame_w, frame_h)
+    except InvalidBox as e:
+        raise InvalidBox(f"proposal {p.provenance.index}: {e}") from None
+    if path is None or not os.path.exists(path):
+        return None
+    mask = InstanceMask(bits=dataset_io.read_mask_pgm(path), patch=patch)
+    try:
+        box = refine_bbox(mask)
+    except EmptyMask:
+        return None
+    return replace(p, box=box, mask_path=path), rasterize_mask(mask, frame_w, frame_h)
+
+
 def refine_layout(aug: FrameAugmentation, mask_paths, frame_w: int, frame_h: int,
                   min_visible: float) -> FrameAugmentation:
     """Refine each proposal to the tight box of its mask, composite the masked
     proposals far-to-near and drop those visible below min_visible.
 
-    mask_paths[i] is proposal i's mask file, or None. A proposal whose file is
-    missing or has no set bits passes through unchanged and is not composited.
-    Passed-through proposals come first, then the kept masked ones.
+    mask_paths[i] is proposal i's mask file, or None. Every proposal's box must
+    meet the frame (InvalidBox naming its index otherwise). A proposal whose
+    file is missing or has no set bits passes through unchanged and is not
+    composited. Passed-through proposals come first, then the kept masked ones.
     """
-    masked, masks, passthrough = [], [], []
+    masked, footprints, passthrough = [], [], []
     for p, path in zip(aug.proposals, mask_paths):
-        if path is None or not os.path.exists(path):
+        refined = _refine_one(p, path, frame_w, frame_h)
+        if refined is None:
             passthrough.append(p)
             continue
-        bits = dataset_io.read_mask_pgm(path)
-        try:
-            patch = crop_geometry(p.box, frame_w, frame_h)
-        except InvalidBox as e:
-            raise InvalidBox(f"proposal {p.provenance.index}: {e}") from None
-        mask = InstanceMask(bits=bits, patch=patch)
-        try:
-            box = refine_bbox(mask)
-        except EmptyMask:
-            passthrough.append(p)
-            continue
-        masked.append(replace(p, box=box, mask_path=path))
-        masks.append(mask)
+        masked.append(refined[0])
+        footprints.append(refined[1])
     kept, dropped = [], []
     if masked:
-        plan = composite_masks(masks, composite_order(masked), frame_w, frame_h)
+        plan = composite_masks(footprints, composite_order(masked))
         kept, dropped = visibility_filter(plan, min_visible)
     return FrameAugmentation(
         frame_id=aug.frame_id,

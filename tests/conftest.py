@@ -1,5 +1,6 @@
-"""Shared synthetic fixtures: hand-built models, scenes, and datasets, and
-the random-location baseline policy the evaluation tests compare against.
+"""Shared synthetic fixtures: hand-built models, scenes, and datasets, the
+PGM writers for grids and masks, and the random-location baseline policy the
+evaluation tests compare against.
 
 The synthetic generative process defined here is the oracle for the fit and
 sampling tests: data are drawn from known parameters, and the tests check
@@ -9,6 +10,7 @@ that fitting/sampling recovers them.
 import numpy as np
 import pytest
 
+from scene_placer import dataset_io
 from scene_placer.config import RunConfig
 from scene_placer.dataset_io import AnnotatedFrame
 from scene_placer.fitting import (
@@ -18,7 +20,7 @@ from scene_placer.fitting import (
     LogNormalParams,
     PowerCurve,
 )
-from scene_placer.geometry import DepthGrid, DrivableMask
+from scene_placer.geometry import DepthGrid, DrivableMask, LabelGrid, PixelSet
 from scene_placer.sampler import (
     PlacementProposal,
     Provenance,
@@ -28,6 +30,28 @@ from scene_placer.sampler import (
     sample_height,
     sample_width,
 )
+
+
+def write_depth_grid(grid: DepthGrid, path, scale: float):
+    """16-bit PGM that dataset_io.read_depth_grid(path, scale) reads back."""
+    dataset_io._write_pnm(path, "P5", 65535,
+                          np.round(grid.values / np.float32(scale)).astype(">u2"))
+
+
+def write_label_grid(grid: LabelGrid, path):
+    dataset_io._write_pnm(path, "P5", 255, grid.labels)
+
+
+def write_mask_pgm(bits, path):
+    """Set bits as 255, the rest as 0."""
+    dataset_io._write_pnm(path, "P5", 255,
+                          np.where(np.asarray(bits, dtype=bool), 255, 0).astype(np.uint8))
+
+
+def pixel_xy(pixels: PixelSet) -> np.ndarray:
+    """The (n, 2) int64 array of a PixelSet's (x, y) pairs, in its order."""
+    ys, xs = np.divmod(pixels.flat, pixels.width)
+    return np.stack([xs, ys], axis=1)
 
 
 def make_class_model(

@@ -17,7 +17,13 @@ from scene_placer.config import RunConfig
 from scene_placer.evaluate import ks_statistic, layout_report
 from scene_placer.fitting import fit_model, fit_power_curve
 from scene_placer.geometry import DepthGrid, DrivableMask, LabelGrid, PatchRect, placement_band
-from scene_placer.masks import InstanceMask, composite_masks, composite_order, refine_bbox
+from scene_placer.masks import (
+    InstanceMask,
+    composite_masks,
+    composite_order,
+    rasterize_mask,
+    refine_bbox,
+)
 from scene_placer.sampler import (
     FrameAugmentation,
     augment_frame,
@@ -32,8 +38,11 @@ from conftest import (
     make_model,
     make_scene,
     open_scene,
+    pixel_xy,
     propose_random_location,
     synthetic_dataset,
+    write_depth_grid,
+    write_label_grid,
 )
 
 
@@ -76,7 +85,7 @@ def test_criterion_1_band_correctness():
                 for x in range(side)
                 if bits[y, x] and abs(float(depth_vals[y, x]) - d_probe) <= 5.0
             ]
-            assert [tuple(p) for p in band.xy.tolist()] == expect
+            assert [tuple(p) for p in pixel_xy(band).tolist()] == expect
 
             for i in range(100):
                 p = propose(scene, model, substream(s, f"scene{s}", i), params)
@@ -166,22 +175,16 @@ def test_criterion_4_refinement_oracle():
             assert box.y0 == pytest.approx(patch.y0 + ys.min() * sy)
             assert box.y1 == pytest.approx(patch.y0 + (ys.max() + 1) * sy)
 
-        from test_masks import _proposal, _square_mask
+        from test_masks import _proposal, _square_mask, assert_owner_is, max_disparity_owner
 
         for _ in range(200):
             n = int(rng.integers(2, 6))
             props = [_proposal(float(rng.uniform(1, 30)), i) for i in range(n)]
             masks = [_square_mask(int(rng.integers(0, 12)), int(rng.integers(0, 12)),
                                   int(rng.integers(2, 8))) for _ in range(n)]
-            plan = composite_masks(masks, composite_order(props), 16, 16)
-            for y in range(16):
-                for x in range(16):
-                    covering = [i for i, m in enumerate(masks)
-                                if m.patch.x0 <= x < m.patch.x0 + m.patch.side
-                                and m.patch.y0 <= y < m.patch.y0 + m.patch.side]
-                    expect = (max(covering, key=lambda i: (props[i].d_effective, i))
-                              if covering else -1)
-                    assert plan.owner[y, x] == expect
+            plan = composite_masks([rasterize_mask(m, 16, 16) for m in masks],
+                                   composite_order(props))
+            assert_owner_is(plan, max_disparity_owner(props, masks, 16, 16))
 
 
 def test_criterion_5_baseline_separation():
@@ -225,8 +228,8 @@ def test_criterion_6_determinism_and_round_trips(tmp_path):
             side = 48
             vals = rng.uniform(1, 30, (side, side)).astype(np.float32)
             labels = np.where(rng.random((side, side)) < 0.6, 1, 7).astype(np.uint8)
-            dataset_io.write_depth_grid(DepthGrid(vals), depth_dir / f"{fid}.pgm", 1 / 256)
-            dataset_io.write_label_grid(LabelGrid(labels), sem_dir / f"{fid}.pgm")
+            write_depth_grid(DepthGrid(vals), depth_dir / f"{fid}.pgm", 1 / 256)
+            write_label_grid(LabelGrid(labels), sem_dir / f"{fid}.pgm")
             images.append({"id": fid, "width": side, "height": side,
                            "camera": "front", "depth_path": f"{fid}.pgm",
                            "semantic_path": f"{fid}.pgm"})
@@ -275,7 +278,7 @@ def test_criterion_6_determinism_and_round_trips(tmp_path):
 
         # grid round-trip bit-identical
         g1 = dataset_io.read_depth_grid(depth_dir / "0.pgm", 1 / 256)
-        dataset_io.write_depth_grid(g1, tmp_path / "g.pgm", 1 / 256)
+        write_depth_grid(g1, tmp_path / "g.pgm", 1 / 256)
         assert (depth_dir / "0.pgm").read_bytes() == (tmp_path / "g.pgm").read_bytes()
 
 

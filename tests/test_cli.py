@@ -10,6 +10,8 @@ from scene_placer.cli import main
 from scene_placer.config import RunConfig
 from scene_placer.geometry import DepthGrid, LabelGrid
 
+from conftest import write_depth_grid, write_label_grid, write_mask_pgm
+
 DEPTH_SCALE = 1.0 / 256.0
 
 
@@ -28,8 +30,8 @@ def fixture_dataset(tmp_path, rng):
         # smooth vertical gradient so bands are contiguous-ish
         vals += np.linspace(0, 10, side)[:, None]
         labels = np.where(rng.random((side, side)) < 0.6, 1, 7).astype(np.uint8)
-        dataset_io.write_depth_grid(DepthGrid(vals), depth_dir / f"{fid}.pgm", DEPTH_SCALE)
-        dataset_io.write_label_grid(LabelGrid(labels), sem_dir / f"{fid}.pgm")
+        write_depth_grid(DepthGrid(vals), depth_dir / f"{fid}.pgm", DEPTH_SCALE)
+        write_label_grid(LabelGrid(labels), sem_dir / f"{fid}.pgm")
         images.append({
             "id": fid, "width": side, "height": side, "camera": "front",
             "depth_path": f"{fid}.pgm", "semantic_path": f"{fid}.pgm",
@@ -283,7 +285,7 @@ class TestRefine:
         bits = np.zeros((16, 16), bool)
         bits[4:12, 4:12] = True
         mask_path = masks_dir / "p0.pgm"
-        dataset_io.write_mask_pgm(bits, mask_path)
+        write_mask_pgm(bits, mask_path)
         doc["proposals"][0]["mask"] = str(mask_path)
         layout_path = t / "masked_layout.json"
         layout_path.write_text(json.dumps(doc))
@@ -309,7 +311,7 @@ class TestRefine:
         full = np.ones((16, 16), bool)
         empty = np.zeros((16, 16), bool)
         for i, bits in enumerate((empty, full)):
-            dataset_io.write_mask_pgm(bits, t / f"p{i}.pgm")
+            write_mask_pgm(bits, t / f"p{i}.pgm")
             doc["proposals"][i]["mask"] = str(t / f"p{i}.pgm")
         layout_path = t / "masked_layout.json"
         layout_path.write_text(json.dumps(doc))
@@ -331,10 +333,30 @@ class TestRefine:
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
         doc = json.loads((t / "layouts" / "0.json").read_text())
-        dataset_io.write_mask_pgm(np.ones((16, 16), bool), t / "m.pgm")
+        write_mask_pgm(np.ones((16, 16), bool), t / "m.pgm")
         rec = doc["proposals"][0]
         rec["mask"], rec["box"] = str(t / "m.pgm"), [30.0, 40.0, 4.0, 4.0]
         layout_path = t / "masked_layout.json"
+        layout_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["refine", layout_path, "--width", 5, "--height", 5,
+                    "--out", t / "refined.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {layout_path}: proposal {rec['index']}: "
+            "box does not intersect the 5x5 frame\n")
+        assert not (t / "refined.json").exists()
+
+    def test_unmasked_box_outside_the_frame_names_layout_and_proposal(self, fixture_dataset,
+                                                                      capsys):
+        # every proposal's box is checked against the frame, not only the
+        # boxes of proposals with a mask
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "layouts" / "0.json").read_text())
+        rec = doc["proposals"][0]
+        assert all(r["mask"] is None for r in doc["proposals"])
+        rec["box"] = [30.0, 40.0, 4.0, 4.0]
+        layout_path = t / "unmasked_layout.json"
         layout_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["refine", layout_path, "--width", 5, "--height", 5,
@@ -352,8 +374,8 @@ class TestAugmentMasks:
         plain = dataset_io.load_layout(t / "plain" / "0.json")
         masks = t / "masks"
         masks.mkdir()
-        dataset_io.write_mask_pgm(np.zeros((16, 16), bool), masks / "0_0.pgm")
-        dataset_io.write_mask_pgm(np.ones((16, 16), bool), masks / "0_1.pgm")
+        write_mask_pgm(np.zeros((16, 16), bool), masks / "0_0.pgm")
+        write_mask_pgm(np.ones((16, 16), bool), masks / "0_1.pgm")
         assert run(["augment", t / "annotations.json", "--model", t / "model.json",
                     "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
                     "--masks-dir", masks, "--out-layouts", t / "masked",

@@ -20,6 +20,7 @@ from conftest import (
     make_model,
     make_scene,
     open_scene,
+    pixel_xy,
     propose_random_location,
     synthetic_dataset,
 )
@@ -143,7 +144,7 @@ def test_band_validity_uses_the_samplers_float32_band():
     is in the band for tau 5, and eval must judge that anchor valid."""
     scene = make_scene([[5.0, 20.0]], [[True, True]])
     d = 10.0000001
-    assert (0, 0) in map(tuple, placement_band(scene.band_index, d, 5.0).xy)
+    assert (0, 0) in map(tuple, pixel_xy(placement_band(scene.band_index, d, 5.0)))
     prop = PlacementProposal(class_id=1, d=d, d_effective=d, box=scene.anchor_box(0, 0, 1, 1),
                              show_prob=1.0,
                              provenance=Provenance(index=0, attempts=1, anchor_px=(0, 0)))

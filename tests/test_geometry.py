@@ -21,6 +21,8 @@ from scene_placer.geometry import (
     placement_band,
 )
 
+from conftest import pixel_xy
+
 
 def brute_force_band(depth, mask, d, tau):
     """Independent O(W*H) reference for placement_band."""
@@ -75,7 +77,7 @@ class TestPlacementBand:
         depth = DepthGrid(np.arange(16, dtype=np.float32).reshape(4, 4))
         mask = DrivableMask(np.ones((4, 4), bool))
         band = placement_band(BandIndex(depth, mask), 7.0, 2.0)
-        linear = [x + 4 * y for x, y in band.xy.tolist()]
+        linear = [x + 4 * y for x, y in pixel_xy(band).tolist()]
         assert linear == [5, 6, 7, 8, 9]
 
     def test_default_tau_matches_brute_force(self, rng):
@@ -83,7 +85,7 @@ class TestPlacementBand:
         mask_vals = rng.random((16, 16)) < 0.5
         band = placement_band(BandIndex(DepthGrid(depth_vals), DrivableMask(mask_vals)),
                               12.0, 5.0)
-        assert [tuple(p) for p in band.xy.tolist()] == brute_force_band(
+        assert [tuple(p) for p in pixel_xy(band).tolist()] == brute_force_band(
             depth_vals, mask_vals, 12.0, 5.0
         )
 
@@ -104,11 +106,11 @@ class TestPlacementBand:
         depth_vals = r.uniform(0, 30, (h, w)).astype(np.float32)
         mask_vals = r.random((h, w)) < 0.6
         band = placement_band(BandIndex(DepthGrid(depth_vals), DrivableMask(mask_vals)), d, tau)
-        assert [tuple(p) for p in band.xy.tolist()] == brute_force_band(
+        assert [tuple(p) for p in pixel_xy(band).tolist()] == brute_force_band(
             depth_vals, mask_vals, d, tau
         )
         # every member satisfies both constraints
-        for x, y in band.xy.tolist():
+        for x, y in pixel_xy(band).tolist():
             assert mask_vals[y, x]
             assert abs(float(depth_vals[y, x]) - d) <= tau
 
@@ -124,7 +126,7 @@ class TestPixelSet:
         expect = [(x, y) for y in range(h) for x in range(w)]
         assert len(band) == h * w
         assert [band[i] for i in range(len(band))] == expect
-        assert [tuple(p) for p in band.xy.tolist()] == expect
+        assert [tuple(p) for p in pixel_xy(band).tolist()] == expect
 
     def test_partial_band_on_wide_grid(self):
         depth = np.zeros((2, 6), np.float32)
@@ -132,7 +134,7 @@ class TestPixelSet:
         band = placement_band(BandIndex(DepthGrid(depth), DrivableMask(np.ones((2, 6), bool))),
                               9.0, 0.5)
         assert [band[i] for i in range(len(band))] == [(5, 0), (0, 1), (4, 1)]
-        assert band.xy.tolist() == [[5, 0], [0, 1], [4, 1]]
+        assert pixel_xy(band).tolist() == [[5, 0], [0, 1], [4, 1]]
 
     def test_band_includes_pixels_exactly_tau_away(self):
         # |2 - 7| == 5 exactly in float32: the bound is inclusive
@@ -144,7 +146,7 @@ class TestPixelSet:
         band = placement_band(BandIndex(DepthGrid(np.zeros((2, 3))),
                                         DrivableMask(np.ones((2, 3), bool))), 20.0, 1.0)
         assert len(band) == 0
-        assert band.xy.shape == (0, 2)
+        assert pixel_xy(band).shape == (0, 2)
 
 
 class TestClosestAllowedDepth:
@@ -333,4 +335,4 @@ def test_operations_are_pure(rng):
     index = BandIndex(DepthGrid(depth_vals), DrivableMask(mask_vals))
     a = placement_band(index, 9.0, 3.0)
     b = placement_band(index, 9.0, 3.0)
-    assert a.xy.tobytes() == b.xy.tobytes()
+    assert pixel_xy(a).tobytes() == pixel_xy(b).tobytes()

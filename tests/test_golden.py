@@ -35,7 +35,13 @@ from scene_placer.evaluate import layout_report
 from scene_placer.geometry import BandIndex, DepthGrid, LabelGrid, crop_geometry
 from scene_placer.sampler import augment_frame
 
-from conftest import make_class_model, make_model
+from conftest import (
+    make_class_model,
+    make_model,
+    write_depth_grid,
+    write_label_grid,
+    write_mask_pgm,
+)
 
 DEPTH_SCALE = 1.0 / 256.0
 SEED = 11
@@ -78,8 +84,8 @@ def _write_dataset(tmp_path):
     images = []
     for fid, fw, fh, gw, gh in FRAMES:
         depth, labels = _grids(gw, gh)
-        dataset_io.write_depth_grid(depth, tmp_path / "depth" / f"{fid}.pgm", DEPTH_SCALE)
-        dataset_io.write_label_grid(labels, tmp_path / "semantic" / f"{fid}.pgm")
+        write_depth_grid(depth, tmp_path / "depth" / f"{fid}.pgm", DEPTH_SCALE)
+        write_label_grid(labels, tmp_path / "semantic" / f"{fid}.pgm")
         images.append({"id": fid, "width": fw, "height": fh, "camera": "default",
                        "depth_path": f"{fid}.pgm", "semantic_path": f"{fid}.pgm"})
     ann = tmp_path / "annotations.json"
@@ -186,7 +192,7 @@ def _write_masks(tmp_path, n_objects):
     for fid, *_ in FRAMES:
         for i in range(n_objects):
             if i % 8 != 7:
-                dataset_io.write_mask_pgm(_mask_bits(i), masks / f"{fid}_{i}.pgm")
+                write_mask_pgm(_mask_bits(i), masks / f"{fid}_{i}.pgm")
     return masks
 
 
@@ -235,7 +241,7 @@ def test_masks_dir_picks_each_mask_by_proposal_index(tmp_path):
     masks.mkdir()
     for fid, *_ in FRAMES:
         for i in range(16):
-            dataset_io.write_mask_pgm(np.ones((8, 8), bool), masks / f"{fid}_{i}.pgm")
+            write_mask_pgm(np.ones((8, 8), bool), masks / f"{fid}_{i}.pgm")
     _run_masked_augment(tmp_path, ann, cfg, masks, tmp_path / "layouts")
     run_cfg = dataset_io.load_config(cfg).replace(seed=SEED)
     model = dataset_io.load_model(tmp_path / "model.json")
@@ -327,9 +333,9 @@ def _write_fit_dataset(tmp_path):
         depth = rng.integers(64, 4096, (gh, gw)).astype(np.float32) * np.float32(DEPTH_SCALE)
         labels = np.where(rng.random((gh, gw)) < 0.7, 1, 7).astype(np.uint8)
         labels.flat[0] = 1  # the 1x1 grid stays drivable
-        dataset_io.write_depth_grid(DepthGrid(depth), tmp_path / "depth" / f"{fid}.pgm",
+        write_depth_grid(DepthGrid(depth), tmp_path / "depth" / f"{fid}.pgm",
                                     DEPTH_SCALE)
-        dataset_io.write_label_grid(LabelGrid(labels), tmp_path / "semantic" / f"{fid}.pgm")
+        write_label_grid(LabelGrid(labels), tmp_path / "semantic" / f"{fid}.pgm")
         images.append({"id": fid, "width": fw, "height": fh, "camera": camera,
                        "depth_path": f"{fid}.pgm", "semantic_path": f"{fid}.pgm"})
         for i, (cx, by) in enumerate(_fit_boxes(rng, fw, fh, 40 if gw > 1 < gh else 6)):

@@ -30,6 +30,9 @@ from conftest import (
     make_class_model,
     make_model,
     synthetic_dataset,
+    write_depth_grid,
+    write_label_grid,
+    write_mask_pgm,
 )
 
 
@@ -335,17 +338,17 @@ class TestGridIO:
         raw = rng.integers(0, 65535, (20, 30)).astype(np.uint16)
         grid = DepthGrid(raw.astype(np.float32) * np.float32(1 / 256))
         p = tmp_path / "d.pgm"
-        dataset_io.write_depth_grid(grid, p, 1 / 256)
+        write_depth_grid(grid, p, 1 / 256)
         back = dataset_io.read_depth_grid(p, 1 / 256)
         assert np.array_equal(grid.values, back.values)
         p2 = tmp_path / "d2.pgm"
-        dataset_io.write_depth_grid(back, p2, 1 / 256)
+        write_depth_grid(back, p2, 1 / 256)
         assert p.read_bytes() == p2.read_bytes()
 
     def test_label_round_trip(self, tmp_path, rng):
         grid = LabelGrid(rng.integers(0, 8, (15, 9)).astype(np.uint8))
         p = tmp_path / "l.pgm"
-        dataset_io.write_label_grid(grid, p)
+        write_label_grid(grid, p)
         assert np.array_equal(dataset_io.read_label_grid(p).labels, grid.labels)
 
     def test_wrong_magic(self, tmp_path):
@@ -369,7 +372,7 @@ class TestGridIO:
     def test_mask_round_trip(self, tmp_path, rng):
         bits = rng.random((12, 7)) < 0.5
         p = tmp_path / "m.pgm"
-        dataset_io.write_mask_pgm(bits, p)
+        write_mask_pgm(bits, p)
         assert np.array_equal(dataset_io.read_mask_pgm(p), bits)
 
     def test_header_comments_and_leading_zeros_round_trip(self, tmp_path):
@@ -380,7 +383,7 @@ class TestGridIO:
         p.write_bytes(b"P5#magic\n 003#width\n\t2\n# maxval next\n#\n255\n" + pixels)
         grid = dataset_io.read_label_grid(p)
         assert grid.labels.tolist() == [[0, 255, 7], [255, 0, 1]]
-        dataset_io.write_label_grid(grid, tmp_path / "back.pgm")
+        write_label_grid(grid, tmp_path / "back.pgm")
         assert (tmp_path / "back.pgm").read_bytes() == b"P5\n3 2\n255\n" + pixels
         assert np.array_equal(dataset_io.read_label_grid(tmp_path / "back.pgm").labels,
                               grid.labels)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from scene_placer.masks import (
     composite_order,
     rasterize_mask,
     refine_bbox,
+    refine_layout,
     visibility_filter,
 )
-from scene_placer.sampler import PlacementProposal, Provenance
+from scene_placer.sampler import FrameAugmentation, PlacementProposal, Provenance
+
+from conftest import write_mask_pgm
 
 
 def _proposal(d, idx=0):
@@ -115,17 +120,52 @@ def _square_mask(x0, y0, side):
                         patch=PatchRect(x0, y0, side))
 
 
+def _composite(masks, order, frame_w, frame_h):
+    return composite_masks([rasterize_mask(m, frame_w, frame_h) for m in masks], order)
+
+
+def _frame_owner(plan, frame_w, frame_h):
+    """plan.owner pasted into a (frame_h, frame_w) map of -1."""
+    out = np.full((frame_h, frame_w), -1, dtype=np.int32)
+    out[plan.box] = plan.owner
+    return out
+
+
+def assert_owner_is(plan, ref_owner):
+    """plan.owner is the full-frame ref_owner over plan.box, and ref_owner is
+    -1 everywhere outside plan.box."""
+    assert plan.owner.dtype == np.int32
+    assert np.array_equal(plan.owner, ref_owner[plan.box])
+    outside = ref_owner.copy()
+    outside[plan.box] = -1
+    assert (outside == -1).all()
+
+
+def max_disparity_owner(props, masks, frame_w, frame_h):
+    """Full-frame owner map of full square masks: at each pixel, the covering
+    proposal of greatest disparity (greatest index on ties), or -1."""
+    owner = np.full((frame_h, frame_w), -1, dtype=np.int32)
+    for y in range(frame_h):
+        for x in range(frame_w):
+            covering = [i for i, m in enumerate(masks)
+                        if m.patch.x0 <= x < m.patch.x0 + m.patch.side
+                        and m.patch.y0 <= y < m.patch.y0 + m.patch.side]
+            if covering:
+                owner[y, x] = max(covering, key=lambda i: (props[i].d_effective, i))
+    return owner
+
+
 class TestCompositeMasks:
     def test_disjoint_masks_fully_visible(self):
         props = [_proposal(5), _proposal(10)]
         masks = [_square_mask(0, 0, 4), _square_mask(10, 10, 4)]
-        plan = composite_masks(masks, composite_order(props), 20, 20)
+        plan = _composite(masks, composite_order(props), 20, 20)
         assert plan.visible_frac.tolist() == [1.0, 1.0]
 
     def test_total_occlusion(self):
         props = [_proposal(5), _proposal(10)]  # second is nearer
         masks = [_square_mask(2, 2, 4), _square_mask(2, 2, 4)]
-        plan = composite_masks(masks, composite_order(props), 10, 10)
+        plan = _composite(masks, composite_order(props), 10, 10)
         assert plan.visible_frac[0] == 0.0
         assert plan.visible_frac[1] == 1.0
 
@@ -139,26 +179,18 @@ class TestCompositeMasks:
                 side = int(rng.integers(2, 8))
                 masks.append(_square_mask(int(rng.integers(0, 12)),
                                           int(rng.integers(0, 12)), side))
-            plan = composite_masks(masks, composite_order(props), 16, 16)
+            plan = _composite(masks, composite_order(props), 16, 16)
             # oracle: the visible proposal at a pixel is the max-disparity one
-            for y in range(16):
-                for x in range(16):
-                    covering = [i for i, m in enumerate(masks)
-                                if m.patch.x0 <= x < m.patch.x0 + m.patch.side
-                                and m.patch.y0 <= y < m.patch.y0 + m.patch.side]
-                    if covering:
-                        expect = max(covering, key=lambda i: (props[i].d_effective, i))
-                        assert plan.owner[y, x] == expect
-                    else:
-                        assert plan.owner[y, x] == -1
+            assert_owner_is(plan, max_disparity_owner(props, masks, 16, 16))
 
     def test_visible_masks_disjoint_union_preserved(self, rng):
         props = [_proposal(float(d), i) for i, d in enumerate([3, 8, 8, 15])]
         masks = [_square_mask(i * 2, i * 2, 5) for i in range(4)]
-        plan = composite_masks(masks, composite_order(props), 16, 16)
+        plan = _composite(masks, composite_order(props), 16, 16)
+        owner = _frame_owner(plan, 16, 16)
         union = np.zeros((16, 16), bool)
         for i in range(4):
-            vm = plan.owner == i
+            vm = owner == i
             assert not (vm & union).any()  # pairwise disjoint
             union |= vm
         all_input = np.zeros((16, 16), bool)
@@ -172,31 +204,31 @@ class TestVisibilityFilter:
     def test_zero_threshold_keeps_all(self):
         props = [_proposal(5), _proposal(10)]
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4)]
-        plan = composite_masks(masks, composite_order(props), 10, 10)
+        plan = _composite(masks, composite_order(props), 10, 10)
         kept, _ = visibility_filter(plan, 0.0)
         assert kept == [0, 1]
 
     def test_fully_occluded_dropped(self):
         props = [_proposal(5), _proposal(10)]
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4)]
-        plan = composite_masks(masks, composite_order(props), 10, 10)
+        plan = _composite(masks, composite_order(props), 10, 10)
         assert visibility_filter(plan, 0.2) == ([1], [0])
 
     def test_removing_occluded_preserves_others(self):
         props = [_proposal(5), _proposal(10), _proposal(20)]
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4), _square_mask(8, 8, 4)]
-        plan = composite_masks(masks, composite_order(props), 16, 16)
+        plan = _composite(masks, composite_order(props), 16, 16)
         assert visibility_filter(plan, 0.2) == ([1, 2], [0])
         # the kept masks composited alone own the same pixels as before
-        alone = composite_masks(masks[1:], composite_order(props[1:]), 16, 16)
-        for j, i in enumerate([1, 2]):
-            assert np.array_equal(alone.owner == j, plan.owner == i)
+        alone = _composite(masks[1:], composite_order(props[1:]), 16, 16)
+        # (plan's owner renumbered: 0 is dropped, 1 and 2 become 0 and 1)
+        assert_owner_is(alone, np.array([-1, -1, 0, 1])[_frame_owner(plan, 16, 16) + 1])
 
     def test_stacked_chain_matches_exhaustive_recompute(self):
         props = [_proposal(5), _proposal(10), _proposal(20)]
         # middle mask is covered by the near mask, far mask mostly covered too
         masks = [_square_mask(0, 0, 6), _square_mask(0, 0, 5), _square_mask(0, 0, 5)]
-        plan = composite_masks(masks, composite_order(props), 10, 10)
+        plan = _composite(masks, composite_order(props), 10, 10)
         kept, dropped = visibility_filter(plan, 0.2)
         # exhaustive oracle over subsets: keep exactly those above threshold
         fracs = plan.visible_frac
@@ -205,7 +237,7 @@ class TestVisibilityFilter:
 
     @pytest.mark.parametrize("min_visible", [-0.1, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, min_visible):
-        plan = composite_masks([_square_mask(0, 0, 4)], [0], 10, 10)
+        plan = _composite([_square_mask(0, 0, 4)], [0], 10, 10)
         with pytest.raises(ValueError, match="min_visible"):
             visibility_filter(plan, min_visible)
 
@@ -272,11 +304,18 @@ class TestBoxClippedCompositingMatchesFullFrame:
             order = composite_order(props)
             min_visible = float(rng.choice([0.0, 0.2, 0.5, 1.0]))
 
-            plan = composite_masks(masks, order, frame_w, frame_h)
+            plan = _composite(masks, order, frame_w, frame_h)
             ref_fps, ref_owner, ref_visible = _ref_composite(masks, order, frame_w, frame_h)
-            assert plan.owner.shape == (frame_h, frame_w)
-            assert plan.owner.dtype == np.int32
-            assert np.array_equal(plan.owner, ref_owner)
+            assert_owner_is(plan, ref_owner)
+            # the owner map spans exactly the union of the non-empty footprints
+            met = [fp.box for fp in plan.footprints if fp.bits.size]
+            union = np.zeros((frame_h, frame_w), bool)
+            for box in met:
+                union[box] = True
+            rows, cols = np.nonzero(union)
+            expect_box = ((slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
+                          if met else (slice(0, 0), slice(0, 0)))
+            assert plan.box == expect_box
             assert np.array_equal(plan.visible_frac, ref_visible)
             assert len(plan.footprints) == n
             for fp, ref in zip(plan.footprints, ref_fps):
@@ -290,7 +329,7 @@ class TestBoxClippedCompositingMatchesFullFrame:
 
             # dropping occluded masks never lowers a kept mask's visible
             # share, so compositing the kept ones alone drops none of them
-            alone = composite_masks([masks[i] for i in kept],
+            alone = _composite([masks[i] for i in kept],
                                     composite_order([props[i] for i in kept]),
                                     frame_w, frame_h)
             assert (alone.visible_frac >= plan.visible_frac[kept]).all()
@@ -310,3 +349,33 @@ class TestBoxClippedCompositingMatchesFullFrame:
                 shapes["smaller"] += m.width < p.side and m.height < p.side
             shapes["ties"] += len({p.d_effective for p in props}) < n
         assert all(shapes.values()), shapes
+
+
+def test_refine_layout_holds_one_full_resolution_mask_at_a_time(tmp_path, rng):
+    """32 clustered proposals on a 1600x900 frame, each with a 512x512 mask
+    file: refinement keeps only each mask's footprint (about 80x80 here) and
+    paints the owner map over the footprints' union box, so its traced peak
+    stays near one mask read (file bytes plus bitmap, 0.5 MB). Keeping every
+    bitmap (8.4 MB) or a full-frame owner map (5.8 MB) would exceed the bound."""
+    yy, xx = np.ogrid[:512, :512]
+    props, paths = [], []
+    for i in range(32):
+        cx, by = rng.uniform(700, 900), rng.uniform(550, 700)
+        w, h = rng.uniform(20, 40, 2)
+        props.append(PlacementProposal(
+            class_id=1, d=float(i), d_effective=float(i), box=BBox(cx=cx, by=by, w=w, h=h),
+            show_prob=0.5, provenance=Provenance(index=i, attempts=1, anchor_px=(0, 0))))
+        paths.append(tmp_path / f"{i}.pgm")
+        write_mask_pgm(((xx - 256) / 100) ** 2 + ((yy - 256) / 120) ** 2 <= 1.0, paths[-1])
+    aug = FrameAugmentation(frame_id="0", proposals=props, dropped=0)
+    first = refine_layout(aug, paths, 1600, 900, 0.2)
+    tracemalloc.start()
+    try:
+        again = refine_layout(aug, paths, 1600, 900, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert len(first.proposals) + first.dropped == 32
+    assert all(p.mask_path for p in first.proposals)
+    assert peak < 1_500_000, peak
