@@ -1,8 +1,9 @@
 """Layout-statistics evaluation: distributional distance between real and
 sampled layouts, band validity, and class-frequency fit.
 
-Real objects' disparities come from `fitting.object_depth`, one call per
-frame with every box of the frame.
+Both sides are compared as columns of class id, disparity, height and w/h.
+The real side comes from `fitting.object_columns`, the reading the fit uses,
+on the depth grid of each frame's scene.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData
-from .fitting import LocationModel, object_depth
+from .fitting import LocationModel, object_columns
 from .geometry import in_band
 from .sampler import PlacementProposal, SceneContext
 
@@ -90,62 +91,37 @@ def layout_report(real_frames, augmentations, scenes, model: LocationModel,
     scenes: frame_id -> SceneContext (must cover both sides for the depth
     marginal and band validity).
     """
-    real_frames = list(real_frames)
-    class_ids = np.concatenate([np.empty(0, np.int64)] + [fr.class_ids for fr in real_frames])
-    boxes = np.concatenate([np.empty((0, 4))] + [fr.boxes for fr in real_frames])
-    depths, probed = [np.empty(0)], [np.empty(0, bool)]  # probed: the box's frame has a scene
-    for fr in real_frames:
-        scene = scenes.get(fr.frame_id)
-        if scene is not None:
-            depths.append(object_depth(scene.depth, fr.boxes[:, 0], fr.boxes[:, 1]))
-        probed.append(np.full(fr.class_ids.size, scene is not None))
-    depths, probed = np.concatenate(depths), np.concatenate(probed)
-    real = {}  # class -> {"d", "h", "r"}: arrays in frame order
-    for cid in sorted(set(class_ids.tolist())):  # np.unique would import numpy.ma (5 ms)
-        sel = class_ids == cid
-        real[cid] = {"d": depths[sel[probed]], "h": boxes[sel, 3],
-                     "r": boxes[sel, 2] / boxes[sel, 3]}
-    n_real = class_ids.size
+    def depth_of(frame):
+        scene = scenes.get(frame.frame_id)
+        return None if scene is None else scene.depth
 
-    proposed = {}
-    valid = 0
-    n_prop = 0
-    for aug in augmentations:
-        scene = scenes.get(aug.frame_id)
-        for p in aug.proposals:
-            n_prop += 1
-            rec = proposed.setdefault(p.class_id, {"d": [], "h": [], "r": []})
-            rec["d"].append(p.d_effective)
-            rec["h"].append(p.box.h)
-            rec["r"].append(p.box.w / p.box.h)
-            if scene is not None and _anchor_band_valid(scene, p, tau):
-                valid += 1
+    real = object_columns(list(real_frames), depth_of)
+    props = [p for aug in augmentations for p in aug.proposals]
+    proposed = (np.array([p.class_id for p in props], np.int64),
+                np.array([p.d_effective for p in props], np.float64),
+                np.array([p.box.h for p in props], np.float64),
+                np.array([p.box.w / p.box.h for p in props], np.float64))
+    valid = sum(_anchor_band_valid(scenes[aug.frame_id], p, tau)
+                for aug in augmentations if aug.frame_id in scenes for p in aug.proposals)
+    n_prop = len(props)
 
     per_class = []
-    for cid in sorted(set(real) | set(proposed)):
-        r = real.get(cid)
-        p = proposed.get(cid)
-        comparable = r is not None and p is not None
-        def ks(key):
-            if not comparable or not len(r[key]) or not p[key]:
-                return None
-            return ks_statistic(r[key], p[key])
-        per_class.append(ClassStats(
-            class_id=cid,
-            n_real=len(r["h"]) if r else 0,
-            n_proposed=len(p["h"]) if p else 0,
-            ks_depth=ks("d"),
-            ks_height=ks("h"),
-            ks_aspect=ks("r"),
-            comparable=comparable,
-        ))
+    probed = ~np.isnan(real[1])
+    # sorted(set()), not np.unique: its first call in a process imports numpy.ma (5 ms)
+    for cid in sorted(set(real[0].tolist()) | set(proposed[0].tolist())):
+        r_of, p_of = real[0] == cid, proposed[0] == cid
+        comparable = bool(r_of.any() and p_of.any())
+        # ks_depth, ks_height, ks_aspect: boxes of frames without a scene have
+        # no disparity, so they are left out of ks_depth only
+        ks = [ks_statistic(real[k][sel], proposed[k][p_of]) if comparable and sel.any() else None
+              for k, sel in ((1, r_of & probed), (2, r_of), (3, r_of))]
+        per_class.append(ClassStats(cid, int(np.count_nonzero(r_of)),
+                                    int(np.count_nonzero(p_of)), *ks, comparable))
 
     chi = None
     if n_prop > 0:
-        obs = np.array(
-            [len(proposed.get(c, {"h": []})["h"]) for c in model.prior_classes],
-            dtype=np.float64,
-        )
+        obs = np.array([np.count_nonzero(proposed[0] == c) for c in model.prior_classes],
+                       dtype=np.float64)
         expected = model.class_prior * n_prop
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(expected > 0, (obs - expected) ** 2 / expected, 0.0)
@@ -156,6 +132,6 @@ def layout_report(real_frames, augmentations, scenes, model: LocationModel,
         band_validity=(valid / n_prop) if n_prop else None,
         chi_square=chi,
         n_proposals=n_prop,
-        n_real=n_real,
+        n_real=real[0].size,
     )
 

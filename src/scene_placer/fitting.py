@@ -7,7 +7,8 @@ samples per camera fall back to a model pooled over all cameras.
 
 An object's disparity is read from the depth grid at its box's
 bottom-center by `object_depth`, which takes every box of a frame as arrays
-and returns an array; the fit and the evaluation call it once per frame.
+and returns an array. `object_columns` is its one caller: it gives the fit
+and the evaluation every box as columns, probing each frame once.
 """
 
 from __future__ import annotations
@@ -258,6 +259,26 @@ def object_depth(grid: DepthGrid, cx, by) -> np.ndarray:
     return mid.astype(np.float64)
 
 
+def object_columns(frames, depth_of):
+    """Every box of `frames` as columns, in frame order: (class ids,
+    disparities, heights, w/h ratios), each of shape (n,).
+
+    Each frame's boxes are probed in one `object_depth` call on the grid
+    `depth_of(frame)`; where that is None, the boxes' disparities are NaN.
+    """
+    class_ids = np.concatenate([np.empty(0, np.int64)] + [fr.class_ids for fr in frames])
+    boxes = np.concatenate([np.empty((0, 4))] + [fr.boxes for fr in frames])
+    depths = np.full(class_ids.size, np.nan)
+    start = 0
+    for fr in frames:
+        grid = depth_of(fr)
+        end = start + fr.class_ids.size
+        if grid is not None:
+            depths[start:end] = object_depth(grid, fr.boxes[:, 0], fr.boxes[:, 1])
+        start = end
+    return class_ids, depths, boxes[:, 3], boxes[:, 2] / boxes[:, 3]
+
+
 def _fit_class(class_id, depths, heights, ratios, config, fallback=False):
     depths = np.asarray(depths, dtype=np.float64)
     heights = np.asarray(heights, dtype=np.float64)
@@ -311,8 +332,8 @@ def _constant_curves(profile):
 def fit_model(dataset, depth_of, config: RunConfig):
     """Fit a LocationModel from annotated frames.
 
-    depth_of maps an AnnotatedFrame to its DepthGrid; each frame's boxes are
-    probed in one object_depth call. Returns (model, warnings): boxes whose
+    depth_of maps an AnnotatedFrame to its DepthGrid; the boxes are read
+    through object_columns. Returns (model, warnings): boxes whose
     probe reads disparity <= 0 are left out and counted per class; classes
     below min_samples on a camera fall back to the all-camera pooled fit;
     classes that are still too small are excluded. Counts and exclusions are
@@ -322,16 +343,11 @@ def fit_model(dataset, depth_of, config: RunConfig):
     if not dataset:
         raise InsufficientData("empty dataset")
     frames = sorted(dataset, key=lambda f: str(f.frame_id))
-    depths = np.concatenate([object_depth(depth_of(fr), fr.boxes[:, 0], fr.boxes[:, 1])
-                             for fr in frames])
-    class_ids = np.concatenate([fr.class_ids for fr in frames])
-    boxes = np.concatenate([fr.boxes for fr in frames])
+    class_ids, depths, heights, ratios = object_columns(frames, depth_of)
     camera_ids = sorted({fr.camera_id for fr in frames}, key=str)
     camera_of = np.repeat([camera_ids.index(fr.camera_id) for fr in frames],
                           [fr.class_ids.size for fr in frames])
     kept = depths > 0  # the log-normal depth fit has no place for log(0)
-    heights = boxes[:, 3]
-    ratios = boxes[:, 2] / heights
 
     def fit(class_id, sel, fallback=False):
         return _fit_class(class_id, depths[sel], heights[sel], ratios[sel], config, fallback)

@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from scene_placer import dataset_io, evaluate, fitting
+from scene_placer import dataset_io, fitting
 from scene_placer.cli import main
 from scene_placer.config import RunConfig
 from scene_placer.geometry import DepthGrid, LabelGrid
@@ -174,7 +174,7 @@ class TestAnnotationInput:
                                                               monkeypatch):
         """The call shape perfbench's tracer counts: fit and eval each call
         read_annotations once and object_depth once per frame with that
-        frame's full box columns, through the module-level names."""
+        frame's full box columns, through the one call site in fitting."""
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
         frames = dataset_io.read_annotations(t / "annotations.json")
@@ -188,7 +188,6 @@ class TestAnnotationInput:
             return probe(grid, cx, by)
 
         monkeypatch.setattr(fitting, "object_depth", counted_probe)
-        monkeypatch.setattr(evaluate, "object_depth", counted_probe)
         grids = ["--depth-dir", t / "depth", "--config", _cfg(t)]
         argv = {"fit": ["fit", t / "annotations.json", *grids, "--out-model", t / "m.json"],
                 "eval": ["eval", t / "annotations.json", "--model", t / "model.json",
