@@ -12,10 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import dataset_io
 from .config import RunConfig
-from .errors import InvalidBox, ScenePlacerError
+from .errors import DimensionMismatch, InvalidBox, ScenePlacerError
 from .evaluate import layout_report
 from .fitting import fit_model
-from .geometry import BBox, DepthGrid, drivable_mask
+from .geometry import BBox, DepthGrid, drivable_mask, grid_scale
 from .masks import refine_layout
 from .sampler import SceneContext, augment_frame
 
@@ -48,6 +48,10 @@ class _Grids:
             raise ScenePlacerError(f"frame {frame.frame_id} has no depth path")
         if path not in self._depth:
             self._depth[path] = dataset_io.read_depth_grid(path, self.cfg.depth_scale)
+        try:  # every command reads its grids here: the one check that names the frame
+            grid_scale(frame.width, frame.height, self._depth[path])
+        except DimensionMismatch as e:
+            raise DimensionMismatch(f"frame {frame.frame_id}: {e}") from None
         return self._depth[path]
 
     def scene(self, frame) -> SceneContext:

@@ -71,6 +71,7 @@ _NUMBER_TYPES = {int, float}
 _MAX = sys.float_info.max
 _INT = (lambda v: type(v) is int, "an integer")
 _SIZE = (lambda v: type(v) is int and v > 0, "an integer > 0")
+_COUNT = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _NUMBER = (lambda v: type(v) in _NUMBER_TYPES and -_MAX <= v <= _MAX, "a finite number")
 _STR = (lambda v: type(v) is str, "a string")
 _PATH = (lambda v: v is None or type(v) is str, "a string or null")
@@ -131,7 +132,6 @@ def _check_annotation(ann, categories, where):
         raise SchemaError(f"{where} references unknown category {cat}")
     _get(ann, "bbox", _BOX, where)
     _get_id(ann, "image_id", where)
-    _get(ann, "mask", _PATH, where, None)
 
 
 def _annotation_columns(anns, categories):
@@ -140,9 +140,9 @@ def _annotation_columns(anns, categories):
     bulk. Boxes go from [x, y, w, h] corners to `cx, by, w, h` rows."""
     if set(map(type, anns)) - {dict}:
         return None
-    cats, images, bboxes, masks = [list(map(dict.get, anns, itertools.repeat(key)))
-                                   for key in ("category_id", "image_id", "bbox", "mask")]
-    if (set(map(type, cats + images)) - {int} or set(map(type, masks)) - {str, type(None)}
+    cats, images, bboxes = [list(map(dict.get, anns, itertools.repeat(key)))
+                            for key in ("category_id", "image_id", "bbox")]
+    if (set(map(type, cats + images)) - {int}
             or set(map(type, bboxes)) - {list} or set(map(len, bboxes)) - {4}
             or not categories.issuperset(cats)):
         return None
@@ -420,18 +420,18 @@ def load_layout(path) -> FrameAugmentation:
         at = f"{path}: proposals[{i}]"
         mask = _get(rec, "mask", _PATH, at)
         proposals.append(PlacementProposal(
-            class_id=_get(rec, "class", _INT, at),
+            class_id=_get_id(rec, "class", at),
             d=_get(rec, "d_sampled", _NUMBER, at),
             d_effective=_get(rec, "d", _NUMBER, at),
             box=BBox(*_get(rec, "box", _BOX, at)),
             show_prob=_get(rec, "show_prob", _NUMBER, at),
-            provenance=Provenance(index=_get(rec, "index", _INT, at),
-                                  attempts=_get(rec, "attempts", _INT, at),
+            provenance=Provenance(index=_get(rec, "index", _COUNT, at),
+                                  attempts=_get(rec, "attempts", _SIZE, at),
                                   anchor_px=tuple(_get(rec, "anchor", _PIXEL, at))),
             mask_path=None if mask is None else os.path.normpath(os.path.join(base, mask)),
         ))
     return FrameAugmentation(frame_id=_get(doc, "frame_id", _STR, where),
-                             proposals=proposals, dropped=_get(doc, "dropped", _INT, where))
+                             proposals=proposals, dropped=_get(doc, "dropped", _COUNT, where))
 
 
 # ---------------------------------------------------------------------------

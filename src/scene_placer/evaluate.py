@@ -2,8 +2,9 @@
 sampled layouts, band validity, and class-frequency fit.
 
 Both sides are compared as columns of class id, disparity, height and w/h.
-The real side comes from `fitting.object_columns`, the reading the fit uses,
-on the depth grid of each frame's scene.
+The real side comes from `fitting.object_columns`, the reading the fit uses:
+each box's bottom-center is mapped to grid pixels by the frame-to-grid scale
+and probed on the depth grid of its frame's scene.
 """
 
 from __future__ import annotations
@@ -88,21 +89,17 @@ def layout_report(real_frames, augmentations, scenes, model: LocationModel,
     """Compare sampled layouts against real layout statistics.
 
     real_frames: AnnotatedFrames; augmentations: FrameAugmentation list;
-    scenes: frame_id -> SceneContext (must cover both sides for the depth
-    marginal and band validity).
+    scenes: frame_id -> SceneContext. A real frame without a scene has no
+    disparities; a proposal of a frame without one is not band-valid.
     """
-    def depth_of(frame):
-        scene = scenes.get(frame.frame_id)
-        return None if scene is None else scene.depth
-
-    real = object_columns(list(real_frames), depth_of)
-    props = [p for aug in augmentations for p in aug.proposals]
-    proposed = (np.array([p.class_id for p in props], np.int64),
-                np.array([p.d_effective for p in props], np.float64),
-                np.array([p.box.h for p in props], np.float64),
-                np.array([p.box.w / p.box.h for p in props], np.float64))
-    valid = sum(_anchor_band_valid(scenes[aug.frame_id], p, tau)
-                for aug in augmentations if aug.frame_id in scenes for p in aug.proposals)
+    real = object_columns(list(real_frames), lambda fr: scenes[fr.frame_id].depth
+                          if fr.frame_id in scenes else None)
+    props = [(p, scenes.get(aug.frame_id)) for aug in augmentations for p in aug.proposals]
+    proposed = (np.array([p.class_id for p, _ in props], np.int64),
+                np.array([p.d_effective for p, _ in props], np.float64),
+                np.array([p.box.h for p, _ in props], np.float64),
+                np.array([p.box.w / p.box.h for p, _ in props], np.float64))
+    valid = sum(scene is not None and _anchor_band_valid(scene, p, tau) for p, scene in props)
     n_prop = len(props)
 
     per_class = []
@@ -111,8 +108,7 @@ def layout_report(real_frames, augmentations, scenes, model: LocationModel,
     for cid in sorted(set(real[0].tolist()) | set(proposed[0].tolist())):
         r_of, p_of = real[0] == cid, proposed[0] == cid
         comparable = bool(r_of.any() and p_of.any())
-        # ks_depth, ks_height, ks_aspect: boxes of frames without a scene have
-        # no disparity, so they are left out of ks_depth only
+        # ks_depth, ks_height, ks_aspect; boxes without a disparity count in all but ks_depth
         ks = [ks_statistic(real[k][sel], proposed[k][p_of]) if comparable and sel.any() else None
               for k, sel in ((1, r_of & probed), (2, r_of), (3, r_of))]
         per_class.append(ClassStats(cid, int(np.count_nonzero(r_of)),

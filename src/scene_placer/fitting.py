@@ -5,10 +5,10 @@ curves a + b * x**c interpolating the log-height mean/std across disparity
 windows, and an empirical aspect-ratio histogram. Classes with too few
 samples per camera fall back to a model pooled over all cameras.
 
-An object's disparity is read from the depth grid at its box's
-bottom-center by `object_depth`, which takes every box of a frame as arrays
-and returns an array. `object_columns` is its one caller: it gives the fit
-and the evaluation every box as columns, probing each frame once.
+An object's disparity is read by `object_depth` from the depth grid at its
+box's bottom-center, mapped from frame to grid pixels by the frame-to-grid
+scale. Its one caller, `object_columns`, gives the fit and the evaluation
+every box as columns, probing each frame's boxes at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DegenerateFit, InsufficientData, InvalidSample, UnknownClass
-from .geometry import DepthGrid
+from .geometry import DepthGrid, grid_scale
 
 # Exponent grid for the power-curve search; covers decreasing and strongly
 # convex profiles while staying fully deterministic.
@@ -235,9 +235,8 @@ _WINDOW = np.arange(-1, 2)
 def object_depth(grid: DepthGrid, cx, by) -> np.ndarray:
     """Disparities at boxes' bottom-centers, one per box.
 
-    cx, by: 1-D arrays of bottom-centers, used as grid pixel coordinates
-    as given. (Callers pass frame coordinates, so on a grid coarser than the
-    frame the probe reads the wrong pixel; a known defect.) Each probe takes
+    cx, by: 1-D arrays of bottom-centers in grid pixel coordinates (frame
+    coordinates divided by the frame-to-grid `grid_scale`). Each probe takes
     the median of the 3x3 neighborhood of its pixel, clipped to the grid; a
     bottom-center off the grid probes the nearest edge pixel, whose window
     holds 1 to 6 cells. Returns a float64 array holding, bit for bit, what
@@ -264,19 +263,18 @@ def object_columns(frames, depth_of):
     disparities, heights, w/h ratios), each of shape (n,).
 
     Each frame's boxes are probed in one `object_depth` call on the grid
-    `depth_of(frame)`; where that is None, the boxes' disparities are NaN.
+    `depth_of(frame)`, their bottom-centers mapped from frame to grid pixels
+    by `grid_scale`; where the grid is None, the disparities are NaN.
     """
+    depths = [np.full(fr.class_ids.size, np.nan) for fr in frames]
+    for fr, out in zip(frames, depths):
+        grid = depth_of(fr)
+        if grid is not None:
+            cx, by = (fr.boxes[:, :2] / grid_scale(fr.width, fr.height, grid)).T
+            out[:] = object_depth(grid, cx, by)
     class_ids = np.concatenate([np.empty(0, np.int64)] + [fr.class_ids for fr in frames])
     boxes = np.concatenate([np.empty((0, 4))] + [fr.boxes for fr in frames])
-    depths = np.full(class_ids.size, np.nan)
-    start = 0
-    for fr in frames:
-        grid = depth_of(fr)
-        end = start + fr.class_ids.size
-        if grid is not None:
-            depths[start:end] = object_depth(grid, fr.boxes[:, 0], fr.boxes[:, 1])
-        start = end
-    return class_ids, depths, boxes[:, 3], boxes[:, 2] / boxes[:, 3]
+    return class_ids, np.concatenate([np.empty(0)] + depths), boxes[:, 3], boxes[:, 2] / boxes[:, 3]
 
 
 def _fit_class(class_id, depths, heights, ratios, config, fallback=False):

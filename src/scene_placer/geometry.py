@@ -45,6 +45,16 @@ class DepthGrid:
         return self.values.shape[1]
 
 
+def grid_scale(frame_w, frame_h, grid: DepthGrid) -> float:
+    """Frame pixels per grid pixel; a grid may be coarser than its frame,
+    but the scale must then be the same on both axes."""
+    sx, sy = frame_w / grid.width, frame_h / grid.height
+    if abs(sx - sy) > 1e-6:
+        raise DimensionMismatch(f"grid-to-frame scale differs between axes:"
+                                f" {sx:g} across, {sy:g} down")
+    return sx
+
+
 @dataclass(frozen=True)
 class LabelGrid:
     """Per-pixel semantic class indices, shape (height, width), uint8."""

@@ -27,6 +27,7 @@ from .geometry import (
     DepthGrid,
     DrivableMask,
     closest_allowed_depth,
+    grid_scale,
     placement_band,
 )
 
@@ -48,10 +49,7 @@ class SceneContext:
     def __post_init__(self):
         if self.depth.values.shape != self.drivable.bits.shape:
             raise DimensionMismatch("depth and drivable grids differ in shape")
-        sx = self.frame_w / self.depth.width
-        sy = self.frame_h / self.depth.height
-        if abs(sx - sy) > 1e-6:
-            raise DimensionMismatch("grid-to-frame scale differs between axes")
+        grid_scale(self.frame_w, self.frame_h, self.depth)
 
     @cached_property
     def band_index(self) -> BandIndex:
@@ -62,7 +60,7 @@ class SceneContext:
     def anchor_box(self, x, y, w, h) -> BBox:
         """A w x h box in frame coordinates standing on the bottom edge of
         grid pixel (x, y), centred on it."""
-        scale = self.frame_w / self.depth.width
+        scale = grid_scale(self.frame_w, self.frame_h, self.depth)
         return BBox(cx=(x + 0.5) * scale, by=(y + 1.0) * scale, w=w, h=h)
 
 

@@ -637,6 +637,21 @@ class TestMalformedGrids:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {t / 'depth' / '2.pgm'}: ") and "\n" not in err[:-1]
 
+    @pytest.mark.parametrize("command", ["fit", "augment", "eval"])
+    def test_grid_scaled_unequally_to_its_frame_exit_2(self, fixture_dataset, capsys, command):
+        """A 24x12 grid under frame 2's 48x48 frame: 2 frame pixels per grid
+        pixel across, 4 down. Every command that reads the grid refuses it,
+        naming the frame and both scales."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        write_depth_grid(DepthGrid(np.ones((12, 24), np.float32)), t / "depth" / "2.pgm",
+                         DEPTH_SCALE)
+        write_label_grid(LabelGrid(np.ones((12, 24), np.uint8)), t / "semantic" / "2.pgm")
+        capsys.readouterr()
+        assert run(self._argv(t, command)) == 2
+        assert capsys.readouterr().err == (
+            "error: frame 2: grid-to-frame scale differs between axes: 2 across, 4 down\n")
+
     def test_zero_size_mask_in_refine_exit_2(self, fixture_dataset, capsys):
         """A 0x0 mask is a malformed file, not an empty mask to pass through."""
         t = fixture_dataset

@@ -151,3 +151,36 @@ def test_band_validity_uses_the_samplers_float32_band():
     aug = FrameAugmentation(frame_id="f", proposals=[prop], dropped=0)
     model = make_model([make_class_model(class_id=1)])
     assert layout_report([], [aug], {"f": scene}, model, 5.0).band_validity == 1.0
+
+
+def test_boxes_of_frames_without_a_scene_count_everywhere_but_ks_depth():
+    """Frame "a" has a scene (a 6x4 row-graded grid under a 60x40 frame);
+    frame "b" has none. Every real box counts in n_real, ks_height and
+    ks_aspect, but only the boxes of "a" have a disparity for ks_depth, read
+    at the grid row each box stands on. Class 2 stands only on "b", so it
+    gets no ks_depth."""
+    rows = np.repeat([[2.0], [5.0], [8.0], [11.0]], 6, axis=1)
+    scene = make_scene(rows, np.ones((4, 6), bool), frame_scale=10)
+    real = [AnnotatedFrame(frame_id="a", camera_id="default", width=60, height=40,
+                           class_ids=[1, 1], boxes=[[15, 20, 3, 6], [45, 30, 4, 5]]),
+            AnnotatedFrame(frame_id="b", camera_id="default", width=60, height=40,
+                           class_ids=[1, 2, 2], boxes=[[5, 40, 2, 9], [30, 35, 6, 3],
+                                                       [50, 25, 5, 5]])]
+    props = [PlacementProposal(class_id=c, d=d, d_effective=d, box=scene.anchor_box(x, y, w, h),
+                               show_prob=0.5,
+                               provenance=Provenance(index=i, attempts=1, anchor_px=(x, y)))
+             for i, (c, d, x, y, w, h) in enumerate([(1, 6.0, 1, 1, 3, 4), (1, 9.5, 4, 2, 2, 7),
+                                                      (1, 4.0, 2, 1, 5, 5), (2, 7.0, 3, 2, 4, 2),
+                                                      (2, 3.0, 0, 1, 2, 2)])]
+    aug = FrameAugmentation(frame_id="a", proposals=props, dropped=0)
+    model = make_model([make_class_model(class_id=1), make_class_model(class_id=2)])
+    report = layout_report(real, [aug], {"a": scene}, model, 5.0)
+    one, two = report.per_class
+    assert (report.n_real, one.n_real, two.n_real) == (5, 3, 2)
+    assert (one.n_proposed, two.n_proposed) == (3, 2)
+    assert one.ks_depth == ks_statistic([5.0, 8.0], [6.0, 9.5, 4.0])
+    assert one.ks_height == ks_statistic([6, 5, 9], [4, 7, 5])
+    assert one.ks_aspect == ks_statistic([3 / 6, 4 / 5, 2 / 9], [3 / 4, 2 / 7, 5 / 5])
+    assert two.comparable and two.ks_depth is None
+    assert two.ks_height == ks_statistic([3, 5], [2, 2])
+    assert two.ks_aspect == ks_statistic([6 / 3, 5 / 5], [4 / 2, 2 / 2])

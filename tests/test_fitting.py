@@ -19,7 +19,7 @@ from scene_placer.fitting import (
 )
 from scene_placer.geometry import DepthGrid
 
-from conftest import make_class_model, synthetic_dataset
+from conftest import draw_objects, make_class_model, synthetic_dataset
 
 
 class TestFitLognormal:
@@ -216,6 +216,30 @@ class TestFitModel:
         fit = got.height_mu_curve.a + got.height_mu_curve.b * xs**got.height_mu_curve.c
         assert np.abs(truth - fit).max() < 0.1
         assert not warnings
+
+    def test_recovers_truth_on_a_row_graded_grid_coarser_than_the_frame(self, rng):
+        """Each object stands on a 16x9 grid under a 160x90 frame whose
+        disparity rises row by row toward the bottom, as a street's does, and
+        holds the object's own disparity in the row it stands on. The fit
+        recovers the drawn disparities only if the probe maps the bottom-center
+        from frame to grid pixels (a constant grid would hide a wrong pixel)."""
+        cm = make_class_model(class_id=1)
+        d, h, ratio = draw_objects(cm, 2000, rng)
+        frames, grids = [], {}
+        for i in range(d.size):
+            x, row = int(rng.integers(16)), int(rng.integers(1, 8))
+            rows = d[i] * np.exp(0.25 * (np.arange(9) - row))
+            grids[str(i)] = DepthGrid(np.repeat(rows[:, None], 16, axis=1))
+            frames.append(AnnotatedFrame(
+                frame_id=str(i), camera_id="cam0", width=160, height=90, class_ids=[1],
+                boxes=[[(x + 0.5) * 10, (row + 1) * 10, ratio[i] * h[i], h[i]]]))
+        model, _ = fit_model(frames, lambda f: grids[f.frame_id], RunConfig())
+        got = model.class_model("cam0", 1).depth
+        want = fit_lognormal(d.astype(np.float32))
+        assert got.mu == pytest.approx(want.mu, abs=1e-12)
+        assert got.sigma == pytest.approx(want.sigma, abs=1e-12)
+        assert abs(got.mu - cm.depth.mu) <= 0.05
+        assert abs(got.sigma - cm.depth.sigma) <= 0.05
 
     def test_constant_boxes_zero_sigma(self):
         frames = []

@@ -15,8 +15,9 @@ A second set of digests covers `augment --masks-dir` on the same scene, so
 refinement, compositing and the visibility filter are pinned the same way.
 
 A third pair of digests covers `fit` and `eval` (the depth probe at every
-box's bottom-center, the depth log-normal, the power curves, the pooled
-fallback and the report), on its own dataset described at the digests.
+box's bottom-center mapped to grid pixels, the depth log-normal, the power
+curves, the pooled fallback and the report), on its own dataset described
+at the digests.
 
 The bytes include the layout format (schema 2: anchors, sampled depths,
 attempts, mask paths relative to the layout), so a format change moves both
@@ -299,13 +300,14 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path):
 
 
 # `fit` and `eval` on a second fixed dataset: two cameras, a 40x20 grid under
-# an 80x40 frame, a full-resolution grid, and 1x1, 1x5 and 6x1 grids, with
-# bottom-centers inside every grid and off each edge and corner, so the depth
-# probe's clipped window holds 1, 2, 3, 4, 6 or 9 cells. Every grid cell is
-# > 0, so no probe reads disparity 0. Class 2 is scarce on camera "right" and
-# falls back to the pooled fit there.
-GOLDEN_FIT_SHA256 = "c90760df0b75d5eb8fbc46cc56dd92073920f72b8b97b8114073019f507096fb"
-GOLDEN_EVAL_SHA256 = "d8908a6c22ddd121bb61bbd68543c9b1cc5ebca933d2bb41d233fc973a7ed1ed"
+# an 80x40 frame, a full-resolution grid, and 1x1, 1x5 and 6x1 grids under
+# larger frames, with bottom-centers (mapped to grid pixels) inside every
+# grid and off each edge and corner, so the depth probe's clipped window
+# holds 1, 2, 3, 4, 6 or 9 cells. Every grid cell is > 0, so no probe reads
+# disparity 0. Class 2 is scarce on camera "right" and falls back to the
+# pooled fit there.
+GOLDEN_FIT_SHA256 = "5c01a676e8021b0b2d3a21876c448b91a6ad5448ef2351954baffd1cf7bd5a45"
+GOLDEN_EVAL_SHA256 = "b365bb552d2acacdfb970f5adadef7540cc90aa1933dd21001626e6ef746f640"
 
 # (frame id, camera, frame width, frame height, grid width, grid height)
 FIT_FRAMES = [(0, "left", 80, 40, 40, 20), (1, "right", 48, 24, 48, 24),
@@ -386,7 +388,7 @@ def test_golden_fit_dataset_exercises_windows_cameras_and_fallback(tmp_path):
     sizes = set()
     for frame in dataset_io.read_annotations(ann):
         grid = dataset_io.read_depth_grid(tmp_path / "depth" / frame.depth_path, DEPTH_SCALE)
-        for cx, by in frame.boxes[:, :2].tolist():
+        for cx, by in (frame.boxes[:, :2] / (frame.width / grid.width)).tolist():
             ix = min(max(int(np.floor(cx)), 0), grid.width - 1)
             iy = min(max(int(np.floor(by - 1e-9)), 0), grid.height - 1)
             window = grid.values[max(iy - 1, 0):iy + 2, max(ix - 1, 0):ix + 2]

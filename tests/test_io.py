@@ -118,7 +118,7 @@ RECORD_KEYS = {
                "camera": (False, NOT_STR), "depth_path": (False, NOT_PATH),
                "semantic_path": (False, NOT_PATH)},
     "annotations": {"image_id": (True, NOT_INT), "category_id": (True, NOT_INT),
-                    "bbox": (True, NOT_BOX), "mask": (False, NOT_PATH)},
+                    "bbox": (True, NOT_BOX)},
     "categories": {"id": (True, NOT_INT)},
 }
 
@@ -216,7 +216,9 @@ def annotation_docs(draw, min_records=0):
     annotations = draw(st.lists(st.fixed_dictionaries(
         {"image_id": image_id, "category_id": st.sampled_from(classes),
          "bbox": st.tuples(NUMBER, NUMBER, POSITIVE, POSITIVE).map(list)},
-        optional={"id": INT64, "mask": st.none() | st.text(max_size=3)}),
+        # nothing reads an annotation's mask, so any value is ignored
+        optional={"id": INT64, "mask": st.none() | st.text(max_size=3) | st.integers()
+                  | st.lists(st.booleans(), max_size=2)}),
         min_size=min_records, max_size=40))
     return {"images": [{"id": i, "width": 64, "height": 48} for i in image_ids],
             "annotations": annotations, "categories": [{"id": c} for c in classes]}
@@ -287,12 +289,15 @@ class TestBulkAnnotationChecks:
 
     @pytest.mark.parametrize("key,value", [
         (key, value) for key, (_, wrong) in RECORD_KEYS["annotations"].items() for value in wrong
-    ] + [("bbox", box) for box in NOT_BOX_EDGE] + [("category_id", 3)]
+    ] + [("mask", value) for value in NOT_PATH]
+      + [("bbox", box) for box in NOT_BOX_EDGE] + [("category_id", 3)]
       + [(key, v) for key in ("image_id", "category_id") for v in NOT_INT64]
       + [(key, _MISSING) for key in ("image_id", "category_id", "bbox")]
       + [(None, record) for record in NOT_RECORD])
     def test_every_bad_annotation_is_named(self, tmp_path, key, value):
-        """Each wrong annotation value, at record 17 of 30 valid ones."""
+        """Each wrong annotation value, at record 17 of 30 valid ones, is
+        named. A `mask` of any type is not wrong: nothing reads it, so it is
+        ignored like any other unknown key."""
         doc = copy.deepcopy(VALID_DOC)
         doc["annotations"] = [dict(doc["annotations"][i % 3], bbox=[i, 2.5, 1 + i, 4])
                               for i in range(30)]
@@ -304,6 +309,9 @@ class TestBulkAnnotationChecks:
             doc["annotations"][17][key] = value
         p = tmp_path / "a.json"
         p.write_text(json.dumps(doc))
+        if key == "mask":
+            assert_frames_hold_columns(dataset_io.read_annotations(p), doc)
+            return
         with pytest.raises(SchemaError, match="^" + re.escape(f"{p}: annotations[17]") + "[: ]"):
             dataset_io.read_annotations(p)
 
@@ -710,15 +718,18 @@ class TestLayoutIO:
         ("show_prob", "0.5"), ("mask", 3), ("class", "missing"),
         ("box", [1, 2, 0, 4]), ("anchor", [1.0, 2]), ("anchor", [1]), ("attempts", "1"),
         ("index", None), ("d_sampled", "missing"),
+        ("index", -4), ("attempts", 0), ("class", 2**63), ("dropped", -7),
     ])
     def test_bad_proposal_names_file_and_index(self, tmp_path, key, value):
         bad = dict(GOOD_PROPOSAL)
+        doc = {"schema": 2, "frame_id": "x", "dropped": 0, "proposals": [GOOD_PROPOSAL, bad]}
+        # "dropped" is the one count kept outside the proposals
+        rec, where = (doc, "layout") if key == "dropped" else (bad, r"proposals\[1\]")
         if value == "missing":
-            del bad[key]
+            del rec[key]
         else:
-            bad[key] = value
+            rec[key] = value
         p = tmp_path / "l.json"
-        p.write_text(json.dumps({"schema": 2, "frame_id": "x", "dropped": 0,
-                                 "proposals": [GOOD_PROPOSAL, bad]}))
-        with pytest.raises(SchemaError, match=r"l\.json: proposals\[1\]"):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=rf"l\.json: {where}: .*'{key}'"):
             dataset_io.load_layout(p)
