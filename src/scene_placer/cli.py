@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from . import dataset_io
 from .config import RunConfig
@@ -82,11 +83,9 @@ def _augment_one(frame, model, cfg, args):
     # a reader per frame, so the frame's grids are freed when it is done
     scene = _Grids(cfg, args.depth_dir, args.semantic_dir).scene(frame)
     aug = augment_frame(scene, model, frame.frame_id, cfg)
-    if args.masks_dir:
-        paths = [os.path.join(args.masks_dir, f"{aug.frame_id}_{p.provenance.index}.pgm")
-                 for p in aug.proposals]
-        aug = refine_layout(aug, paths, frame.width, frame.height,
-                            cfg.min_visible_composite)
+    if args.masks_dir:  # named here, read by `refine`: a mask may not exist yet
+        aug.proposals = [replace(p, mask_path=os.path.join(
+            args.masks_dir, f"{aug.frame_id}_{p.provenance.index}.pgm")) for p in aug.proposals]
     dataset_io.save_layout(aug, os.path.join(args.out_layouts, f"{frame.frame_id}.json"))
     return aug
 
@@ -112,8 +111,7 @@ def cmd_refine(args) -> int:
     cfg = _load_config(args)
     aug = dataset_io.load_layout(args.layout)
     try:
-        aug = refine_layout(aug, [p.mask_path for p in aug.proposals],
-                            args.width, args.height, cfg.min_visible_composite)
+        aug = refine_layout(aug, args.width, args.height, cfg.min_visible_composite)
     except InvalidBox as e:
         raise InvalidBox(f"{args.layout}: {e}") from None
     dataset_io.save_layout(aug, args.out)
@@ -206,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--depth-dir")
     p.add_argument("--semantic-dir")
-    p.add_argument("--masks-dir", help="optional per-proposal mask PGMs")
+    p.add_argument("--masks-dir", help="record MASKS_DIR/F_i.pgm as the mask of proposal i "
+                   "of frame F, for `refine` to apply (the file may come later)")
     p.add_argument("--out-layouts", required=True)
     p.set_defaults(func=cmd_augment)
 

@@ -160,7 +160,7 @@ def visibility_filter(plan: CompositePlan, min_visible: float):
     return kept, dropped
 
 
-def _refine_one(p, path, frame_w: int, frame_h: int):
+def _refine_one(p, frame_w: int, frame_h: int):
     """Proposal p refined to the tight box of its mask, with the mask's
     footprint; None when p has no mask file or its mask has no set bits. The
     full-resolution mask is freed on return."""
@@ -168,29 +168,29 @@ def _refine_one(p, path, frame_w: int, frame_h: int):
         patch = crop_geometry(p.box, frame_w, frame_h)
     except InvalidBox as e:
         raise InvalidBox(f"proposal {p.provenance.index}: {e}") from None
-    if path is None or not os.path.exists(path):
+    if p.mask_path is None or not os.path.exists(p.mask_path):
         return None
-    mask = InstanceMask(bits=dataset_io.read_mask_pgm(path), patch=patch)
+    mask = InstanceMask(bits=dataset_io.read_mask_pgm(p.mask_path), patch=patch)
     try:
         box = refine_bbox(mask)
     except EmptyMask:
         return None
-    return replace(p, box=box, mask_path=path), rasterize_mask(mask, frame_w, frame_h)
+    return replace(p, box=box), rasterize_mask(mask, frame_w, frame_h)
 
 
-def refine_layout(aug: FrameAugmentation, mask_paths, frame_w: int, frame_h: int,
+def refine_layout(aug: FrameAugmentation, frame_w: int, frame_h: int,
                   min_visible: float) -> FrameAugmentation:
     """Refine each proposal to the tight box of its mask, composite the masked
     proposals far-to-near and drop those visible below min_visible.
 
-    mask_paths[i] is proposal i's mask file, or None. Every proposal's box must
-    meet the frame (InvalidBox naming its index otherwise). A proposal whose
-    file is missing or has no set bits passes through unchanged and is not
+    Each proposal's mask is the file at its mask_path. Every proposal's box
+    must meet the frame (InvalidBox naming its index otherwise). A proposal
+    with no mask file, or an all-zero one, passes through unchanged and is not
     composited. Passed-through proposals come first, then the kept masked ones.
     """
     masked, footprints, passthrough = [], [], []
-    for p, path in zip(aug.proposals, mask_paths):
-        refined = _refine_one(p, path, frame_w, frame_h)
+    for p in aug.proposals:
+        refined = _refine_one(p, frame_w, frame_h)
         if refined is None:
             passthrough.append(p)
             continue

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -367,7 +368,9 @@ class TestRefine:
 
 
 class TestAugmentMasks:
-    def test_empty_mask_passes_through(self, fixture_dataset):
+    def test_masks_dir_changes_only_mask(self, fixture_dataset, monkeypatch):
+        # augment names each proposal's mask file, present or not, and reads
+        # none: the boxes stay as sampled and `refine` applies the masks
         t = fixture_dataset
         _fit_and_augment(t, "plain", 1)
         plain = dataset_io.load_layout(t / "plain" / "0.json")
@@ -375,16 +378,15 @@ class TestAugmentMasks:
         masks.mkdir()
         write_mask_pgm(np.zeros((16, 16), bool), masks / "0_0.pgm")
         write_mask_pgm(np.ones((16, 16), bool), masks / "0_1.pgm")
+        monkeypatch.delattr(dataset_io, "read_mask_pgm")  # a read would exit 1
         assert run(["augment", t / "annotations.json", "--model", t / "model.json",
                     "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
                     "--masks-dir", masks, "--out-layouts", t / "masked",
                     "--config", _cfg(t), "--seed", 7]) == 0
         aug = dataset_io.load_layout(t / "masked" / "0.json")
-        # proposal 0 (empty mask) and the unmasked ones pass through as
-        # sampled; only proposal 1 is refined, and it is last
-        assert aug.proposals[0] == plain.proposals[0]
-        assert aug.proposals[1:-1] == plain.proposals[2:]
-        assert aug.proposals[-1].mask_path == str(masks / "0_1.pgm")
+        assert aug.proposals == [
+            dataclasses.replace(p, mask_path=str(masks / f"0_{p.provenance.index}.pgm"))
+            for p in plain.proposals]
         assert aug.dropped == plain.dropped
 
 

@@ -11,8 +11,10 @@ wrong: a 40x20 grid under an 80x40 frame next to a full-resolution one, two
 drivable classes, sampled depths above every drivable disparity (band empty,
 depth reset), and drivable columns at both frame edges (boxes clipped).
 
-A second set of digests covers `augment --masks-dir` on the same scene, so
-refinement, compositing and the visibility filter are pinned the same way.
+A second set of digests covers `augment --masks-dir` followed by `refine` on
+the same scene, so refinement, compositing and the visibility filter are
+pinned the same way. `augment --masks-dir` only names each proposal's mask;
+`refine` is the one command that reads masks, so the pipeline refines once.
 
 A third pair of digests covers `fit` and `eval` (the depth probe at every
 box's bottom-center mapped to grid pixels, the depth log-normal, the power
@@ -26,6 +28,7 @@ sets of layout digests too.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -56,12 +59,12 @@ GOLDEN_SHA256 = {
 }
 
 
-# `augment --masks-dir` on the same scene: masks of several resolutions,
-# all-zero and missing masks, patches against the frame edges and proposals
-# dropped as occluded
+# `augment --masks-dir` then `refine` on the same scene: masks of several
+# resolutions, all-zero and missing masks, patches against the frame edges and
+# proposals dropped as occluded
 GOLDEN_MASKED_SHA256 = {
-    "0.json": "8947e385a3c57ebda912e8ca8a54bd83f561d228ba0235825e90185f471934cb",
-    "1.json": "86a4386ffe1fdb370533062f8977b30bb1cc1dc052e8a95e28dc691041d3fed2",
+    "0.json": "5402801552a280e42c54d497a3cf01a8e1c89194db7104d1529b81e9c2620629",
+    "1.json": "7b7a7a52cc6173dac8afb4adc9f7157d2395b463b184b0c8991078c2398156bc",
 }
 
 # bitmap side per proposal index (mod 4): larger and smaller than the patches
@@ -205,19 +208,63 @@ def _run_masked_augment(tmp_path, ann, cfg, masks_dir, out):
         "--seed", SEED)]) == 0
 
 
+def _refine(layouts, cfg, out):
+    out.mkdir()
+    for fid, fw, fh, *_ in FRAMES:
+        assert main([str(a) for a in (
+            "refine", layouts / f"{fid}.json", "--width", fw, "--height", fh,
+            "--out", out / f"{fid}.json", "--config", cfg)]) == 0
+
+
 def _augment_masked(tmp_path):
+    """`augment --masks-dir` into layouts/, then `refine` into refined/."""
     ann, cfg = _write_dataset(tmp_path)
     masks = _write_masks(tmp_path, dataset_io.load_config(cfg).n_objects)
     out = tmp_path / "layouts"
     _run_masked_augment(tmp_path, ann, cfg, masks, out)
+    _refine(out, cfg, tmp_path / "refined")
     return ann, cfg, out
 
 
 def test_masked_augment_layout_bytes_match_recorded_digests(tmp_path):
-    _, _, out = _augment_masked(tmp_path)
+    _augment_masked(tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.iterdir())}
+               for p in sorted((tmp_path / "refined").iterdir())}
     assert digests == GOLDEN_MASKED_SHA256
+
+
+def test_masks_dir_then_refine_equals_refining_hand_set_masks_once(tmp_path, monkeypatch):
+    """`augment --masks-dir` reads no mask and keeps the sampled boxes, so
+    refining its layouts gives the bytes of refining plain layouts whose
+    mask paths were set by hand: the pipeline refines each box once."""
+    ann, cfg = _write_dataset(tmp_path)
+    masks = _write_masks(tmp_path, dataset_io.load_config(cfg).n_objects)
+    reads = []
+    real_read = dataset_io.read_mask_pgm
+    monkeypatch.setattr(dataset_io, "read_mask_pgm",
+                        lambda path: reads.append(path) or real_read(path))
+    _run_masked_augment(tmp_path, ann, cfg, masks, tmp_path / "named")
+    assert reads == []
+    plain = tmp_path / "plain"
+    assert main([str(a) for a in (
+        "augment", ann, "--model", tmp_path / "model.json",
+        "--depth-dir", tmp_path / "depth", "--semantic-dir", tmp_path / "semantic",
+        "--out-layouts", plain, "--config", cfg, "--seed", SEED)]) == 0
+    (tmp_path / "by_hand").mkdir()
+    for fid, *_ in FRAMES:
+        named = dataset_io.load_layout(tmp_path / "named" / f"{fid}.json")
+        sampled = dataset_io.load_layout(plain / f"{fid}.json")
+        assert [p.box for p in named.proposals] == [p.box for p in sampled.proposals]
+        doc = json.loads((plain / f"{fid}.json").read_text())
+        for rec in doc["proposals"]:
+            rec["mask"] = str(masks / f"{fid}_{rec['index']}.pgm")
+        (tmp_path / "by_hand" / f"{fid}.json").write_text(json.dumps(doc))
+    _refine(tmp_path / "named", cfg, tmp_path / "refined_named")
+    assert reads
+    _refine(tmp_path / "by_hand", cfg, tmp_path / "refined_by_hand")
+    for fid, *_ in FRAMES:
+        assert ((tmp_path / "refined_named" / f"{fid}.json").read_bytes()
+                == (tmp_path / "refined_by_hand" / f"{fid}.json").read_bytes())
 
 
 def test_masked_layout_bytes_do_not_depend_on_masks_dir_spelling(tmp_path, monkeypatch):
@@ -259,12 +306,7 @@ def test_masks_dir_picks_each_mask_by_proposal_index(tmp_path):
 def test_eval_judges_stored_anchors_of_clipped_refined_proposals(tmp_path):
     """Refined and clipped boxes no longer stand on their anchors. Every
     anchor was drawn from its band, so band_validity must read 1.0."""
-    ann, cfg, out = _augment_masked(tmp_path)
-    (tmp_path / "refined").mkdir()
-    for fid, fw, fh, *_ in FRAMES:
-        assert main([str(a) for a in (
-            "refine", out / f"{fid}.json", "--width", fw, "--height", fh,
-            "--out", tmp_path / "refined" / f"{fid}.json", "--config", cfg)]) == 0
+    ann, cfg, _ = _augment_masked(tmp_path)
     assert main([str(a) for a in (
         "eval", ann, "--model", tmp_path / "model.json", "--layouts", tmp_path / "refined",
         "--depth-dir", tmp_path / "depth", "--semantic-dir", tmp_path / "semantic",
@@ -276,27 +318,30 @@ def test_eval_judges_stored_anchors_of_clipped_refined_proposals(tmp_path):
 
 def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path):
     """Masked proposals must keep touching the frame edges, some must be
-    dropped as occluded and some passed through, or the digests above stop
-    guarding those paths."""
-    ann, cfg_path, out = _augment_masked(tmp_path)
-    cfg = dataset_io.load_config(cfg_path).replace(seed=SEED)
-    model = dataset_io.load_model(tmp_path / "model.json")
-    edge = occluded = unmasked = 0
+    dropped as occluded and some passed through for a missing and for an
+    all-zero mask file, or the digests above stop guarding those paths."""
+    ann, _, out = _augment_masked(tmp_path)
+    edge = occluded = missing = empty = 0
     for frame in dataset_io.read_annotations(ann):
-        scene = _Grids(cfg, tmp_path / "depth", tmp_path / "semantic").scene(frame)
-        aug = augment_frame(scene, model, frame.frame_id, cfg)
-        for i, p in enumerate(aug.proposals):
+        named = dataset_io.load_layout(out / f"{frame.frame_id}.json")
+        for p in named.proposals:
             patch = crop_geometry(p.box, frame.width, frame.height)
-            masked = i % 8 not in (5, 7)
+            masked = p.provenance.index % 8 not in (5, 7)
             edge += masked and (patch.x0 == 0 or patch.y0 == 0
                                 or patch.x0 + patch.side == frame.width
                                 or patch.y0 + patch.side == frame.height)
-        written = dataset_io.load_layout(out / f"{frame.frame_id}.json")
-        occluded += written.dropped - aug.dropped
-        unmasked += sum(p.mask_path is None for p in written.proposals)
+        refined = dataset_io.load_layout(tmp_path / "refined" / f"{frame.frame_id}.json")
+        occluded += refined.dropped - named.dropped
+        by_index = {p.provenance.index: p for p in named.proposals}
+        for p in refined.proposals:
+            passed = p == by_index[p.provenance.index]
+            missing += passed and not os.path.exists(p.mask_path)
+            empty += passed and os.path.exists(p.mask_path) and not (
+                dataset_io.read_mask_pgm(p.mask_path).any())
     assert edge > 0
     assert occluded > 0
-    assert unmasked > 0
+    assert missing > 0
+    assert empty > 0
 
 
 # `fit` and `eval` on a second fixed dataset: two cameras, a 40x20 grid under

@@ -358,24 +358,25 @@ def test_refine_layout_holds_one_full_resolution_mask_at_a_time(tmp_path, rng):
     stays near one mask read (file bytes plus bitmap, 0.5 MB). Keeping every
     bitmap (8.4 MB) or a full-frame owner map (5.8 MB) would exceed the bound."""
     yy, xx = np.ogrid[:512, :512]
-    props, paths = [], []
+    props = []
     for i in range(32):
         cx, by = rng.uniform(700, 900), rng.uniform(550, 700)
         w, h = rng.uniform(20, 40, 2)
+        path = str(tmp_path / f"{i}.pgm")
         props.append(PlacementProposal(
             class_id=1, d=float(i), d_effective=float(i), box=BBox(cx=cx, by=by, w=w, h=h),
-            show_prob=0.5, provenance=Provenance(index=i, attempts=1, anchor_px=(0, 0))))
-        paths.append(tmp_path / f"{i}.pgm")
-        write_mask_pgm(((xx - 256) / 100) ** 2 + ((yy - 256) / 120) ** 2 <= 1.0, paths[-1])
+            show_prob=0.5, provenance=Provenance(index=i, attempts=1, anchor_px=(0, 0)),
+            mask_path=path))
+        write_mask_pgm(((xx - 256) / 100) ** 2 + ((yy - 256) / 120) ** 2 <= 1.0, path)
     aug = FrameAugmentation(frame_id="0", proposals=props, dropped=0)
-    first = refine_layout(aug, paths, 1600, 900, 0.2)
+    first = refine_layout(aug, 1600, 900, 0.2)
     tracemalloc.start()
     try:
-        again = refine_layout(aug, paths, 1600, 900, 0.2)
+        again = refine_layout(aug, 1600, 900, 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert again == first
     assert len(first.proposals) + first.dropped == 32
-    assert all(p.mask_path for p in first.proposals)
+    assert all(p.mask_path == props[p.provenance.index].mask_path for p in first.proposals)
     assert peak < 1_500_000, peak
