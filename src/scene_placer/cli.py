@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import dataset_io
@@ -91,9 +90,13 @@ def _augment_one(frame, model, cfg, args):
 
 
 def cmd_augment(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor  # only augment starts threads
+
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
+    # numpy loads on first use (`_numpy`), not thread-safely on Python 3.11:
+    # reading the annotations and the model loads it before the pool starts
     frames = dataset_io.read_annotations(args.annotations)
     model = dataset_io.load_model(args.model)
     os.makedirs(args.out_layouts, exist_ok=True)

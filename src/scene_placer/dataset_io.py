@@ -18,8 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .config import RunConfig
 from .errors import FormatError, ParseError, SchemaError, VersionError, describe
 from .fitting import (

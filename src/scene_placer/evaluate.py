@@ -12,8 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InsufficientData
 from .fitting import LocationModel, object_columns
 from .geometry import in_band

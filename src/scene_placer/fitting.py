@@ -8,7 +8,7 @@ samples per camera fall back to a model pooled over all cameras.
 An object's disparity is read by `object_depth` from the depth grid at its
 box's bottom-center, mapped from frame to grid pixels by the frame-to-grid
 scale. Its one caller, `object_columns`, gives the fit and the evaluation
-every box as columns, probing each frame's boxes at once.
+every box as columns, probing all boxes on one grid at once.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .config import RunConfig
 from .errors import DegenerateFit, InsufficientData, InvalidSample, UnknownClass
 from .geometry import DepthGrid, grid_scale
@@ -228,10 +227,6 @@ def build_aspect_histogram(ratios, n_bins: int) -> Histogram:
     return Histogram(edges=edges, probs=counts / counts.sum())
 
 
-# row and column offsets of a probe's 3x3 window around its pixel
-_WINDOW = np.arange(-1, 2)
-
-
 def object_depth(grid: DepthGrid, cx, by) -> np.ndarray:
     """Disparities at boxes' bottom-centers, one per box.
 
@@ -243,13 +238,14 @@ def object_depth(grid: DepthGrid, cx, by) -> np.ndarray:
     ``np.median`` gives on each clipped float32 window.
     """
     h, w = grid.values.shape
+    window = np.arange(-1, 2)  # row and column offsets of the 3x3 window
     ix = np.clip(np.floor(np.asarray(cx, dtype=np.float64)), 0, w - 1).astype(np.intp)
     iy = np.clip(np.floor(np.asarray(by, dtype=np.float64) - 1e-9), 0, h - 1).astype(np.intp)
-    ys = iy[:, None] + _WINDOW
-    xs = ix[:, None] + _WINDOW
+    ys = iy[:, None] + window
+    xs = ix[:, None] + window
     inside = ((ys >= 0) & (ys < h))[:, :, None] & ((xs >= 0) & (xs < w))[:, None, :]
     cells = grid.values[np.clip(ys, 0, h - 1)[:, :, None], np.clip(xs, 0, w - 1)[:, None, :]]
-    cells = np.where(inside, cells, np.float32(np.nan)).reshape(len(iy), _WINDOW.size ** 2)
+    cells = np.where(inside, cells, np.float32(np.nan)).reshape(len(iy), window.size ** 2)
     cells.sort(axis=1)  # cells outside the grid (NaN) sort last
     n = inside.sum(axis=(1, 2))
     rows = np.arange(len(n))
@@ -262,19 +258,28 @@ def object_columns(frames, depth_of):
     """Every box of `frames` as columns, in frame order: (class ids,
     disparities, heights, w/h ratios), each of shape (n,).
 
-    Each frame's boxes are probed in one `object_depth` call on the grid
-    `depth_of(frame)`, their bottom-centers mapped from frame to grid pixels
-    by `grid_scale`; where the grid is None, the disparities are NaN.
+    The boxes of all frames whose `depth_of(frame)` is one grid object are
+    probed in one `object_depth` call, each frame's bottom-centers mapped
+    from frame to grid pixels by its own `grid_scale`; where the grid is
+    None, the disparities are NaN.
     """
-    depths = [np.full(fr.class_ids.size, np.nan) for fr in frames]
-    for fr, out in zip(frames, depths):
-        grid = depth_of(fr)
-        if grid is not None:
-            cx, by = (fr.boxes[:, :2] / grid_scale(fr.width, fr.height, grid)).T
-            out[:] = object_depth(grid, cx, by)
     class_ids = np.concatenate([np.empty(0, np.int64)] + [fr.class_ids for fr in frames])
     boxes = np.concatenate([np.empty((0, 4))] + [fr.boxes for fr in frames])
-    return class_ids, np.concatenate([np.empty(0)] + depths), boxes[:, 3], boxes[:, 2] / boxes[:, 3]
+    bottoms = boxes[:, :2].copy()  # bottom-centers, in grid pixels once probed
+    probes = {}  # id(grid) -> (grid, row ranges of its frames' boxes)
+    start = 0
+    for fr in frames:
+        stop = start + fr.class_ids.size
+        grid = depth_of(fr)
+        if grid is not None:
+            bottoms[start:stop] /= grid_scale(fr.width, fr.height, grid)
+            probes.setdefault(id(grid), (grid, []))[1].append(np.arange(start, stop))
+        start = stop
+    depths = np.full(len(boxes), np.nan)
+    for grid, ranges in probes.values():
+        rows = np.concatenate(ranges)
+        depths[rows] = object_depth(grid, *bottoms[rows].T)
+    return class_ids, depths, boxes[:, 3], boxes[:, 2] / boxes[:, 3]
 
 
 def _fit_class(class_id, depths, heights, ratios, config, fallback=False):

@@ -18,9 +18,8 @@ import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from . import dataset_io
+from ._numpy import np
 from .errors import EmptyMask, InvalidBox
 from .geometry import BBox, PatchRect, crop_geometry
 from .sampler import FrameAugmentation

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .config import RunConfig
 from .errors import DimensionMismatch, EmptyDrivableSpace, MaxAttemptsExceeded
 from .fitting import ClassModel, Histogram, LocationModel

@@ -2,10 +2,13 @@ import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scene_placer
 from scene_placer import dataset_io, fitting
 from scene_placer.cli import main
 from scene_placer.config import RunConfig
@@ -174,8 +177,9 @@ class TestAnnotationInput:
     def test_fit_and_eval_read_once_and_probe_each_frame_once(self, fixture_dataset,
                                                               monkeypatch):
         """The call shape perfbench's tracer counts: fit and eval each call
-        read_annotations once and object_depth once per frame with that
-        frame's full box columns, through the one call site in fitting."""
+        read_annotations once and object_depth once per grid, through the one
+        call site in fitting; each frame here has its own grid, so that is
+        once per frame with that frame's full box columns."""
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
         frames = dataset_io.read_annotations(t / "annotations.json")
@@ -774,3 +778,85 @@ def test_help_lists_defaults(capsys):
                 "window=2.0", "stride=1.0", "min_samples=30",
                 "min_visible_frac=0.25", "max_attempts=25"):
         assert key in out
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(scene_placer.__file__)))
+LAYERS = os.path.join(os.path.dirname(SRC), "perfbench", "layers.json")
+
+# runs the CLI on argv[1:], then prints its exit code and whether numpy loaded
+_CLI_THEN_NUMPY = """
+import sys
+from scene_placer.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+print(code, "numpy._core" in sys.modules)
+"""
+
+
+def _fresh(code, *args):
+    """Run `code` in a new interpreter that imports this package; its stdout.
+    The test process has numpy loaded, so only a new one shows when it loads."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestFreshInterpreter:
+    def test_help_and_unmasked_refine_never_load_numpy(self, fixture_dataset):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        assert _fresh(_CLI_THEN_NUMPY, "--help").splitlines()[-1] == "0 False"
+        refine = ["refine", "--width", 48, "--height", 48, "--config", _cfg(t)]
+        assert _fresh(_CLI_THEN_NUMPY, *refine, t / "layouts" / "0.json",
+                      "--out", t / "fresh.json").splitlines()[-1] == "0 False"
+        assert run([*refine, t / "layouts" / "0.json", "--out", t / "in_process.json"]) == 0
+        assert (t / "fresh.json").read_bytes() == (t / "in_process.json").read_bytes()
+        # the probe sees numpy once a mask is read
+        doc = json.loads((t / "layouts" / "0.json").read_text())
+        write_mask_pgm(np.ones((16, 16), bool), t / "m.pgm")
+        doc["proposals"][0]["mask"] = str(t / "m.pgm")
+        (t / "masked.json").write_text(json.dumps(doc))
+        assert _fresh(_CLI_THEN_NUMPY, *refine, t / "masked.json",
+                      "--out", t / "masked_out.json").splitlines()[-1] == "0 True"
+
+    def test_import_cli_imports_every_traced_layer(self):
+        """perfbench's tracer rebinds functions in the modules it finds
+        imported after `import scene_placer.cli`: every layer it lists."""
+        with open(LAYERS, encoding="utf-8") as f:
+            layers = sorted(json.load(f))
+        loaded = _fresh("import sys, scene_placer.cli; print(*sys.modules)").split()
+        assert [m for m in layers if f"scene_placer.{m}" not in loaded] == []
+
+    def test_augment_threads_write_the_same_bytes(self, fixture_dataset):
+        t = fixture_dataset
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
+        for jobs in (1, 2):
+            assert _fresh(_CLI_THEN_NUMPY, "augment", t / "annotations.json",
+                          "--model", t / "model.json", "--depth-dir", t / "depth",
+                          "--semantic-dir", t / "semantic", "--config", _cfg(t), "--seed", 7,
+                          "--jobs", jobs, "--out-layouts", t / f"j{jobs}").splitlines()[-1] \
+                == "0 True"
+        names = sorted(os.listdir(t / "j1"))
+        assert len(names) == 6 and names == sorted(os.listdir(t / "j2"))
+        for name in names:
+            assert (t / "j1" / name).read_bytes() == (t / "j2" / name).read_bytes()
+
+    def test_numpy_not_found_raises_module_not_found(self):
+        """Without numpy on the path the package raises the usual
+        ModuleNotFoundError naming numpy, not an error of the lazy loader."""
+        out = _fresh("""
+import importlib.util, os, sys
+sys.path[:] = [p for p in sys.path if not os.path.exists(os.path.join(p, "numpy"))]
+assert importlib.util.find_spec("numpy") is None
+try:
+    import scene_placer.cli
+except ModuleNotFoundError as e:
+    print("ModuleNotFoundError", e.name)
+""")
+        assert out.splitlines() == ["ModuleNotFoundError numpy"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scene_placer import fitting
 from scene_placer.config import RunConfig
 from scene_placer.dataset_io import AnnotatedFrame
 from scene_placer.errors import DegenerateFit, InsufficientData, InvalidSample
@@ -15,6 +16,7 @@ from scene_placer.fitting import (
     fit_lognormal,
     fit_model,
     fit_power_curve,
+    object_columns,
     object_depth,
 )
 from scene_placer.geometry import DepthGrid
@@ -198,6 +200,38 @@ class TestObjectDepth:
             got = object_depth(DepthGrid(np.ones((3, 4))), np.array([]), np.array([]))
         assert got.dtype == np.float64
         assert got.shape == (0,)
+
+
+class TestObjectColumns:
+    def test_one_probe_per_grid_matches_a_probe_per_frame(self, rng, monkeypatch):
+        """Frames on one grid object are probed in one call, in order of first
+        use, each at its own frame-to-grid scale; the columns equal those of
+        one `object_depth` call per frame, bit for bit."""
+        grids = [DepthGrid(rng.uniform(1, 50, (9, 16)).astype(np.float32)) for _ in range(2)]
+
+        def frame(i, scale, n):
+            w, h = 16 * scale, 9 * scale
+            boxes = np.column_stack([rng.uniform(-2, w + 2, n), rng.uniform(-2, h + 2, n),
+                                     rng.uniform(1, 5, n), rng.uniform(1, 5, n)])
+            return AnnotatedFrame(str(i), "cam", w, h, rng.integers(1, 4, n), boxes)
+
+        # grid 0 under frames of scale 1, 4 and 2, grid 1 under one, and a frame without a grid
+        frames = [frame(0, 1, 5), frame(1, 4, 3), frame(2, 1, 0), frame(3, 2, 7), frame(4, 1, 4)]
+        grid_of = {"0": grids[0], "1": grids[0], "2": None, "3": grids[1], "4": grids[0]}
+        calls = []
+        probe = object_depth
+        monkeypatch.setattr(fitting, "object_depth", lambda grid, cx, by:
+                            calls.append((grid, len(cx))) or probe(grid, cx, by))
+        class_ids, depths, heights, ratios = object_columns(frames, lambda fr: grid_of[fr.frame_id])
+        assert [(id(g), n) for g, n in calls] == [(id(grids[0]), 12), (id(grids[1]), 7)]
+        want = [np.full(fr.class_ids.size, np.nan) if grid_of[fr.frame_id] is None else
+                probe(grid_of[fr.frame_id], *(fr.boxes[:, :2] / (fr.width / 16)).T)
+                for fr in frames]
+        assert np.array_equal(depths.view(np.int64), np.concatenate(want).view(np.int64))
+        boxes = np.concatenate([fr.boxes for fr in frames])
+        assert class_ids.tolist() == np.concatenate([fr.class_ids for fr in frames]).tolist()
+        assert np.array_equal(heights, boxes[:, 3])
+        assert np.array_equal(ratios, boxes[:, 2] / boxes[:, 3])
 
 
 class TestFitModel:
