@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 
 from . import dataset_io
@@ -255,5 +256,34 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Process entry of the CLI (`python -m scene_placer.cli`, the
+    `scene-placer` script): `main`, then flush stdout and stderr and end the
+    process with `os._exit`. Every output is written by then, so the
+    interpreter's teardown, which frees each module and object in turn, would
+    only add time. `atexit` hooks do not run; callers that need them call
+    `main` in-process, which leaves the process and `os.environ` as they are."""
+    # The package calls no BLAS routine, yet OpenBLAS starts worker threads
+    # when numpy loads, and they spin beside augment's worker threads. numpy
+    # loads lazily, so this runs before the library reads the variable; a
+    # user's own setting wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        code = main()
+    except SystemExit as e:  # argparse: 0 after --help, 2 on a usage error
+        code = e.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # started with the descriptor closed
+            continue
+        try:
+            stream.flush()
+        except OSError as e:
+            code = 120  # the interpreter's own status when its flush at exit fails
+            if stream is sys.stdout and sys.stderr is not None:
+                with suppress(OSError):
+                    sys.stderr.write(f"error: cannot write stdout: {e}\n")
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import stat
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import scene_placer
-from scene_placer import dataset_io, fitting
+from scene_placer import cli, dataset_io, fitting
 from scene_placer.cli import main
 from scene_placer.config import RunConfig
 from scene_placer.geometry import DepthGrid, LabelGrid
@@ -795,13 +796,31 @@ print(code, "numpy._core" in sys.modules)
 """
 
 
-def _fresh(code, *args):
+def _env(**changes):
+    """This environment with the package on the path and PYTHONUNBUFFERED
+    unset, so a child's stdout to a file or pipe is block-buffered as in a
+    plain shell; `changes` set variables, or unset those given None."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    for name, value in dict(changes, PYTHONUNBUFFERED=None).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _launch(*args, entry=("-m", "scene_placer.cli"), stdout=subprocess.PIPE, env=None):
+    """A new interpreter on `python -m scene_placer.cli args` (or `entry`
+    given, such as `("-c", code)`); the finished process, stderr as text."""
+    return subprocess.run([sys.executable, *entry, *map(str, args)], env=env or _env(),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def _fresh(code, *args, env=None):
     """Run `code` in a new interpreter that imports this package; its stdout.
     The test process has numpy loaded, so only a new one shows when it loads."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _launch(*args, entry=("-c", code), env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -833,15 +852,16 @@ class TestFreshInterpreter:
         assert [m for m in layers if f"scene_placer.{m}" not in loaded] == []
 
     def test_augment_threads_write_the_same_bytes(self, fixture_dataset):
+        """Through the process entry, so with its one BLAS thread."""
         t = fixture_dataset
         assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
                     "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
         for jobs in (1, 2):
-            assert _fresh(_CLI_THEN_NUMPY, "augment", t / "annotations.json",
-                          "--model", t / "model.json", "--depth-dir", t / "depth",
-                          "--semantic-dir", t / "semantic", "--config", _cfg(t), "--seed", 7,
-                          "--jobs", jobs, "--out-layouts", t / f"j{jobs}").splitlines()[-1] \
-                == "0 True"
+            proc = _launch("augment", t / "annotations.json", "--model", t / "model.json",
+                           "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                           "--config", _cfg(t), "--seed", 7, "--jobs", jobs,
+                           "--out-layouts", t / f"j{jobs}")
+            assert proc.returncode == 0, proc.stderr
         names = sorted(os.listdir(t / "j1"))
         assert len(names) == 6 and names == sorted(os.listdir(t / "j2"))
         for name in names:
@@ -860,3 +880,84 @@ except ModuleNotFoundError as e:
     print("ModuleNotFoundError", e.name)
 """)
         assert out.splitlines() == ["ModuleNotFoundError numpy"]
+
+
+class TestProcessEntry:
+    """`cli.run`, the entry of `python -m scene_placer.cli` and of the
+    `scene-placer` script: it flushes stdout and stderr and ends the
+    process with `os._exit`, so these run it in a new interpreter."""
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["scene-placer"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+
+    @pytest.mark.parametrize("argv, code, stderr", [
+        (["--help"], 0, ""),
+        ([], 2, "usage: scene-placer"),
+        (["fit", "missing.json", "--out-model", "m.json"], 2, "error: "),
+    ])
+    def test_exit_codes(self, tmp_path, argv, code, stderr):
+        proc = _launch(*(tmp_path / a if a.endswith(".json") else a for a in argv),
+                       stdout=subprocess.DEVNULL)
+        assert (proc.returncode, proc.stderr[:len(stderr)]) == (code, stderr)
+
+    def test_internal_error_exit_1(self):
+        code = "from scene_placer import cli\ncli.cmd_render = lambda args: 1 / 0\ncli.run()"
+        proc = _launch("render", "l.json", "--width", 1, "--height", 1, "--out", "o.ppm",
+                       entry=("-c", code))
+        assert (proc.returncode, proc.stderr) == (1, "internal error: division by zero\n")
+
+    @pytest.mark.parametrize("closed", [">&-", ">&- 2>&-"])
+    def test_help_with_stdout_closed_exit_0(self, closed):
+        proc = subprocess.run(["sh", "-c", f'"$@" {closed}', "sh", sys.executable, "-m",
+                               "scene_placer.cli", "--help"], env=_env(), timeout=120,
+                              stderr=subprocess.DEVNULL)
+        assert proc.returncode == 0
+
+    def test_failed_flush_exit_120(self):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            proc = _launch("--help", stdout=full)
+        assert proc.returncode == 120
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+
+    def test_outputs_complete_in_a_redirected_file(self, fixture_dataset, capsys, monkeypatch):
+        t = fixture_dataset
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = capsys.readouterr().out
+        fit = ["fit", t / "annotations.json", "--depth-dir", t / "depth", "--config", _cfg(t)]
+        assert run([*fit, "--out-model", t / "in_process.json"]) == 0
+        fit_lines = capsys.readouterr().out
+        assert "class" in fit_lines
+        for argv, expected in ((["--help"], help_text),
+                               ([*fit, "--out-model", t / "fresh.json"], fit_lines)):
+            with open(t / "stdout.txt", "w") as out:
+                proc = _launch(*argv, stdout=out, env=_env(COLUMNS="80"))
+            assert proc.returncode == 0, proc.stderr
+            assert (t / "stdout.txt").read_text() == expected
+        assert (t / "fresh.json").read_bytes() == (t / "in_process.json").read_bytes()
+
+    @pytest.mark.parametrize("user, seen", [(None, "1"), ("3", "3")])
+    def test_one_blas_thread_unless_the_user_says(self, user, seen):
+        code = ("import os\n"
+                "from scene_placer import cli\n"
+                "cli.main = lambda: print(os.environ.get('OPENBLAS_NUM_THREADS')) or 0\n"
+                "cli.run()")
+        assert _fresh(code, env=_env(OPENBLAS_NUM_THREADS=user)) == f"{seen}\n"
+
+    def test_import_and_main_leave_environ_alone(self, fixture_dataset, monkeypatch):
+        code = ("import os\n"
+                "before = dict(os.environ)\n"
+                "import scene_placer, scene_placer.cli\n"
+                "print(dict(os.environ) == before)")
+        assert _fresh(code, env=_env(OPENBLAS_NUM_THREADS=None)) == "True\n"
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        _fit_and_augment(fixture_dataset, "layouts", 2)
+        assert dict(os.environ) == before
