@@ -72,8 +72,7 @@ def cmd_fit(args) -> int:
     dataset_io.save_model(model, args.out_model)
     for cam in sorted(model.cameras, key=str):
         for cid, cm in sorted(model.cameras[cam].items()):
-            flag = " (fallback)" if cm.fallback else ""
-            print(f"camera {cam} class {cid}: {cm.sample_count} samples{flag}")
+            print(f"camera {cam} class {cid}: {cm.sample_count} samples")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -93,8 +92,6 @@ def _augment_one(frame, model, cfg, args):
 def cmd_augment(args) -> int:
     from concurrent.futures import ThreadPoolExecutor  # only augment starts threads
 
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     # numpy loads on first use (`_numpy`), not thread-safely on Python 3.11:
     # reading the annotations and the model loads it before the pool starts
@@ -158,26 +155,26 @@ def _class_list(text: str) -> list[int]:
             f"must be comma-separated integers, got {text!r}") from None
 
 
-# the run-parameter flags; each command takes only those it reads
-_FLAGS = {
-    "--config": dict(help="JSON config file (flat RunConfig fields); flags override it"),
-    "--seed": dict(type=int, help="master seed (default 0)"),
-    "--jobs": dict(type=int, default=1, help="worker threads (default 1)"),
-    "--tau": dict(type=float, help="placement band depth threshold (default 5.0)"),
-    "--objects-per-frame": dict(type=int, help="proposals per frame (default 12)"),
-    "--drivable-classes": dict(type=_class_list,
-                               help="comma-separated drivable class indices (default 1,2,3)"),
-}
-
-
-def _frame_size(text: str) -> int:
-    """argparse type of --width/--height: a frame side in pixels, >= 1."""
+def _positive_int(text: str) -> int:
+    """argparse type of --jobs and --width/--height: an integer >= 1."""
     try:
         if int(text) >= 1:
             return int(text)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
+# the run-parameter flags; each command takes only those it reads
+_FLAGS = {
+    "--config": dict(help="JSON config file (flat RunConfig fields); flags override it"),
+    "--seed": dict(type=int, help="master seed (default 0)"),
+    "--jobs": dict(type=_positive_int, default=1, help="worker threads (default 1)"),
+    "--tau": dict(type=float, help="placement band depth threshold (default 5.0)"),
+    "--objects-per-frame": dict(type=int, help="proposals per frame (default 12)"),
+    "--drivable-classes": dict(type=_class_list,
+                               help="comma-separated drivable class indices (default 1,2,3)"),
+}
 
 
 def _add_flags(p, *names):
@@ -216,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="mask-based box refinement of a layout")
     _add_flags(p, "--config")
     p.add_argument("layout")
-    p.add_argument("--width", type=_frame_size, required=True)
-    p.add_argument("--height", type=_frame_size, required=True)
+    p.add_argument("--width", type=_positive_int, required=True)
+    p.add_argument("--height", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 
@@ -235,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a layout overlay PPM")
     p.add_argument("layout")
     p.add_argument("--annotations")
-    p.add_argument("--width", type=_frame_size, required=True)
-    p.add_argument("--height", type=_frame_size, required=True)
+    p.add_argument("--width", type=_positive_int, required=True)
+    p.add_argument("--height", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

@@ -24,6 +24,9 @@ _RANGES = {
     # labels are uint8: a class outside 0..255 would silently match nothing
     "drivable_classes": (lambda v: len(v) > 0 and all(0 <= c <= 255 for c in v),
                          "a non-empty list of labels in 0..255"),
+    # a repeated class would take a double share of the uniform prior
+    "augmentable_classes": (lambda v: v is None or 0 < len(v) == len(set(v)),
+                            "null or a non-empty list of distinct class ids"),
 }
 
 

@@ -74,7 +74,6 @@ _COUNT = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _NUMBER = (lambda v: type(v) in _NUMBER_TYPES and -_MAX <= v <= _MAX, "a finite number")
 _STR = (lambda v: type(v) is str, "a string")
 _PATH = (lambda v: v is None or type(v) is str, "a string or null")
-_BOOL = (lambda v: type(v) is bool, "true or false")
 _LIST = (lambda v: type(v) is list, "a list")
 _OBJECT = (lambda v: type(v) is dict, "an object")
 _INTS = (lambda v: type(v) is list and all([type(c) is int for c in v]), "a list of integers")
@@ -315,7 +314,6 @@ def _class_from_json(cid, rec, where) -> ClassModel:
         aspect=Histogram(*[_get(aspect, k, _NUMBERS, f"{where}.aspect")
                            for k in ("edges", "probs")]),
         sample_count=_get(rec, "count", _INT, where),
-        fallback=_get(rec, "fallback", _BOOL, where, False),
     )
 
 
@@ -332,7 +330,6 @@ def model_to_json(model: LocationModel) -> dict:
                     "probs": [float(v) for v in cm.aspect.probs],
                 },
                 "count": cm.sample_count,
-                "fallback": cm.fallback,
             }
             for cid, cm in classes.items()
         }

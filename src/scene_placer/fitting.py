@@ -2,8 +2,9 @@
 
 Per (camera, class) we fit: a log-normal over object disparities, power
 curves a + b * x**c interpolating the log-height mean/std across disparity
-windows, and an empirical aspect-ratio histogram. Classes with too few
-samples per camera fall back to a model pooled over all cameras.
+windows, and an empirical aspect-ratio histogram. A camera keeps only the
+classes it has enough samples of; `LocationModel.class_model` gives it the
+fit pooled over all cameras (the "*" entry) for any other.
 
 An object's disparity is read by `object_depth` from the depth grid at its
 box's bottom-center, mapped from frame to grid pixels by the frame-to-grid
@@ -97,7 +98,6 @@ class ClassModel:
     height_sigma_curve: PowerCurve
     aspect: Histogram
     sample_count: int
-    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def object_columns(frames, depth_of):
     return class_ids, depths, boxes[:, 3], boxes[:, 2] / boxes[:, 3]
 
 
-def _fit_class(class_id, depths, heights, ratios, config, fallback=False):
+def _fit_class(class_id, depths, heights, ratios, config):
     depths = np.asarray(depths, dtype=np.float64)
     heights = np.asarray(heights, dtype=np.float64)
     depth_params = fit_lognormal(depths)
@@ -298,15 +298,10 @@ def _fit_class(class_id, depths, heights, ratios, config, fallback=False):
         profile = depth_height_profile(
             pairs, window=config.window, stride=config.stride, min_count=1
         )
-    if len(profile) >= 3:
-        pts_mu = [(c, mu) for c, mu, _, _ in profile]
-        pts_sigma = [(c, sig) for c, _, sig, _ in profile]
-        try:
-            mu_curve = fit_power_curve(pts_mu)
-            sigma_curve = fit_power_curve(pts_sigma)
-        except DegenerateFit:
-            mu_curve, sigma_curve = _constant_curves(profile)
-    else:
+    try:  # centres are > 0; fewer than 3 windows raise InsufficientData
+        mu_curve = fit_power_curve([(c, mu) for c, mu, _, _ in profile])
+        sigma_curve = fit_power_curve([(c, sig) for c, _, sig, _ in profile])
+    except (InsufficientData, DegenerateFit):
         mu_curve, sigma_curve = _constant_curves(profile)
     return ClassModel(
         class_id=class_id,
@@ -315,7 +310,6 @@ def _fit_class(class_id, depths, heights, ratios, config, fallback=False):
         height_sigma_curve=sigma_curve,
         aspect=build_aspect_histogram(ratios, config.n_bins),
         sample_count=len(depths),
-        fallback=fallback,
     )
 
 
@@ -337,9 +331,10 @@ def fit_model(dataset, depth_of, config: RunConfig):
 
     depth_of maps an AnnotatedFrame to its DepthGrid; the boxes are read
     through object_columns. Returns (model, warnings): boxes whose
-    probe reads disparity <= 0 are left out and counted per class; classes
-    below min_samples on a camera fall back to the all-camera pooled fit;
-    classes that are still too small are excluded. Counts and exclusions are
+    probe reads disparity <= 0 are left out and counted per class; a class
+    below min_samples on a camera gets no fit of its own there, so the camera
+    uses the all-camera pooled fit; classes below min_samples overall are
+    excluded. Counts, pooled fallbacks and exclusions are
     reported in the warnings list. Each class is fitted on its boxes in frame
     order (frames sorted by id as strings).
     """
@@ -352,8 +347,8 @@ def fit_model(dataset, depth_of, config: RunConfig):
                           [fr.class_ids.size for fr in frames])
     kept = depths > 0  # the log-normal depth fit has no place for log(0)
 
-    def fit(class_id, sel, fallback=False):
-        return _fit_class(class_id, depths[sel], heights[sel], ratios[sel], config, fallback)
+    def fit(class_id, sel):
+        return _fit_class(class_id, depths[sel], heights[sel], ratios[sel], config)
 
     warnings = []
     pooled_models = {}
@@ -371,7 +366,7 @@ def fit_model(dataset, depth_of, config: RunConfig):
                 f"class {class_id}: only {n_kept[class_id]} samples overall, excluded"
             )
             continue
-        pooled_models[class_id] = fit(class_id, of_class & kept, fallback=True)
+        pooled_models[class_id] = fit(class_id, of_class & kept)
 
     cameras = {}
     for k, camera_id in enumerate(camera_ids):
@@ -384,15 +379,14 @@ def fit_model(dataset, depth_of, config: RunConfig):
             n = int(np.count_nonzero(sel))
             if n >= config.min_samples:
                 cam_models[class_id] = fit(class_id, sel)
-            elif class_id in pooled_models:
-                cam_models[class_id] = pooled_models[class_id]
+            elif class_id in pooled_models:  # class_model finds the pooled fit
                 warnings.append(
                     f"camera {camera_id} class {class_id}: {n} samples,"
                     f" using pooled fallback"
                 )
             # else: already warned at pooled level
         cameras[camera_id] = cam_models
-    cameras["*"] = pooled_models  # pooled fallback for cameras unseen at fit time
+    cameras["*"] = pooled_models  # for every camera without its own fit of a class
 
     if config.augmentable_classes is not None:
         prior_classes = tuple(sorted(config.augmentable_classes))
@@ -402,6 +396,9 @@ def fit_model(dataset, depth_of, config: RunConfig):
         raise InsufficientData("no class has enough samples to fit")
     if config.class_prior == "frequency":
         counts = np.array([n_kept.get(c, 0) for c in prior_classes], dtype=np.float64)
+        if not counts.any():
+            raise InsufficientData(f"class_prior 'frequency': augmentable classes"
+                                   f" {list(prior_classes)} have no sample in the fit")
         probs = counts / counts.sum()
     else:
         probs = np.full(len(prior_classes), 1.0 / len(prior_classes))

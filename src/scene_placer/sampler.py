@@ -18,7 +18,7 @@ from functools import cached_property
 
 from ._numpy import np
 from .config import RunConfig
-from .errors import DimensionMismatch, EmptyDrivableSpace, MaxAttemptsExceeded
+from .errors import DimensionMismatch, MaxAttemptsExceeded
 from .fitting import ClassModel, Histogram, LocationModel
 from .geometry import (
     BandIndex,
@@ -126,9 +126,7 @@ def sample_location(scene: SceneContext, d: float, tau: float, rng):
     d_eff = d
     if len(band) == 0:
         d_eff = closest_allowed_depth(index, d)
-        band = placement_band(index, d_eff, tau)
-    if len(band) == 0:
-        raise EmptyDrivableSpace("drivable mask has no set pixels")
+        band = placement_band(index, d_eff, tau)  # holds the pixel d_eff was read from
     x, y = band[int(rng.integers(len(band)))]
     return x, y, d_eff
 

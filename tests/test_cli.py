@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib
 import json
@@ -84,6 +85,33 @@ class TestFit:
         assert run(["fit", tmp_path / "nope.json",
                     "--out-model", tmp_path / "m.json"]) == 2
 
+    def test_camera_that_falls_back_prints_no_line_of_its_own(self, fixture_dataset, capsys):
+        """A class short of min_samples on a camera has no fit there, so no
+        line under that camera; its warning gives the camera's own count."""
+        t = fixture_dataset
+        ann, rear_counts = _rear_camera(t)
+        capsys.readouterr()
+        assert run(["fit", ann, "--depth-dir", t / "depth", "--out-model", t / "model.json",
+                    "--config", _cfg(t)]) == 0
+        out, err = capsys.readouterr()
+        assert "camera front class 1:" in out and "camera * class 1:" in out
+        assert "camera rear" not in out
+        assert all(rear_counts.values())
+        for cid, n in rear_counts.items():
+            assert f"warning: camera rear class {cid}: {n} samples, using pooled fallback" in err
+
+
+def _rear_camera(t):
+    """The fixture's annotations with frame 5 on its own camera "rear", whose
+    dozen boxes fall short of `_cfg`'s min_samples in each class; returns
+    their path and the rear camera's box count per class."""
+    doc = json.loads((t / "annotations.json").read_text())
+    doc["images"][5]["camera"] = "rear"
+    path = t / "two_cameras.json"
+    path.write_text(json.dumps(doc))
+    classes = [a["category_id"] for a in doc["annotations"] if a["image_id"] == 5]
+    return path, {cid: classes.count(cid) for cid in (1, 2)}
+
 
 def _cfg(tmp_path):
     p = tmp_path / "config.json"
@@ -126,6 +154,31 @@ class TestAugment:
             assert set(rec) == {"index", "class", "d_sampled", "d", "anchor", "attempts",
                                 "box", "show_prob", "mask"}
             assert rec["show_prob"] == 0.5
+
+    def test_model_with_pooled_copies_gives_the_same_layouts(self, fixture_dataset):
+        """A model in the older layout of the same schema, with the pooled fit
+        copied into each camera that falls back and every class record
+        flagged "fallback", loads and augments to the same bytes."""
+        t = fixture_dataset
+        ann, _ = _rear_camera(t)
+        grids = ["--depth-dir", t / "depth", "--semantic-dir", t / "semantic"]
+        assert run(["fit", ann, *grids[:2], "--out-model", t / "model.json",
+                    "--config", _cfg(t)]) == 0
+        doc = json.loads((t / "model.json").read_text())
+        cameras = doc["cameras"]
+        assert cameras["rear"] == {}
+        for cam, classes in cameras.items():
+            for rec in classes.values():
+                rec["fallback"] = cam == "*"
+        cameras["rear"] = copy.deepcopy(cameras["*"])
+        (t / "copies.json").write_text(json.dumps(doc))
+        for model, out in (("model.json", "layouts"), ("copies.json", "copies")):
+            assert run(["augment", ann, "--model", t / model, *grids, "--config", _cfg(t),
+                        "--seed", 7, "--out-layouts", t / out]) == 0
+        names = sorted(os.listdir(t / "layouts"))
+        assert names == sorted(os.listdir(t / "copies")) and "5.json" in names
+        for n in names:
+            assert (t / "layouts" / n).read_bytes() == (t / "copies" / n).read_bytes()
 
     @pytest.mark.parametrize("source, bad", [("flag", "300"), ("config", "-1")])
     def test_drivable_class_out_of_range_exit_2(self, fixture_dataset, capsys,
@@ -484,8 +537,6 @@ class TestRanges:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--objects-per-frame", -3, "'n_objects'"),
-        ("--jobs", -4, "--jobs"),
-        ("--jobs", 0, "--jobs"),
         ("--tau", 0, "'tau'"),
         ("--tau", "inf", "'tau'"),
     ])
@@ -499,6 +550,29 @@ class TestRanges:
                     "--out-layouts", t / "layouts", "--config", _cfg(t), flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("value", [[1, 1, 2], []], ids=["repeated", "empty"])
+    def test_augmentable_classes_out_of_range_exit_2(self, fixture_dataset, capsys, value):
+        """A repeated class would get a double share of the uniform prior,
+        and an empty list leaves nothing to place."""
+        t = fixture_dataset
+        cfg = t / "bad_config.json"
+        cfg.write_text(json.dumps({"augmentable_classes": value}))
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: config: 'augmentable_classes' must be ")
+        assert not (t / "model.json").exists()
+
+    def test_frequency_prior_without_samples_exit_2(self, fixture_dataset, capsys):
+        t = fixture_dataset
+        cfg = t / "prior_config.json"
+        cfg.write_text(json.dumps({"augmentable_classes": [9], "class_prior": "frequency"}))
+        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: class_prior 'frequency': augmentable classes [9] ")
+        assert not (t / "model.json").exists()
 
     def test_model_config_out_of_range_exit_2(self, fixture_dataset, capsys):
         t = fixture_dataset
@@ -724,6 +798,14 @@ def test_frame_size_below_one_exit_2(fixture_dataset, capsys, command, width, he
     assert e.value.code == 2
     assert f"argument {named}: must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-4", "0"])
+def test_jobs_below_one_exit_2(capsys, value):
+    with pytest.raises(SystemExit) as e:
+        main(["augment", "a.json", "--model", "m.json", "--out-layouts", "l", "--jobs", value])
+    assert e.value.code == 2
+    assert "argument --jobs: must be an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -329,8 +329,9 @@ class TestFitModel:
         model, warnings = fit_model(
             frames_a + frames_b, lambda f: grids[f.frame_id], RunConfig(min_samples=30)
         )
-        assert model.class_model("camB", 1).fallback
-        assert not model.class_model("camA", 1).fallback
+        assert 1 not in model.cameras["camB"]
+        assert model.class_model("camB", 1) is model.cameras["*"][1]
+        assert model.class_model("camA", 1) is model.cameras["camA"][1]
         assert any("fallback" in w for w in warnings)
 
     def test_zero_disparity_samples_excluded_and_counted(self, rng):

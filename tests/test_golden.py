@@ -349,9 +349,9 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path):
 # larger frames, with bottom-centers (mapped to grid pixels) inside every
 # grid and off each edge and corner, so the depth probe's clipped window
 # holds 1, 2, 3, 4, 6 or 9 cells. Every grid cell is > 0, so no probe reads
-# disparity 0. Class 2 is scarce on camera "right" and falls back to the
-# pooled fit there.
-GOLDEN_FIT_SHA256 = "5c01a676e8021b0b2d3a21876c448b91a6ad5448ef2351954baffd1cf7bd5a45"
+# disparity 0. Class 2 is scarce on camera "right", which has no fit of its
+# own for it and uses the pooled fit.
+GOLDEN_FIT_SHA256 = "0fa87e359cf95ea8a47082349b5be4e53ad3c61014c0a6c11f2d48b29858e353"
 GOLDEN_EVAL_SHA256 = "b365bb552d2acacdfb970f5adadef7540cc90aa1933dd21001626e6ef746f640"
 
 # (frame id, camera, frame width, frame height, grid width, grid height)
@@ -442,8 +442,9 @@ def test_golden_fit_dataset_exercises_windows_cameras_and_fallback(tmp_path):
     assert sizes == {1, 2, 3, 4, 6, 9}
     model = dataset_io.load_model(tmp_path / "model.json")
     assert set(model.cameras) == {"left", "right", "*"}
-    assert model.cameras["right"][2].fallback
-    assert not model.cameras["left"][2].fallback
+    assert 2 not in model.cameras["right"]
+    assert model.class_model("right", 2) is model.cameras["*"][2]
+    assert 2 in model.cameras["left"]
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["n_proposals"] > 0
     assert all(c["ks_depth"] is not None for c in report["per_class"])

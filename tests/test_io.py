@@ -486,8 +486,8 @@ def malformed_model_docs(draw):
         return draw(st.sampled_from(WRONG_TYPE[dict]))
     *parent_path, key = path
     parent = functools.reduce(operator.getitem, parent_path, doc)
-    # camera and class entries may come and go; config fields and fallback have defaults
-    optional = (parent_path[:1] == ["config"] or key == "fallback"
+    # camera and class entries may come and go; config fields have defaults
+    optional = (parent_path[:1] == ["config"]
                 or parent_path[:1] == ["cameras"] and len(parent_path) <= 2)
     if type(parent) is dict and not optional and draw(st.booleans()):
         del parent[key]

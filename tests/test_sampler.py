@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scene_placer.config import RunConfig
-from scene_placer.errors import MaxAttemptsExceeded, UnknownClass
+from scene_placer.errors import EmptyDrivableSpace, MaxAttemptsExceeded, UnknownClass
 from scene_placer.fitting import Histogram
+from scene_placer.geometry import closest_allowed_depth, in_band, placement_band
 from scene_placer.sampler import (
     augment_frame,
     propose,
@@ -94,6 +97,39 @@ class TestSampleLocation:
         x, y, d_eff = sample_location(scene, 100.0, 2.0, rng)
         assert d_eff == 20.0
         assert (x, y) == (1, 0)
+
+
+@st.composite
+def reset_cases(draw):
+    """Small grids of float32 disparities, any mask (also all False), d
+    anywhere from past both ends of the grid's range to infinity, tau > 0."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    depth = draw(hnp.arrays(np.float32, (h, w), elements=st.floats(0, 100, width=32)))
+    mask = draw(hnp.arrays(np.bool_, (h, w)))
+    d = draw(st.floats(-200, 200) | st.sampled_from([np.inf, -np.inf]))
+    tau = draw(st.floats(0, 50, exclude_min=True))
+    return depth, mask, d, tau
+
+
+class TestDepthReset:
+    @settings(max_examples=300, deadline=None)
+    @given(case=reset_cases())
+    def test_band_at_the_reset_depth_is_never_empty(self, case):
+        """The reset depth v is read from a drivable pixel, and that pixel
+        passes the band test at v: |v - float32(v)| = 0 <= float32(tau). So
+        the one empty-space error is closest_allowed_depth's, on a mask with
+        no drivable pixel."""
+        depth, mask, d, tau = case
+        scene = make_scene(depth, mask)
+        rng = np.random.default_rng(0)
+        if not mask.any():
+            with pytest.raises(EmptyDrivableSpace):
+                sample_location(scene, d, tau, rng)
+            return
+        d_reset = closest_allowed_depth(scene.band_index, d)
+        assert len(placement_band(scene.band_index, d_reset, tau)) > 0
+        x, y, d_eff = sample_location(scene, d, tau, rng)
+        assert in_band(depth[y, x], mask[y, x], d_eff, tau)
 
 
 class TestSampleHeight:
