@@ -127,8 +127,11 @@ def cmd_eval(args) -> int:
     augs = [dataset_io.load_layout(os.path.join(args.layouts, name))
             for name in sorted(os.listdir(args.layouts)) if name.endswith(".json")]
     grids = _Grids(cfg, args.depth_dir, args.semantic_dir)
-    scenes = {fr.frame_id: grids.scene(fr) for fr in frames if fr.has_grids}
-    report = layout_report(frames, augs, scenes, model, cfg.tau)
+    laid_out = {aug.frame_id for aug in augs}
+    scenes = {fr.frame_id: grids.scene(fr) for fr in frames
+              if fr.has_grids and fr.frame_id in laid_out}
+    report = layout_report(frames, lambda fr: None if fr.depth_path is None else grids.depth(fr),
+                           augs, scenes, model, cfg.tau)
     dataset_io.save_report(report, json_path=args.out_report, text_path=args.out_text)
     print(report.to_text(), end="")
     return 0

@@ -4,7 +4,7 @@ sampled layouts, band validity, and class-frequency fit.
 Both sides are compared as columns of class id, disparity, height and w/h.
 The real side comes from `fitting.object_columns`, the reading the fit uses:
 each box's bottom-center is mapped to grid pixels by the frame-to-grid scale
-and probed on the depth grid of its frame's scene.
+and probed on its frame's depth grid.
 """
 
 from __future__ import annotations
@@ -83,16 +83,16 @@ def _anchor_band_valid(scene: SceneContext, prop: PlacementProposal, tau: float)
                              prop.d_effective, tau)))
 
 
-def layout_report(real_frames, augmentations, scenes, model: LocationModel,
+def layout_report(real_frames, depth_of, augmentations, scenes, model: LocationModel,
                   tau: float) -> LayoutReport:
     """Compare sampled layouts against real layout statistics.
 
-    real_frames: AnnotatedFrames; augmentations: FrameAugmentation list;
-    scenes: frame_id -> SceneContext. A real frame without a scene has no
-    disparities; a proposal of a frame without one is not band-valid.
+    real_frames: AnnotatedFrames, read as `fit_model` reads them, through
+    `object_columns` and `depth_of` (None: no disparities); augmentations:
+    FrameAugmentation list; scenes: frame_id -> SceneContext. A proposal of
+    a frame without a scene is not band-valid.
     """
-    real = object_columns(list(real_frames), lambda fr: scenes[fr.frame_id].depth
-                          if fr.frame_id in scenes else None)
+    real = object_columns(list(real_frames), depth_of)
     props = [(p, scenes.get(aug.frame_id)) for aug in augmentations for p in aug.proposals]
     proposed = (np.array([p.class_id for p, _ in props], np.int64),
                 np.array([p.d_effective for p, _ in props], np.float64),

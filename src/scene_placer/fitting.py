@@ -2,9 +2,10 @@
 
 Per (camera, class) we fit: a log-normal over object disparities, power
 curves a + b * x**c interpolating the log-height mean/std across disparity
-windows, and an empirical aspect-ratio histogram. A camera keeps only the
-classes it has enough samples of; `LocationModel.class_model` gives it the
-fit pooled over all cameras (the "*" entry) for any other.
+windows, and an empirical aspect-ratio histogram. A camera has an entry
+only for the classes it has enough samples of; `LocationModel.class_model`
+gives it the fit pooled over all cameras (the reserved "*" entry) for any
+other. The class prior draws only classes with a pooled fit.
 
 An object's disparity is read by `object_depth` from the depth grid at its
 box's bottom-center, mapped from frame to grid pixels by the frame-to-grid
@@ -330,19 +331,20 @@ def fit_model(dataset, depth_of, config: RunConfig):
     """Fit a LocationModel from annotated frames.
 
     depth_of maps an AnnotatedFrame to its DepthGrid; the boxes are read
-    through object_columns. Returns (model, warnings): boxes whose
-    probe reads disparity <= 0 are left out and counted per class; a class
-    below min_samples on a camera gets no fit of its own there, so the camera
-    uses the all-camera pooled fit; classes below min_samples overall are
-    excluded. Counts, pooled fallbacks and exclusions are
-    reported in the warnings list. Each class is fitted on its boxes in frame
-    order (frames sorted by id as strings).
+    through object_columns. Returns (model, warnings): boxes on disparity
+    <= 0 and classes below min_samples overall are left out; a camera has an
+    entry only for the classes it has min_samples of. The prior draws the
+    augmentable classes (all fitted ones when None); InsufficientData names
+    any without a fit. Warnings give counts, fallbacks and exclusions. Each
+    class is fitted on its boxes in frame order (frames sorted by str(id)).
     """
     if not dataset:
         raise InsufficientData("empty dataset")
     frames = sorted(dataset, key=lambda f: str(f.frame_id))
-    class_ids, depths, heights, ratios = object_columns(frames, depth_of)
     camera_ids = sorted({fr.camera_id for fr in frames}, key=str)
+    if "*" in camera_ids:
+        raise ValueError("camera id '*' is reserved for the fits pooled over all cameras")
+    class_ids, depths, heights, ratios = object_columns(frames, depth_of)
     camera_of = np.repeat([camera_ids.index(fr.camera_id) for fr in frames],
                           [fr.class_ids.size for fr in frames])
     kept = depths > 0  # the log-normal depth fit has no place for log(0)
@@ -352,7 +354,6 @@ def fit_model(dataset, depth_of, config: RunConfig):
 
     warnings = []
     pooled_models = {}
-    n_kept = {}  # class -> samples left in the fit
     # sorted(set()), not np.unique: its first call in a process imports numpy.ma (5 ms)
     for class_id in sorted(set(class_ids.tolist())):
         of_class = class_ids == class_id
@@ -360,52 +361,42 @@ def fit_model(dataset, depth_of, config: RunConfig):
         if n_bad:
             warnings.append(f"class {class_id}: {n_bad} samples on"
                             f" disparity <= 0, excluded from the fit")
-        n_kept[class_id] = int(np.count_nonzero(of_class & kept))
-        if n_kept[class_id] < config.min_samples:
-            warnings.append(
-                f"class {class_id}: only {n_kept[class_id]} samples overall, excluded"
-            )
+        n_kept = int(np.count_nonzero(of_class & kept))
+        if n_kept < config.min_samples:
+            warnings.append(f"class {class_id}: only {n_kept} samples overall, excluded")
             continue
         pooled_models[class_id] = fit(class_id, of_class & kept)
+
+    prior_classes = tuple(sorted(pooled_models if config.augmentable_classes is None
+                                 else config.augmentable_classes))
+    if not prior_classes:
+        raise InsufficientData("no class has enough samples to fit")
+    unfitted = [c for c in prior_classes if c not in pooled_models]
+    if unfitted:
+        raise InsufficientData(f"augmentable classes {unfitted} have no fit: fewer than"
+                               f" min_samples={config.min_samples} samples overall")
+    counts = np.array([pooled_models[c].sample_count if config.class_prior == "frequency"
+                       else 1 for c in prior_classes], dtype=np.float64)
 
     cameras = {}
     for k, camera_id in enumerate(camera_ids):
         on_camera = kept & (camera_of == k)
-        if not on_camera.any():
-            continue
-        cam_models = {}
         for class_id in sorted(set(class_ids[on_camera].tolist())):
             sel = on_camera & (class_ids == class_id)
             n = int(np.count_nonzero(sel))
             if n >= config.min_samples:
-                cam_models[class_id] = fit(class_id, sel)
+                cameras.setdefault(camera_id, {})[class_id] = fit(class_id, sel)
             elif class_id in pooled_models:  # class_model finds the pooled fit
                 warnings.append(
                     f"camera {camera_id} class {class_id}: {n} samples,"
                     f" using pooled fallback"
                 )
             # else: already warned at pooled level
-        cameras[camera_id] = cam_models
     cameras["*"] = pooled_models  # for every camera without its own fit of a class
-
-    if config.augmentable_classes is not None:
-        prior_classes = tuple(sorted(config.augmentable_classes))
-    else:
-        prior_classes = tuple(sorted(pooled_models))
-    if not prior_classes:
-        raise InsufficientData("no class has enough samples to fit")
-    if config.class_prior == "frequency":
-        counts = np.array([n_kept.get(c, 0) for c in prior_classes], dtype=np.float64)
-        if not counts.any():
-            raise InsufficientData(f"class_prior 'frequency': augmentable classes"
-                                   f" {list(prior_classes)} have no sample in the fit")
-        probs = counts / counts.sum()
-    else:
-        probs = np.full(len(prior_classes), 1.0 / len(prior_classes))
 
     model = LocationModel(
         cameras=cameras,
-        class_prior=probs,
+        class_prior=counts / counts.sum(),
         prior_classes=prior_classes,
         config=config,
     )

@@ -208,8 +208,8 @@ def test_criterion_5_baseline_separation():
                            for i in range(100)],
                 dropped=0,
             ))
-        aware = layout_report([], aware_augs, scenes, model, 5.0)
-        rand = layout_report([], rand_augs, scenes, model, 5.0)
+        aware = layout_report([], None, aware_augs, scenes, model, 5.0)
+        rand = layout_report([], None, rand_augs, scenes, model, 5.0)
         assert aware.band_validity == 1.0
         assert rand.band_validity < 0.5
 

@@ -100,6 +100,19 @@ class TestFit:
         for cid, n in rear_counts.items():
             assert f"warning: camera rear class {cid}: {n} samples, using pooled fallback" in err
 
+    def test_camera_named_like_the_pooled_fits_exit_2(self, fixture_dataset, capsys):
+        """A model's camera "*" holds the pooled fits, so a real camera of
+        that name would lose its own fits to them."""
+        t = fixture_dataset
+        doc = json.loads((t / "annotations.json").read_text())
+        doc["images"][5]["camera"] = "*"
+        (t / "star.json").write_text(json.dumps(doc))
+        assert run(["fit", t / "star.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 2
+        assert capsys.readouterr().err == \
+            "error: camera id '*' is reserved for the fits pooled over all cameras\n"
+        assert not (t / "model.json").exists()
+
 
 def _rear_camera(t):
     """The fixture's annotations with frame 5 on its own camera "rear", whose
@@ -166,7 +179,7 @@ class TestAugment:
                     "--config", _cfg(t)]) == 0
         doc = json.loads((t / "model.json").read_text())
         cameras = doc["cameras"]
-        assert cameras["rear"] == {}
+        assert "rear" not in cameras
         for cam, classes in cameras.items():
             for rec in classes.values():
                 rec["fallback"] = cam == "*"
@@ -330,6 +343,93 @@ class TestEvalRender:
     def test_missing_layout_exit_2(self, tmp_path):
         assert run(["render", tmp_path / "nope.json", "--width", 10,
                     "--height", 10, "--out", tmp_path / "o.ppm"]) == 2
+
+    def test_eval_reads_real_boxes_as_fit_does(self, fixture_dataset, monkeypatch):
+        """Every real box with a depth grid has a disparity in eval, as in
+        fit, whether or not its frame has a semantic map; eval reads a label
+        grid only for a frame that has a layout."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        (t / "some").mkdir()
+        for fid in (0, 1, 2):
+            (t / "some" / f"{fid}.json").write_bytes((t / "layouts" / f"{fid}.json").read_bytes())
+        doc = json.loads((t / "annotations.json").read_text())
+        for im in doc["images"][3:]:
+            del im["semantic_path"]
+        (t / "no_semantic.json").write_text(json.dumps(doc))
+        label_reads = []
+        read = dataset_io.read_label_grid
+        monkeypatch.setattr(dataset_io, "read_label_grid",
+                            lambda *a: label_reads.append(a) or read(*a))
+        for name in ("annotations", "no_semantic"):
+            label_reads.clear()
+            assert run(["eval", t / f"{name}.json", "--model", t / "model.json",
+                        "--layouts", t / "some", "--depth-dir", t / "depth",
+                        "--semantic-dir", t / "semantic", "--config", _cfg(t),
+                        "--out-report", t / f"{name}_report.json"]) == 0
+            assert len(label_reads) == 3
+        report = (t / "annotations_report.json").read_bytes()
+        assert (t / "no_semantic_report.json").read_bytes() == report
+        assert all(c["ks_depth"] is not None for c in json.loads(report)["per_class"])
+
+
+class TestFramesWithoutGrids:
+    """A frame may lack a depth path or a semantic path: fit needs every
+    frame's depth, augment skips a frame without both grids, and eval reads
+    the real boxes of a frame without depth for all but ks_depth."""
+
+    @staticmethod
+    def _without(t, fid, key, name):
+        doc = json.loads((t / "annotations.json").read_text())
+        del doc["images"][fid][key]
+        path = t / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_fit_names_a_frame_without_depth_exit_2(self, fixture_dataset, capsys):
+        t = fixture_dataset
+        ann = self._without(t, 3, "depth_path", "no_depth")
+        assert run(["fit", ann, "--depth-dir", t / "depth", "--out-model", t / "model.json",
+                    "--config", _cfg(t)]) == 2
+        assert capsys.readouterr().err == "error: frame 3 has no depth path\n"
+        assert not (t / "model.json").exists()
+
+    def test_augment_skips_a_frame_without_semantics(self, fixture_dataset, capsys):
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        ann = self._without(t, 3, "semantic_path", "no_semantic")
+        capsys.readouterr()
+        assert run(["augment", ann, "--model", t / "model.json", "--depth-dir", t / "depth",
+                    "--semantic-dir", t / "semantic", "--config", _cfg(t), "--seed", 7,
+                    "--out-layouts", t / "skipped"]) == 0
+        assert capsys.readouterr().out.startswith("augmented 5 frames (1 skipped, ")
+        assert sorted(os.listdir(t / "skipped")) == [f"{fid}.json" for fid in (0, 1, 2, 4, 5)]
+        for name in os.listdir(t / "skipped"):
+            assert (t / "skipped" / name).read_bytes() == (t / "layouts" / name).read_bytes()
+
+    def test_eval_counts_a_frame_without_depth_in_all_but_ks_depth(self, fixture_dataset):
+        """Against the full annotations, frame 3's boxes keep n_real,
+        ks_height and ks_aspect; ks_depth is that of the annotations
+        without frame 3."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "annotations.json").read_text())
+        del doc["images"][3]
+        (t / "no_frame.json").write_text(json.dumps(doc))
+        reports = {}
+        for ann in (t / "annotations.json", self._without(t, 3, "depth_path", "no_depth"),
+                    t / "no_frame.json"):
+            assert run(["eval", ann, "--model", t / "model.json", "--layouts", t / "layouts",
+                        "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                        "--config", _cfg(t), "--out-report", t / "report.json"]) == 0
+            reports[ann.stem] = json.loads((t / "report.json").read_text())
+        full, no_depth, no_frame = reports["annotations"], reports["no_depth"], reports["no_frame"]
+        assert no_depth["n_real"] == full["n_real"] > no_frame["n_real"]
+        for got, want, without in zip(no_depth["per_class"], full["per_class"],
+                                      no_frame["per_class"]):
+            assert got["n_real"] == want["n_real"]
+            assert (got["ks_height"], got["ks_aspect"]) == (want["ks_height"], want["ks_aspect"])
+            assert got["ks_depth"] == without["ks_depth"] != want["ks_depth"]
 
 
 class TestRefine:
@@ -571,7 +671,7 @@ class TestRanges:
         assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
                     "--out-model", t / "model.json", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: class_prior 'frequency': augmentable classes [9] ")
+        assert err.startswith("error: augmentable classes [9] have no fit: ")
         assert not (t / "model.json").exists()
 
     def test_model_config_out_of_range_exit_2(self, fixture_dataset, capsys):
@@ -607,18 +707,17 @@ class TestModelChecks:
         assert err.startswith("error: ") and "class_prior" in err
 
     def test_augmentable_class_without_fit_exit_2(self, fixture_dataset, capsys):
+        """fit writes no model whose prior draws a class it did not fit."""
         t = fixture_dataset
         cfg = t / "prior_config.json"
         cfg.write_text(json.dumps({"min_samples": 10, "min_window_count": 2,
                                    "drivable_classes": [1], "augmentable_classes": [1, 99]}))
         assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
-                    "--out-model", t / "model.json", "--config", cfg]) == 0
-        capsys.readouterr()
-        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
-                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
-                    "--out-layouts", t / "layouts", "--config", cfg]) == 2
-        assert "no fitted model for class 99" in capsys.readouterr().err
-
+                    "--out-model", t / "model.json", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: augmentable classes [99] have no fit:"
+                       " fewer than min_samples=10 samples overall\n")
+        assert not (t / "model.json").exists()
 
     @pytest.mark.parametrize("mutate, named", [
         (lambda d: [d], "top level"),

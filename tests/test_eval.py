@@ -63,7 +63,7 @@ class TestKsStatistic:
 
 class TestLayoutReport:
     def test_empty_proposals(self):
-        report = layout_report([], [], {}, make_model([make_class_model()]), 5.0)
+        report = layout_report([], None, [], {}, make_model([make_class_model()]), 5.0)
         assert report.n_proposals == 0
         assert report.band_validity is None
         assert report.chi_square is None
@@ -87,7 +87,8 @@ class TestLayoutReport:
             for f in frames
         }
         real_scenes["big"] = scene
-        report = layout_report(frames, augs, real_scenes, model, 5.0)
+        report = layout_report(frames, lambda f: real_scenes[f.frame_id].depth, augs, real_scenes,
+                               model, 5.0)
         stats = [s for s in report.per_class if s.class_id == 1][0]
         assert stats.comparable
         assert stats.ks_depth < 0.05
@@ -109,8 +110,8 @@ class TestLayoutReport:
                       for i in range(500)]
         rand = FrameAugmentation(frame_id="s", proposals=rand_props, dropped=0)
         scenes = {"s": scene}
-        r_aware = layout_report([], [aware], scenes, model, 5.0)
-        r_rand = layout_report([], [rand], scenes, model, 5.0)
+        r_aware = layout_report([], None, [aware], scenes, model, 5.0)
+        r_rand = layout_report([], None, [rand], scenes, model, 5.0)
         assert r_aware.band_validity == 1.0
         assert r_rand.band_validity < 0.5
 
@@ -122,7 +123,7 @@ class TestLayoutReport:
             frame_id="g", camera_id="default", width=100, height=100,
             class_ids=[9], boxes=[[5, 9, 3, 4]],
         )]
-        report = layout_report(real, [aug], {"f": scene}, model, 5.0)
+        report = layout_report(real, lambda f: None, [aug], {"f": scene}, model, 5.0)
         flags = {s.class_id: s.comparable for s in report.per_class}
         assert flags == {1: False, 9: False}
 
@@ -130,7 +131,7 @@ class TestLayoutReport:
         model = make_model([make_class_model(class_id=1)])
         scene = open_scene(side=32, frame_scale=40)
         aug = augment_frame(scene, model, "f", RunConfig(min_visible_frac=0.0, n_objects=5))
-        report = layout_report([], [aug], {"f": scene}, model, 5.0)
+        report = layout_report([], None, [aug], {"f": scene}, model, 5.0)
         doc = report.to_json()
         assert doc["n_proposals"] == len(aug.proposals)
         assert set(doc["per_class"][0]) == {"class", "n_real", "n_proposed", "ks_depth",
@@ -150,12 +151,12 @@ def test_band_validity_uses_the_samplers_float32_band():
                              provenance=Provenance(index=0, attempts=1, anchor_px=(0, 0)))
     aug = FrameAugmentation(frame_id="f", proposals=[prop], dropped=0)
     model = make_model([make_class_model(class_id=1)])
-    assert layout_report([], [aug], {"f": scene}, model, 5.0).band_validity == 1.0
+    assert layout_report([], None, [aug], {"f": scene}, model, 5.0).band_validity == 1.0
 
 
 def test_boxes_of_frames_without_a_scene_count_everywhere_but_ks_depth():
-    """Frame "a" has a scene (a 6x4 row-graded grid under a 60x40 frame);
-    frame "b" has none. Every real box counts in n_real, ks_height and
+    """Frame "a" has a scene and a depth grid (a 6x4 row-graded grid under a
+    60x40 frame); frame "b" has neither. Every real box counts in n_real, ks_height and
     ks_aspect, but only the boxes of "a" have a disparity for ks_depth, read
     at the grid row each box stands on. Class 2 stands only on "b", so it
     gets no ks_depth."""
@@ -174,7 +175,8 @@ def test_boxes_of_frames_without_a_scene_count_everywhere_but_ks_depth():
                                                       (2, 3.0, 0, 1, 2, 2)])]
     aug = FrameAugmentation(frame_id="a", proposals=props, dropped=0)
     model = make_model([make_class_model(class_id=1), make_class_model(class_id=2)])
-    report = layout_report(real, [aug], {"a": scene}, model, 5.0)
+    report = layout_report(real, lambda f: scene.depth if f.frame_id == "a" else None,
+                           [aug], {"a": scene}, model, 5.0)
     one, two = report.per_class
     assert (report.n_real, one.n_real, two.n_real) == (5, 3, 2)
     assert (one.n_proposed, two.n_proposed) == (3, 2)

@@ -329,7 +329,7 @@ class TestFitModel:
         model, warnings = fit_model(
             frames_a + frames_b, lambda f: grids[f.frame_id], RunConfig(min_samples=30)
         )
-        assert 1 not in model.cameras["camB"]
+        assert "camB" not in model.cameras
         assert model.class_model("camB", 1) is model.cameras["*"][1]
         assert model.class_model("camA", 1) is model.cameras["camA"][1]
         assert any("fallback" in w for w in warnings)
@@ -357,6 +357,36 @@ class TestFitModel:
             "class 2: 40 samples on disparity <= 0, excluded from the fit",
             "class 2: only 0 samples overall, excluded",
         ]
+
+    def test_augmentable_class_below_min_samples_raises_naming_it(self, rng):
+        """The prior draws only fitted classes: class 2, 5 samples short of
+        min_samples, and class 9, with none, are named; class 1 is not."""
+        frames, lookup = synthetic_dataset([make_class_model(class_id=1)], 40, rng)
+        few = AnnotatedFrame(frame_id="few", camera_id="cam0", width=64, height=64,
+                             class_ids=[2] * 5, boxes=[[32.0, 48.0, 4.0, 8.0]] * 5)
+        grid = DepthGrid(np.full((8, 8), 10.0, np.float32))
+        cfg = RunConfig(min_samples=10, augmentable_classes=[9, 1, 2])
+        with pytest.raises(InsufficientData, match=r"^augmentable classes \[2, 9\] have no"
+                                                   r" fit: fewer than min_samples=10 "):
+            fit_model(frames + [few], lambda f: grid if f is few else lookup(f), cfg)
+
+    @pytest.mark.parametrize("augmentable", [None, [2, 1]])
+    def test_frequency_prior_is_the_pooled_sample_share(self, augmentable):
+        """Each prior class's probability is its pooled fit's share of the
+        samples: class 1's boxes on disparity 0 are not counted, and class
+        3, below min_samples, has no share."""
+        # (class, boxes, disparity) per frame
+        specs = [(1, 12, 10.0), (2, 30, 20.0), (3, 3, 15.0), (1, 4, 0.0)]
+        frames = [AnnotatedFrame(frame_id=str(i), camera_id="cam0", width=64, height=64,
+                                 class_ids=[c] * n, boxes=[[32.0, 48.0, 4.0, 8.0]] * n)
+                  for i, (c, n, _) in enumerate(specs)]
+        grid_of = {str(i): DepthGrid(np.full((8, 8), d, np.float32))
+                   for i, (_, _, d) in enumerate(specs)}
+        cfg = RunConfig(class_prior="frequency", min_samples=5, augmentable_classes=augmentable)
+        model, _ = fit_model(frames, lambda f: grid_of[f.frame_id], cfg)
+        assert model.prior_classes == (1, 2)
+        assert [model.cameras["*"][c].sample_count for c in (1, 2)] == [12, 30]
+        assert model.class_prior.tolist() == [12 / 42, 30 / 42]
 
     def test_empty_dataset(self):
         with pytest.raises(InsufficientData):

@@ -169,8 +169,8 @@ def test_band_index_is_built_once_per_augmented_frame_and_never_by_eval(tmp_path
     grids = _Grids(run_cfg, tmp_path / "depth", tmp_path / "semantic")
     scenes = {fr.frame_id: grids.scene(fr) for fr in frames}
     augs = [dataset_io.load_layout(out / f"{fr.frame_id}.json") for fr in frames]
-    report = layout_report(frames, augs, scenes, dataset_io.load_model(tmp_path / "model.json"),
-                           run_cfg.tau)
+    report = layout_report(frames, grids.depth, augs, scenes,
+                           dataset_io.load_model(tmp_path / "model.json"), run_cfg.tau)
     assert report.band_validity == 1.0
     assert not any("band_index" in vars(scene) for scene in scenes.values())
     assert built == []
