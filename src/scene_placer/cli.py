@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import dataset_io
 from .config import RunConfig
-from .errors import DimensionMismatch, InvalidBox, ScenePlacerError
+from .errors import DimensionMismatch, EmptyDrivableSpace, ScenePlacerError
 from .evaluate import layout_report
 from .fitting import fit_model
 from .geometry import BBox, DepthGrid, drivable_mask, grid_scale
@@ -61,8 +61,14 @@ class _Grids:
         if path not in self._drivable:
             self._drivable[path] = drivable_mask(dataset_io.read_label_grid(path),
                                                  self.cfg.drivable_classes)
-        return SceneContext(frame_w=frame.width, frame_h=frame.height, camera_id=frame.camera_id,
-                            depth=depth, drivable=self._drivable[path])
+        try:
+            return SceneContext(frame_w=frame.width, frame_h=frame.height,
+                                camera_id=frame.camera_id, depth=depth,
+                                drivable=self._drivable[path])
+        except DimensionMismatch as e:
+            raise DimensionMismatch(f"frame {frame.frame_id}: {e}: depth"
+                                    f" {_resolve(self.depth_dir, frame.depth_path)},"
+                                    f" labels {path}") from None
 
 
 def cmd_fit(args) -> int:
@@ -81,7 +87,11 @@ def cmd_fit(args) -> int:
 def _augment_one(frame, model, cfg, args):
     # a reader per frame, so the frame's grids are freed when it is done
     scene = _Grids(cfg, args.depth_dir, args.semantic_dir).scene(frame)
-    aug = augment_frame(scene, model, frame.frame_id, cfg)
+    try:
+        aug = augment_frame(scene, model, frame.frame_id, cfg)
+    except EmptyDrivableSpace as e:
+        raise EmptyDrivableSpace(f"frame {frame.frame_id}: {e} of the drivable classes"
+                                 f" {cfg.drivable_classes}") from None
     if args.masks_dir:  # named here, read by `refine`: a mask may not exist yet
         aug.proposals = [replace(p, mask_path=os.path.join(
             args.masks_dir, f"{aug.frame_id}_{p.provenance.index}.pgm")) for p in aug.proposals]
@@ -111,10 +121,11 @@ def cmd_augment(args) -> int:
 def cmd_refine(args) -> int:
     cfg = _load_config(args)
     aug = dataset_io.load_layout(args.layout)
-    try:
-        aug = refine_layout(aug, args.width, args.height, cfg.min_visible_composite)
-    except InvalidBox as e:
-        raise InvalidBox(f"{args.layout}: {e}") from None
+    given = (args.width or aug.frame[0], args.height or aug.frame[1])
+    if given != aug.frame:
+        raise ScenePlacerError(f"{args.layout}: --width/--height give a {given[0]}x{given[1]}"
+                               f" frame, the layout's is {aug.frame[0]}x{aug.frame[1]}")
+    aug = refine_layout(aug, cfg.min_visible_composite)
     dataset_io.save_layout(aug, args.out)
     print(f"refined layout: {len(aug.proposals)} proposals kept, {aug.dropped} dropped")
     return 0
@@ -144,8 +155,7 @@ def cmd_render(args) -> int:
         for fr in dataset_io.read_annotations(args.annotations):
             if fr.frame_id == aug.frame_id:
                 real_boxes = [BBox(*row) for row in fr.boxes.tolist()]
-    dataset_io.render_overlay(args.width, args.height, real_boxes,
-                              [p.box for p in aug.proposals], args.out)
+    dataset_io.render_overlay(*aug.frame, real_boxes, [p.box for p in aug.proposals], args.out)
     return 0
 
 
@@ -159,7 +169,7 @@ def _class_list(text: str) -> list[int]:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --jobs and --width/--height: an integer >= 1."""
+    """argparse type of --jobs and of refine's --width/--height: an integer >= 1."""
     try:
         if int(text) >= 1:
             return int(text)
@@ -216,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="mask-based box refinement of a layout")
     _add_flags(p, "--config")
     p.add_argument("layout")
-    p.add_argument("--width", type=_positive_int, required=True)
-    p.add_argument("--height", type=_positive_int, required=True)
+    p.add_argument("--width", type=_positive_int, help="must equal the layout's frame width")
+    p.add_argument("--height", type=_positive_int, help="must equal the layout's frame height")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 
@@ -235,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a layout overlay PPM")
     p.add_argument("layout")
     p.add_argument("--annotations")
-    p.add_argument("--width", type=_positive_int, required=True)
-    p.add_argument("--height", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 

@@ -29,7 +29,7 @@ from .fitting import (
     MODEL_SCHEMA_VERSION,
     PowerCurve,
 )
-from .geometry import BBox, DepthGrid, LabelGrid, _frozen_array
+from .geometry import BBox, DepthGrid, LabelGrid, PatchRect, _frozen_array, meets_frame
 from .sampler import FrameAugmentation, PlacementProposal, Provenance
 
 
@@ -83,6 +83,9 @@ _NUMBERS = (lambda v: type(v) is list
 _BOX = (lambda v: _NUMBERS[0](v) and len(v) == 4 and v[2] > 0 and v[3] > 0,
         "a list of four finite numbers, the last two (width, height) > 0")
 _PIXEL = (lambda v: _INTS[0](v) and len(v) == 2, "a list of two integers")
+_FRAME = (lambda v: _PIXEL[0](v) and min(v) > 0, "a list of two integers > 0")
+_PATCH = (lambda v: _INTS[0](v) and len(v) == 3 and v[2] > 0,
+          "a list of three integers, the last (side) > 0")
 _MISSING = object()
 
 
@@ -376,7 +379,7 @@ def load_model(path) -> LocationModel:
 # ---------------------------------------------------------------------------
 # Augmented layouts
 
-LAYOUT_SCHEMA_VERSION = 2
+LAYOUT_SCHEMA_VERSION = 3
 _LAYOUT_SCHEMA = (lambda v: _INT[0](v) and v == LAYOUT_SCHEMA_VERSION, str(LAYOUT_SCHEMA_VERSION))
 
 
@@ -386,6 +389,7 @@ def save_layout(aug: FrameAugmentation, path):
     doc = {
         "schema": LAYOUT_SCHEMA_VERSION,
         "frame_id": aug.frame_id,
+        "frame": list(aug.frame),
         "proposals": [
             {
                 "index": p.provenance.index,
@@ -395,6 +399,7 @@ def save_layout(aug: FrameAugmentation, path):
                 "anchor": list(p.provenance.anchor_px),
                 "attempts": p.provenance.attempts,
                 "box": [p.box.cx, p.box.by, p.box.w, p.box.h],
+                "patch": [p.patch.x0, p.patch.y0, p.patch.side],
                 "show_prob": p.show_prob,
                 "mask": None if p.mask_path is None else os.path.relpath(p.mask_path, base),
             }
@@ -406,16 +411,20 @@ def save_layout(aug: FrameAugmentation, path):
 
 
 def load_layout(path) -> FrameAugmentation:
-    """The FrameAugmentation that save_layout wrote to `path`, every key checked."""
+    """The FrameAugmentation that save_layout wrote to `path`, every key
+    checked. Each proposal's box must meet the layout's frame and its patch
+    lie inside it, as augment writes them; a SchemaError names the file and
+    the proposal's index otherwise."""
     doc = _read_json(path)
     where = f"{path}: layout"
     _get(doc, "schema", _LAYOUT_SCHEMA, where)
+    frame_w, frame_h = _get(doc, "frame", _FRAME, where)
     base = os.path.dirname(path)
     proposals = []
     for i, rec in enumerate(_get(doc, "proposals", _LIST, where)):
         at = f"{path}: proposals[{i}]"
         mask = _get(rec, "mask", _PATH, at)
-        proposals.append(PlacementProposal(
+        p = PlacementProposal(
             class_id=_get_id(rec, "class", at),
             d=_get(rec, "d_sampled", _NUMBER, at),
             d_effective=_get(rec, "d", _NUMBER, at),
@@ -424,9 +433,18 @@ def load_layout(path) -> FrameAugmentation:
             provenance=Provenance(index=_get(rec, "index", _COUNT, at),
                                   attempts=_get(rec, "attempts", _SIZE, at),
                                   anchor_px=tuple(_get(rec, "anchor", _PIXEL, at))),
+            patch=PatchRect(*_get(rec, "patch", _PATCH, at)),
             mask_path=None if mask is None else os.path.normpath(os.path.join(base, mask)),
-        ))
-    return FrameAugmentation(frame_id=_get(doc, "frame_id", _STR, where),
+        )
+        x0, y0, side = rec["patch"]
+        inside = 0 <= x0 <= frame_w - side and 0 <= y0 <= frame_h - side
+        for ok, problem in ((meets_frame(p.box, frame_w, frame_h), "box does not intersect"),
+                            (inside, "patch does not lie inside")):
+            if not ok:
+                raise SchemaError(f"{path}: proposal {p.provenance.index}: {problem}"
+                                  f" the {frame_w}x{frame_h} frame")
+        proposals.append(p)
+    return FrameAugmentation(frame_id=_get(doc, "frame_id", _STR, where), frame=(frame_w, frame_h),
                              proposals=proposals, dropped=_get(doc, "dropped", _COUNT, where))
 
 

@@ -287,18 +287,12 @@ def _fit_class(class_id, depths, heights, ratios, config):
     depths = np.asarray(depths, dtype=np.float64)
     heights = np.asarray(heights, dtype=np.float64)
     depth_params = fit_lognormal(depths)
-    pairs = np.stack([depths, heights], axis=1)
-    profile = depth_height_profile(
-        pairs,
-        window=config.window,
-        stride=config.stride,
-        min_count=min(config.min_window_count, len(depths)),
-    )
-    if not profile:
-        # samples too spread out for the usual window occupancy threshold
-        profile = depth_height_profile(
-            pairs, window=config.window, stride=config.stride, min_count=1
-        )
+    profile = depth_height_profile(np.stack([depths, heights], axis=1), window=config.window,
+                                   stride=config.stride, min_count=1)
+    # the windows that reach the occupancy threshold, or every window when
+    # the samples are too spread out for any to reach it
+    threshold = min(config.min_window_count, len(depths))
+    profile = [w for w in profile if w[3] >= threshold] or profile
     try:  # centres are > 0; fewer than 3 windows raise InsufficientData
         mu_curve = fit_power_curve([(c, mu) for c, mu, _, _ in profile])
         sigma_curve = fit_power_curve([(c, sig) for c, _, sig, _ in profile])

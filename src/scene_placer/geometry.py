@@ -239,6 +239,11 @@ def closest_allowed_depth(index: BandIndex, d: float) -> float:
     return float(index.values[best])
 
 
+def meets_frame(box: BBox, frame_w: int, frame_h: int) -> bool:
+    """Whether the box shares area with the frame_w x frame_h frame."""
+    return box.x1 > 0 and box.x0 < frame_w and box.y1 > 0 and box.y0 < frame_h
+
+
 def crop_geometry(box: BBox, frame_w: int, frame_h: int) -> PatchRect:
     """Square inpainting patch around a box: side = round(2 * max(w, h)).
 
@@ -246,7 +251,7 @@ def crop_geometry(box: BBox, frame_w: int, frame_h: int) -> PatchRect:
     is shifted (never shrunk) back inside; only when the side exceeds a frame
     dimension is it clipped to fit.
     """
-    if box.x1 <= 0 or box.x0 >= frame_w or box.y1 <= 0 or box.y0 >= frame_h:
+    if not meets_frame(box, frame_w, frame_h):
         raise InvalidBox(f"box does not intersect the {frame_w}x{frame_h} frame")
     side = int(round(2.0 * max(box.w, box.h)))
     side = max(side, 1)

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from . import dataset_io
 from ._numpy import np
-from .errors import EmptyMask, InvalidBox
-from .geometry import BBox, PatchRect, crop_geometry
+from .errors import EmptyMask
+from .geometry import BBox, PatchRect
 from .sampler import FrameAugmentation
 
 
@@ -163,13 +163,9 @@ def _refine_one(p, frame_w: int, frame_h: int):
     """Proposal p refined to the tight box of its mask, with the mask's
     footprint; None when p has no mask file or its mask has no set bits. The
     full-resolution mask is freed on return."""
-    try:
-        patch = crop_geometry(p.box, frame_w, frame_h)
-    except InvalidBox as e:
-        raise InvalidBox(f"proposal {p.provenance.index}: {e}") from None
     if p.mask_path is None or not os.path.exists(p.mask_path):
         return None
-    mask = InstanceMask(bits=dataset_io.read_mask_pgm(p.mask_path), patch=patch)
+    mask = InstanceMask(bits=dataset_io.read_mask_pgm(p.mask_path), patch=p.patch)
     try:
         box = refine_bbox(mask)
     except EmptyMask:
@@ -177,19 +173,19 @@ def _refine_one(p, frame_w: int, frame_h: int):
     return replace(p, box=box), rasterize_mask(mask, frame_w, frame_h)
 
 
-def refine_layout(aug: FrameAugmentation, frame_w: int, frame_h: int,
-                  min_visible: float) -> FrameAugmentation:
+def refine_layout(aug: FrameAugmentation, min_visible: float) -> FrameAugmentation:
     """Refine each proposal to the tight box of its mask, composite the masked
     proposals far-to-near and drop those visible below min_visible.
 
-    Each proposal's mask is the file at its mask_path. Every proposal's box
-    must meet the frame (InvalidBox naming its index otherwise). A proposal
+    Each proposal's mask is the file at its mask_path, mapped into the
+    proposal's stored patch and clipped to the layout's frame. A proposal
     with no mask file, or an all-zero one, passes through unchanged and is not
     composited. Passed-through proposals come first, then the kept masked ones.
+    The patches do not move, so refining a refined layout changes nothing.
     """
     masked, footprints, passthrough = [], [], []
     for p in aug.proposals:
-        refined = _refine_one(p, frame_w, frame_h)
+        refined = _refine_one(p, *aug.frame)
         if refined is None:
             passthrough.append(p)
             continue
@@ -201,6 +197,7 @@ def refine_layout(aug: FrameAugmentation, frame_w: int, frame_h: int,
         kept, dropped = visibility_filter(plan, min_visible)
     return FrameAugmentation(
         frame_id=aug.frame_id,
+        frame=aug.frame,
         proposals=passthrough + [masked[i] for i in kept],
         dropped=aug.dropped + len(dropped),
     )

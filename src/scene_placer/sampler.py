@@ -25,7 +25,9 @@ from .geometry import (
     BBox,
     DepthGrid,
     DrivableMask,
+    PatchRect,
     closest_allowed_depth,
+    crop_geometry,
     grid_scale,
     placement_band,
 )
@@ -72,18 +74,24 @@ class Provenance:
 
 @dataclass(frozen=True)
 class PlacementProposal:
+    """One placed object. `patch` is the inpainting crop of the sampled box,
+    decided once when it is placed: its mask covers that patch, and `refine`
+    maps the mask there whatever `box` has become."""
+
     class_id: int
     d: float  # depth sampled from the model
     d_effective: float  # depth after the empty-band reset (equals d if no reset)
     box: BBox
     show_prob: float
     provenance: Provenance
+    patch: PatchRect
     mask_path: str | None = None
 
 
 @dataclass
 class FrameAugmentation:
     frame_id: str
+    frame: tuple  # (width, height) in pixels
     proposals: list
     dropped: int
 
@@ -177,13 +185,15 @@ def propose(
         box = scene.anchor_box(x, y, w, h)
         if _visible_fraction(box, scene.frame_w, scene.frame_h) < cfg.min_visible_frac:
             continue
+        box = _clip_box(box, scene.frame_w, scene.frame_h)
         return PlacementProposal(
             class_id=class_id,
             d=d,
             d_effective=d_eff,
-            box=_clip_box(box, scene.frame_w, scene.frame_h),
+            box=box,
             show_prob=cfg.show_prob,
             provenance=Provenance(index=index, attempts=attempt, anchor_px=(x, y)),
+            patch=crop_geometry(box, scene.frame_w, scene.frame_h),
         )
     raise MaxAttemptsExceeded(f"no visible proposal after {cfg.max_attempts} attempts")
 
@@ -204,4 +214,5 @@ def augment_frame(
             proposals.append(propose(scene, model, rng, cfg, index=i))
         except MaxAttemptsExceeded:
             dropped += 1
-    return FrameAugmentation(frame_id=frame_id, proposals=proposals, dropped=dropped)
+    return FrameAugmentation(frame_id=frame_id, frame=(scene.frame_w, scene.frame_h),
+                             proposals=proposals, dropped=dropped)

@@ -20,7 +20,7 @@ from scene_placer.fitting import (
     LogNormalParams,
     PowerCurve,
 )
-from scene_placer.geometry import DepthGrid, DrivableMask, LabelGrid, PixelSet
+from scene_placer.geometry import DepthGrid, DrivableMask, LabelGrid, PixelSet, crop_geometry
 from scene_placer.sampler import (
     PlacementProposal,
     Provenance,
@@ -182,6 +182,7 @@ def propose_random_location(scene: SceneContext, model: LocationModel,
         class_id=class_id, d=d, d_effective=d, box=scene.anchor_box(x, y, w, h),
         show_prob=cfg.show_prob,
         provenance=Provenance(index=0, attempts=1, anchor_px=(x, y)),
+        patch=crop_geometry(scene.anchor_box(x, y, w, h), scene.frame_w, scene.frame_h),
     )
 
 

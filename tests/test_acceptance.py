@@ -202,7 +202,7 @@ def test_criterion_5_baseline_separation():
             scenes[fid] = scene
             aware_augs.append(augment_frame(scene, model, fid, params.replace(n_objects=100, seed=5)))
             rand_augs.append(FrameAugmentation(
-                frame_id=fid,
+                frame_id=fid, frame=(scene.frame_w, scene.frame_h),
                 proposals=[propose_random_location(scene, model,
                                                    substream(6, fid, i), params)
                            for i in range(100)],

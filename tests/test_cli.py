@@ -14,7 +14,7 @@ import scene_placer
 from scene_placer import cli, dataset_io, fitting
 from scene_placer.cli import main
 from scene_placer.config import RunConfig
-from scene_placer.geometry import DepthGrid, LabelGrid
+from scene_placer.geometry import BBox, DepthGrid, LabelGrid, crop_geometry
 
 from conftest import write_depth_grid, write_label_grid, write_mask_pgm
 
@@ -161,12 +161,16 @@ class TestAugment:
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
         doc = json.loads((t / "layouts" / "0.json").read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
+        assert doc["frame"] == [48, 48]
         assert len(doc["proposals"]) + doc["dropped"] == 12
         for rec in doc["proposals"]:
             assert set(rec) == {"index", "class", "d_sampled", "d", "anchor", "attempts",
-                                "box", "show_prob", "mask"}
+                                "box", "patch", "show_prob", "mask"}
             assert rec["show_prob"] == 0.5
+            # the inpainting patch of the sampled (clipped) box
+            assert rec["patch"] == list(dataclasses.astuple(
+                crop_geometry(BBox(*rec["box"]), 48, 48)))
 
     def test_model_with_pooled_copies_gives_the_same_layouts(self, fixture_dataset):
         """A model in the older layout of the same schema, with the pooled fit
@@ -290,14 +294,29 @@ class TestEvalRender:
         assert report["band_validity"] is not None
 
         assert run(["render", t / "layouts" / "0.json",
-                    "--annotations", t / "annotations.json",
-                    "--width", 48, "--height", 48, "--out", t / "o.ppm"]) == 0
+                    "--annotations", t / "annotations.json", "--out", t / "o.ppm"]) == 0
         first = (t / "o.ppm").read_bytes()
         assert first.startswith(b"P6\n48 48\n255\n")
         assert run(["render", t / "layouts" / "0.json",
-                    "--annotations", t / "annotations.json",
-                    "--width", 48, "--height", 48, "--out", t / "o2.ppm"]) == 0
+                    "--annotations", t / "annotations.json", "--out", t / "o2.ppm"]) == 0
         assert first == (t / "o2.ppm").read_bytes()
+
+    def test_render_draws_on_the_layouts_frame(self, fixture_dataset):
+        """render takes the canvas size from the layout: a layout whose frame
+        is 64x56 gives the overlay render_overlay draws on a 64x56 canvas."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "layouts" / "0.json").read_text())
+        doc["frame"] = [64, 56]
+        (t / "wide.json").write_text(json.dumps(doc))
+        assert run(["render", t / "wide.json", "--out", t / "o.ppm"]) == 0
+        dataset_io.render_overlay(64, 56, [], [BBox(*r["box"]) for r in doc["proposals"]],
+                                  t / "want.ppm")
+        assert (t / "o.ppm").read_bytes() == (t / "want.ppm").read_bytes()
+        assert (t / "o.ppm").read_bytes().startswith(b"P6\n64 56\n255\n")
+        with pytest.raises(SystemExit) as e:  # the frame comes from the layout alone
+            main(["render", str(t / "wide.json"), "--width", "64", "--out", str(t / "o.ppm")])
+        assert e.value.code == 2
 
     def test_frames_sharing_grids_read_them_once(self, fixture_dataset, monkeypatch):
         """fit and eval read a grid file that frames share once; augment reads
@@ -341,8 +360,7 @@ class TestEvalRender:
             assert (t / f"shared_{out}").read_bytes() == (t / f"copies_{out}").read_bytes()
 
     def test_missing_layout_exit_2(self, tmp_path):
-        assert run(["render", tmp_path / "nope.json", "--width", 10,
-                    "--height", 10, "--out", tmp_path / "o.ppm"]) == 2
+        assert run(["render", tmp_path / "nope.json", "--out", tmp_path / "o.ppm"]) == 2
 
     def test_eval_reads_real_boxes_as_fit_does(self, fixture_dataset, monkeypatch):
         """Every real box with a depth grid has a disparity in eval, as in
@@ -493,15 +511,14 @@ class TestRefine:
         doc = json.loads((t / "layouts" / "0.json").read_text())
         write_mask_pgm(np.ones((16, 16), bool), t / "m.pgm")
         rec = doc["proposals"][0]
-        rec["mask"], rec["box"] = str(t / "m.pgm"), [30.0, 40.0, 4.0, 4.0]
+        rec["mask"], rec["box"] = str(t / "m.pgm"), [60.0, 40.0, 4.0, 4.0]
         layout_path = t / "masked_layout.json"
         layout_path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run(["refine", layout_path, "--width", 5, "--height", 5,
-                    "--out", t / "refined.json"]) == 2
+        assert run(["refine", layout_path, "--out", t / "refined.json"]) == 2
         assert capsys.readouterr().err == (
             f"error: {layout_path}: proposal {rec['index']}: "
-            "box does not intersect the 5x5 frame\n")
+            "box does not intersect the 48x48 frame\n")
         assert not (t / "refined.json").exists()
 
     def test_unmasked_box_outside_the_frame_names_layout_and_proposal(self, fixture_dataset,
@@ -513,16 +530,54 @@ class TestRefine:
         doc = json.loads((t / "layouts" / "0.json").read_text())
         rec = doc["proposals"][0]
         assert all(r["mask"] is None for r in doc["proposals"])
-        rec["box"] = [30.0, 40.0, 4.0, 4.0]
+        rec["box"] = [30.0, 60.0, 4.0, 4.0]
         layout_path = t / "unmasked_layout.json"
         layout_path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run(["refine", layout_path, "--width", 5, "--height", 5,
-                    "--out", t / "refined.json"]) == 2
+        assert run(["refine", layout_path, "--out", t / "refined.json"]) == 2
         assert capsys.readouterr().err == (
             f"error: {layout_path}: proposal {rec['index']}: "
-            "box does not intersect the 5x5 frame\n")
+            "box does not intersect the 48x48 frame\n")
         assert not (t / "refined.json").exists()
+
+    def test_frame_flags_only_check_the_layouts_frame(self, fixture_dataset, capsys):
+        """--width/--height, when given, must name the layout's own frame and
+        then change nothing; any other size exits 2 naming both."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        layout = t / "layouts" / "0.json"
+        assert run(["refine", layout, "--out", t / "plain.json"]) == 0
+        for flags in (["--width", 48, "--height", 48], ["--width", 48], ["--height", 48]):
+            assert run(["refine", layout, *flags, "--out", t / "flags.json"]) == 0
+            assert (t / "flags.json").read_bytes() == (t / "plain.json").read_bytes()
+        for flags, given in ((["--width", 50, "--height", 48], "50x48"),
+                             (["--height", 47], "48x47")):
+            capsys.readouterr()
+            assert run(["refine", layout, *flags, "--out", t / "other.json"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {layout}: --width/--height give a {given} frame,"
+                " the layout's is 48x48\n")
+            assert not (t / "other.json").exists()
+
+    def test_refining_a_refined_layout_changes_nothing(self, fixture_dataset):
+        """Each mask is mapped into the patch stored at augment time, not one
+        around the refined box, so a second refine writes the same bytes."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "layouts" / "0.json").read_text())
+        bits = np.zeros((16, 16), bool)
+        bits[4:12, 5:11] = True
+        write_mask_pgm(bits, t / "m.pgm")
+        for rec in doc["proposals"]:
+            rec["mask"] = "m.pgm"
+        (t / "masked.json").write_text(json.dumps(doc))
+        assert run(["refine", t / "masked.json", "--out", t / "once.json",
+                    "--config", _cfg(t)]) == 0
+        assert run(["refine", t / "once.json", "--out", t / "twice.json",
+                    "--config", _cfg(t)]) == 0
+        once = json.loads((t / "once.json").read_text())
+        assert [r["box"] for r in once["proposals"]] != [r["box"] for r in doc["proposals"]]
+        assert (t / "twice.json").read_bytes() == (t / "once.json").read_bytes()
 
 
 class TestAugmentMasks:
@@ -774,8 +829,7 @@ class TestMalformedLayouts:
             "eval": ["eval", t / "annotations.json", "--model", t / "model.json",
                      "--layouts", t / "layouts", "--depth-dir", t / "depth",
                      "--semantic-dir", t / "semantic", "--out-report", t / "report.json"],
-            "render": ["render", t / "layouts" / "0.json", "--width", 48, "--height", 48,
-                       "--out", t / "o.ppm"],
+            "render": ["render", t / "layouts" / "0.json", "--out", t / "o.ppm"],
         }[command]
         capsys.readouterr()
         assert run(argv) == 2
@@ -832,6 +886,30 @@ class TestMalformedGrids:
         assert capsys.readouterr().err == (
             "error: frame 2: grid-to-frame scale differs between axes: 2 across, 4 down\n")
 
+    @pytest.mark.parametrize("command", ["augment", "eval"])
+    def test_label_grid_of_another_shape_names_the_frame(self, fixture_dataset, capsys,
+                                                         command):
+        """Frame 2's label grid is 24x24 under its 48x48 depth grid."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        write_label_grid(LabelGrid(np.ones((24, 24), np.uint8)), t / "semantic" / "2.pgm")
+        capsys.readouterr()
+        assert run(self._argv(t, command)) == 2
+        assert capsys.readouterr().err == (
+            "error: frame 2: depth and drivable grids differ in shape:"
+            f" depth {t / 'depth' / '2.pgm'}, labels {t / 'semantic' / '2.pgm'}\n")
+
+    def test_frame_without_drivable_pixels_names_the_frame(self, fixture_dataset, capsys):
+        """Frame 2's labels hold no drivable class (the config's is 1)."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        write_label_grid(LabelGrid(np.full((48, 48), 7, np.uint8)), t / "semantic" / "2.pgm")
+        capsys.readouterr()
+        assert run(self._argv(t, "augment")) == 2
+        assert capsys.readouterr().err == (
+            "error: frame 2: cannot reset depth: no drivable pixels of the drivable classes"
+            " [1]\n")
+
     def test_zero_size_mask_in_refine_exit_2(self, fixture_dataset, capsys):
         """A 0x0 mask is a malformed file, not an empty mask to pass through."""
         t = fixture_dataset
@@ -870,8 +948,7 @@ def test_path_of_the_wrong_kind_exit_2(fixture_dataset, capsys, case):
     ["fit", "a.json", "--out-model", "m.json", "--seed", "1"],
     ["refine", "l.json", "--width", "4", "--height", "4", "--out", "o.json", "--tau", "3"],
     ["eval", "a.json", "--model", "m.json", "--layouts", "l", "--jobs", "2"],
-    ["render", "l.json", "--width", "4", "--height", "4", "--out", "o.ppm",
-     "--config", "x.json"],
+    ["render", "l.json", "--out", "o.ppm", "--config", "x.json"],
 ])
 def test_flag_not_taken_by_command_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as e:
@@ -880,13 +957,13 @@ def test_flag_not_taken_by_command_exit_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["refine", "render"])
+@pytest.mark.parametrize("command", ["refine"])
 @pytest.mark.parametrize("width, height, named", [
     ("0", "0", "--width"), ("0", "5", "--width"), ("5", "-3", "--height"),
     ("4.5", "4", "--width")])
 def test_frame_size_below_one_exit_2(fixture_dataset, capsys, command, width, height, named):
     """A frame side below 1 (or not an integer) is a usage error naming the
-    flag; no zero-size overlay or layout is written."""
+    flag; no layout is written."""
     t = fixture_dataset
     _fit_and_augment(t, "layouts", 1)
     out = t / "out"
@@ -935,8 +1012,7 @@ def test_outputs_get_the_mode_of_a_plain_open(fixture_dataset):
                     "--layouts", t / "layouts", "--depth-dir", t / "depth",
                     "--semantic-dir", t / "semantic", "--config", _cfg(t),
                     "--out-report", t / "report.json", "--out-text", t / "report.txt"]) == 0
-        assert run(["render", t / "layouts" / "0.json", "--width", 48, "--height", 48,
-                    "--out", t / "o.ppm"]) == 0
+        assert run(["render", t / "layouts" / "0.json", "--out", t / "o.ppm"]) == 0
         for directory in (t, t / "layouts"):
             with open(directory / "plain", "w"):
                 pass
@@ -1011,7 +1087,7 @@ class TestFreshInterpreter:
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
         assert _fresh(_CLI_THEN_NUMPY, "--help").splitlines()[-1] == "0 False"
-        refine = ["refine", "--width", 48, "--height", 48, "--config", _cfg(t)]
+        refine = ["refine", "--config", _cfg(t)]
         assert _fresh(_CLI_THEN_NUMPY, *refine, t / "layouts" / "0.json",
                       "--out", t / "fresh.json").splitlines()[-1] == "0 False"
         assert run([*refine, t / "layouts" / "0.json", "--out", t / "in_process.json"]) == 0
@@ -1087,8 +1163,7 @@ class TestProcessEntry:
 
     def test_internal_error_exit_1(self):
         code = "from scene_placer import cli\ncli.cmd_render = lambda args: 1 / 0\ncli.run()"
-        proc = _launch("render", "l.json", "--width", 1, "--height", 1, "--out", "o.ppm",
-                       entry=("-c", code))
+        proc = _launch("render", "l.json", "--out", "o.ppm", entry=("-c", code))
         assert (proc.returncode, proc.stderr) == (1, "internal error: division by zero\n")
 
     @pytest.mark.parametrize("closed", [">&-", ">&- 2>&-"])

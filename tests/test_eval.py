@@ -6,7 +6,7 @@ from scene_placer.dataset_io import AnnotatedFrame
 from scene_placer.errors import InsufficientData
 from scene_placer.evaluate import ks_statistic, layout_report
 from scene_placer.fitting import fit_model
-from scene_placer.geometry import placement_band
+from scene_placer.geometry import crop_geometry, placement_band
 from scene_placer.sampler import (
     FrameAugmentation,
     PlacementProposal,
@@ -108,7 +108,7 @@ class TestLayoutReport:
         aware = augment_frame(scene, model, "s", params.replace(n_objects=500, seed=1))
         rand_props = [propose_random_location(scene, model, substream(2, "r", i), params)
                       for i in range(500)]
-        rand = FrameAugmentation(frame_id="s", proposals=rand_props, dropped=0)
+        rand = FrameAugmentation(frame_id="s", frame=aware.frame, proposals=rand_props, dropped=0)
         scenes = {"s": scene}
         r_aware = layout_report([], None, [aware], scenes, model, 5.0)
         r_rand = layout_report([], None, [rand], scenes, model, 5.0)
@@ -146,10 +146,11 @@ def test_band_validity_uses_the_samplers_float32_band():
     scene = make_scene([[5.0, 20.0]], [[True, True]])
     d = 10.0000001
     assert (0, 0) in map(tuple, pixel_xy(placement_band(scene.band_index, d, 5.0)))
-    prop = PlacementProposal(class_id=1, d=d, d_effective=d, box=scene.anchor_box(0, 0, 1, 1),
-                             show_prob=1.0,
-                             provenance=Provenance(index=0, attempts=1, anchor_px=(0, 0)))
-    aug = FrameAugmentation(frame_id="f", proposals=[prop], dropped=0)
+    box = scene.anchor_box(0, 0, 1, 1)
+    prop = PlacementProposal(class_id=1, d=d, d_effective=d, box=box, show_prob=1.0,
+                             provenance=Provenance(index=0, attempts=1, anchor_px=(0, 0)),
+                             patch=crop_geometry(box, scene.frame_w, scene.frame_h))
+    aug = FrameAugmentation(frame_id="f", frame=(2, 1), proposals=[prop], dropped=0)
     model = make_model([make_class_model(class_id=1)])
     assert layout_report([], None, [aug], {"f": scene}, model, 5.0).band_validity == 1.0
 
@@ -169,11 +170,12 @@ def test_boxes_of_frames_without_a_scene_count_everywhere_but_ks_depth():
                                                        [50, 25, 5, 5]])]
     props = [PlacementProposal(class_id=c, d=d, d_effective=d, box=scene.anchor_box(x, y, w, h),
                                show_prob=0.5,
-                               provenance=Provenance(index=i, attempts=1, anchor_px=(x, y)))
+                               provenance=Provenance(index=i, attempts=1, anchor_px=(x, y)),
+                               patch=crop_geometry(scene.anchor_box(x, y, w, h), 60, 40))
              for i, (c, d, x, y, w, h) in enumerate([(1, 6.0, 1, 1, 3, 4), (1, 9.5, 4, 2, 2, 7),
                                                       (1, 4.0, 2, 1, 5, 5), (2, 7.0, 3, 2, 4, 2),
                                                       (2, 3.0, 0, 1, 2, 2)])]
-    aug = FrameAugmentation(frame_id="a", proposals=props, dropped=0)
+    aug = FrameAugmentation(frame_id="a", frame=(60, 40), proposals=props, dropped=0)
     model = make_model([make_class_model(class_id=1), make_class_model(class_id=2)])
     report = layout_report(real, lambda f: scene.depth if f.frame_id == "a" else None,
                            [aug], {"a": scene}, model, 5.0)

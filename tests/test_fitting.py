@@ -289,6 +289,25 @@ class TestFitModel:
         assert got.height_sigma_curve.eval_clamped(5.0) == pytest.approx(0.0, abs=1e-9)
         assert got.aspect.probs.max() == pytest.approx(1.0)
 
+    def test_class_with_every_window_below_min_window_count(self):
+        """Depths 3 apart under windows 2 wide: no window holds 2 samples, so
+        the curves are fitted on every window that holds one."""
+        d = 1.0 + 3.0 * np.arange(30)
+        h = np.exp(0.5 + 0.1 * d ** 0.8)
+        frames = [AnnotatedFrame(frame_id=str(i), camera_id="c", width=64, height=64,
+                                 class_ids=[1], boxes=[[32.0, 48.0, h[i] / 2, h[i]]])
+                  for i in range(d.size)]
+        grids = {f.frame_id: DepthGrid(np.full((8, 8), d[i], np.float32))
+                 for i, f in enumerate(frames)}
+        model, _ = fit_model(frames, lambda f: grids[f.frame_id],
+                             RunConfig(min_window_count=2))
+        profile = depth_height_profile(np.stack([d, h], axis=1), window=2.0, stride=1.0,
+                                       min_count=1)
+        assert len(profile) > 30 and max(n for *_, n in profile) == 1
+        got = model.class_model("c", 1)
+        assert got.height_mu_curve == fit_power_curve([(c, mu) for c, mu, _, _ in profile])
+        assert got.height_sigma_curve == fit_power_curve([(c, s) for c, _, s, _ in profile])
+
     def test_uniform_prior_over_ten_classes(self, rng):
         cfg = RunConfig(augmentable_classes=list(range(10)), min_samples=2)
         cms = [make_class_model(class_id=c) for c in range(10)]

@@ -21,9 +21,9 @@ box's bottom-center mapped to grid pixels, the depth log-normal, the power
 curves, the pooled fallback and the report), on its own dataset described
 at the digests.
 
-The bytes include the layout format (schema 2: anchors, sampled depths,
-attempts, mask paths relative to the layout), so a format change moves both
-sets of layout digests too.
+The bytes include the layout format (schema 3: the frame, anchors, sampled
+depths, attempts, inpainting patches, mask paths relative to the layout), so
+a format change moves both sets of layout digests too.
 """
 
 import hashlib
@@ -36,7 +36,7 @@ from scene_placer import dataset_io, sampler
 from scene_placer.cli import _Grids, main
 from scene_placer.config import RunConfig
 from scene_placer.evaluate import layout_report
-from scene_placer.geometry import BandIndex, DepthGrid, LabelGrid, crop_geometry
+from scene_placer.geometry import BandIndex, DepthGrid, LabelGrid
 from scene_placer.sampler import augment_frame
 
 from conftest import (
@@ -54,8 +54,8 @@ SEED = 11
 FRAMES = [(0, 80, 40, 40, 20), (1, 48, 24, 48, 24)]
 
 GOLDEN_SHA256 = {
-    "0.json": "528ad0402449ed081b2e5f55cf1378a2473585914c70621eac0e6a506c4176cb",
-    "1.json": "56a047440607d68a9fb71c87bc20a4b044963cb74c54df2896fb062c4fc9de3a",
+    "0.json": "ebcf0037189994152d6e67a6ccbdef88910bd6ba4bf39eb4a1b3ea572a281bb5",
+    "1.json": "9ff2b9c640c8e9101c63456db242aa0c0dea2d6f152a795740f45009e920039a",
 }
 
 
@@ -63,8 +63,8 @@ GOLDEN_SHA256 = {
 # resolutions, all-zero and missing masks, patches against the frame edges and
 # proposals dropped as occluded
 GOLDEN_MASKED_SHA256 = {
-    "0.json": "5402801552a280e42c54d497a3cf01a8e1c89194db7104d1529b81e9c2620629",
-    "1.json": "7b7a7a52cc6173dac8afb4adc9f7157d2395b463b184b0c8991078c2398156bc",
+    "0.json": "4a51972340ff3402bfef681ac47499b4fe7303cafa4394630bb7ec1f37b29d6d",
+    "1.json": "f6861f38ba62384fb2b3391c75c897489693b89da0723db7c21dc9e17073df3a",
 }
 
 # bitmap side per proposal index (mod 4): larger and smaller than the patches
@@ -210,10 +210,10 @@ def _run_masked_augment(tmp_path, ann, cfg, masks_dir, out):
 
 def _refine(layouts, cfg, out):
     out.mkdir()
-    for fid, fw, fh, *_ in FRAMES:
+    for fid, *_ in FRAMES:
         assert main([str(a) for a in (
-            "refine", layouts / f"{fid}.json", "--width", fw, "--height", fh,
-            "--out", out / f"{fid}.json", "--config", cfg)]) == 0
+            "refine", layouts / f"{fid}.json", "--out", out / f"{fid}.json",
+            "--config", cfg)]) == 0
 
 
 def _augment_masked(tmp_path):
@@ -231,6 +231,16 @@ def test_masked_augment_layout_bytes_match_recorded_digests(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((tmp_path / "refined").iterdir())}
     assert digests == GOLDEN_MASKED_SHA256
+
+
+def test_refining_the_refined_golden_masked_scene_changes_no_byte(tmp_path):
+    """Every mask is mapped into the patch its proposal stored at augment
+    time, not one around the refined box, so refine is idempotent."""
+    _, cfg, _ = _augment_masked(tmp_path)
+    _refine(tmp_path / "refined", cfg, tmp_path / "again")
+    for fid, *_ in FRAMES:
+        assert ((tmp_path / "again" / f"{fid}.json").read_bytes()
+                == (tmp_path / "refined" / f"{fid}.json").read_bytes())
 
 
 def test_masks_dir_then_refine_equals_refining_hand_set_masks_once(tmp_path, monkeypatch):
@@ -325,7 +335,7 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path):
     for frame in dataset_io.read_annotations(ann):
         named = dataset_io.load_layout(out / f"{frame.frame_id}.json")
         for p in named.proposals:
-            patch = crop_geometry(p.box, frame.width, frame.height)
+            patch = p.patch
             masked = p.provenance.index % 8 not in (5, 7)
             edge += masked and (patch.x0 == 0 or patch.y0 == 0
                                 or patch.x0 + patch.side == frame.width

@@ -22,7 +22,7 @@ from scene_placer.errors import (
     VersionError,
 )
 from scene_placer.fitting import fit_model
-from scene_placer.geometry import BBox, DepthGrid, LabelGrid
+from scene_placer.geometry import BBox, DepthGrid, LabelGrid, PatchRect
 from scene_placer.sampler import FrameAugmentation, PlacementProposal, Provenance, _clip_box
 
 from conftest import (
@@ -656,7 +656,8 @@ class TestRenderOverlay:
 @st.composite
 def augmentations(draw):
     """Layouts as augment and refine leave them: boxes clipped at the frame
-    edge, proposals with no mask or a relative or absolute mask path."""
+    edge, patches inside the frame, proposals with no mask or a relative or
+    absolute mask path."""
     fw, fh = draw(st.integers(1, 2000)), draw(st.integers(1, 2000))
     coords = st.floats(0.0, 1e4, allow_nan=False)
     mask_paths = st.lists(st.sampled_from(["masks", "..", ".", "a"]), max_size=3).map(
@@ -666,14 +667,17 @@ def augmentations(draw):
         box = BBox(cx=draw(st.floats(0.0, fw, exclude_min=True, exclude_max=True)),
                    by=draw(st.floats(0.0, fh, exclude_min=True)),
                    w=draw(st.floats(0.5, 3e3)), h=draw(st.floats(0.5, 3e3)))
+        side = draw(st.integers(1, min(fw, fh)))
+        patch = PatchRect(x0=draw(st.integers(0, fw - side)), y0=draw(st.integers(0, fh - side)),
+                          side=side)
         proposals.append(PlacementProposal(
             class_id=draw(st.integers(0, 255)), d=draw(coords), d_effective=draw(coords),
             box=_clip_box(box, fw, fh), show_prob=draw(st.floats(0.0, 1.0)),
             provenance=Provenance(index=i, attempts=draw(st.integers(1, 25)),
                                   anchor_px=(draw(st.integers(0, 999)), draw(st.integers(0, 999)))),
-            mask_path=draw(st.none() | mask_paths | mask_paths.map(lambda m: "/" + m))))
-    return FrameAugmentation(frame_id=draw(st.text(max_size=6)), proposals=proposals,
-                             dropped=draw(st.integers(0, 12)))
+            patch=patch, mask_path=draw(st.none() | mask_paths | mask_paths.map(lambda m: "/" + m))))
+    return FrameAugmentation(frame_id=draw(st.text(max_size=6)), frame=(fw, fh),
+                             proposals=proposals, dropped=draw(st.integers(0, 12)))
 
 
 def _absolute_masks(aug):
@@ -683,7 +687,8 @@ def _absolute_masks(aug):
 
 
 GOOD_PROPOSAL = {"index": 0, "class": 1, "d_sampled": 8.0, "d": 7.5, "anchor": [4, 9],
-                 "attempts": 1, "box": [10, 20, 5, 8], "show_prob": 0.5, "mask": None}
+                 "attempts": 1, "box": [10, 20, 5, 8], "patch": [2, 8, 16], "show_prob": 0.5,
+                 "mask": None}
 
 
 class TestLayoutIO:
@@ -699,13 +704,18 @@ class TestLayoutIO:
 
     def test_missing_key(self, tmp_path):
         p = tmp_path / "l.json"
-        p.write_text('{"schema": 2, "frame_id": "x", "proposals": []}')
+        p.write_text('{"schema": 3, "frame_id": "x", "frame": [64, 48], "proposals": []}')
         with pytest.raises(SchemaError, match="'dropped'"):
             dataset_io.load_layout(p)
+        # the frame is as required as the count of dropped proposals
+        p.write_text('{"schema": 3, "frame_id": "x", "proposals": [], "dropped": 0}')
+        with pytest.raises(SchemaError, match=r"l\.json: layout: missing key 'frame'"):
+            dataset_io.load_layout(p)
 
-    @pytest.mark.parametrize("schema", [1, 3, "2", 2.0, None, "missing"])
+    # 2 is the schema before layouts stored their frame and patches
+    @pytest.mark.parametrize("schema", [1, 2, "3", 2.0, None, "missing"])
     def test_other_schema_names_file(self, tmp_path, schema):
-        doc = {"frame_id": "x", "proposals": [GOOD_PROPOSAL], "dropped": 0}
+        doc = {"frame_id": "x", "frame": [64, 48], "proposals": [GOOD_PROPOSAL], "dropped": 0}
         if schema != "missing":
             doc["schema"] = schema
         p = tmp_path / "l.json"
@@ -719,12 +729,16 @@ class TestLayoutIO:
         ("box", [1, 2, 0, 4]), ("anchor", [1.0, 2]), ("anchor", [1]), ("attempts", "1"),
         ("index", None), ("d_sampled", "missing"),
         ("index", -4), ("attempts", 0), ("class", 2**63), ("dropped", -7),
+        ("patch", "missing"), ("patch", None), ("patch", [2, 8]), ("patch", [2, 8, 0]),
+        ("patch", [2.0, 8, 16]), ("frame", "missing"), ("frame", [64]), ("frame", [0, 48]),
+        ("frame", [64, 48.0]), ("frame", [64, -1]),
     ])
     def test_bad_proposal_names_file_and_index(self, tmp_path, key, value):
         bad = dict(GOOD_PROPOSAL)
-        doc = {"schema": 2, "frame_id": "x", "dropped": 0, "proposals": [GOOD_PROPOSAL, bad]}
-        # "dropped" is the one count kept outside the proposals
-        rec, where = (doc, "layout") if key == "dropped" else (bad, r"proposals\[1\]")
+        doc = {"schema": 3, "frame_id": "x", "frame": [64, 48], "dropped": 0,
+               "proposals": [GOOD_PROPOSAL, bad]}
+        # "dropped" and "frame" are the keys kept outside the proposals
+        rec, where = (doc, "layout") if key in ("dropped", "frame") else (bad, r"proposals\[1\]")
         if value == "missing":
             del rec[key]
         else:
@@ -733,3 +747,28 @@ class TestLayoutIO:
         p.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=rf"l\.json: {where}: .*'{key}'"):
             dataset_io.load_layout(p)
+
+    @pytest.mark.parametrize("key, outside, inside", [
+        ("box", [66.5, 20, 5, 8], [66.4, 20, 5, 8]), ("box", [-2.5, 20, 5, 8], [-2.4, 20, 5, 8]),
+        ("box", [10, 0, 5, 8], [10, 0.1, 5, 8]), ("box", [10, 56, 5, 8], [10, 55.9, 5, 8]),
+        ("patch", [49, 8, 16], [48, 8, 16]), ("patch", [-1, 8, 16], [0, 8, 16]),
+        ("patch", [2, 33, 16], [2, 32, 16]), ("patch", [2, -1, 16], [2, 0, 16]),
+        ("patch", [0, 0, 49], [0, 0, 48]), ("patch", [-2**70, 0, 2**71], [0, 0, 48]),
+    ])
+    def test_box_or_patch_outside_the_frame_names_file_and_index(self, tmp_path, key, outside,
+                                                                  inside):
+        """A box must meet the 64x48 frame and a patch lie inside it, as
+        augment writes them: each case misses by a pixel's edge, or a patch
+        overruns the frame, and the second value of each pair is accepted."""
+        problem = {"box": "box does not intersect", "patch": "patch does not lie inside"}[key]
+        bad = dict(GOOD_PROPOSAL, index=3, **{key: outside})
+        doc = {"schema": 3, "frame_id": "x", "frame": [64, 48], "dropped": 0,
+               "proposals": [GOOD_PROPOSAL, bad]}
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as e:
+            dataset_io.load_layout(p)
+        assert str(e.value) == f"{p}: proposal 3: {problem} the 64x48 frame"
+        bad[key] = inside
+        p.write_text(json.dumps(doc))
+        assert dataset_io.load_layout(p).proposals[1].provenance.index == 3

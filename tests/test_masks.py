@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scene_placer.errors import EmptyMask
-from scene_placer.geometry import BBox, PatchRect
+from scene_placer.geometry import BBox, PatchRect, crop_geometry
 from scene_placer.masks import (
     InstanceMask,
     composite_masks,
@@ -24,6 +24,7 @@ def _proposal(d, idx=0):
         class_id=1, d=d, d_effective=d,
         box=BBox(cx=10, by=10, w=4, h=4), show_prob=0.5,
         provenance=Provenance(index=idx, attempts=1, anchor_px=(0, 0)),
+        patch=PatchRect(x0=6, y0=4, side=8),
     )
 
 
@@ -363,16 +364,17 @@ def test_refine_layout_holds_one_full_resolution_mask_at_a_time(tmp_path, rng):
         cx, by = rng.uniform(700, 900), rng.uniform(550, 700)
         w, h = rng.uniform(20, 40, 2)
         path = str(tmp_path / f"{i}.pgm")
+        box = BBox(cx=cx, by=by, w=w, h=h)
         props.append(PlacementProposal(
-            class_id=1, d=float(i), d_effective=float(i), box=BBox(cx=cx, by=by, w=w, h=h),
-            show_prob=0.5, provenance=Provenance(index=i, attempts=1, anchor_px=(0, 0)),
-            mask_path=path))
+            class_id=1, d=float(i), d_effective=float(i), box=box, show_prob=0.5,
+            provenance=Provenance(index=i, attempts=1, anchor_px=(0, 0)),
+            patch=crop_geometry(box, 1600, 900), mask_path=path))
         write_mask_pgm(((xx - 256) / 100) ** 2 + ((yy - 256) / 120) ** 2 <= 1.0, path)
-    aug = FrameAugmentation(frame_id="0", proposals=props, dropped=0)
-    first = refine_layout(aug, 1600, 900, 0.2)
+    aug = FrameAugmentation(frame_id="0", frame=(1600, 900), proposals=props, dropped=0)
+    first = refine_layout(aug, 0.2)
     tracemalloc.start()
     try:
-        again = refine_layout(aug, 1600, 900, 0.2)
+        again = refine_layout(aug, 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
