@@ -13,7 +13,7 @@ from .geometry import (
     DrivableMask,
     LabelGrid,
     PatchRect,
-    PixelSet,
+    clip_box,
     closest_allowed_depth,
     crop_geometry,
     drivable_mask,

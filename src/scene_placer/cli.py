@@ -95,7 +95,6 @@ def _augment_one(frame, model, cfg, args):
     if args.masks_dir:  # named here, read by `refine`: a mask may not exist yet
         aug.proposals = [replace(p, mask_path=os.path.join(
             args.masks_dir, f"{aug.frame_id}_{p.provenance.index}.pgm")) for p in aug.proposals]
-    dataset_io.save_layout(aug, os.path.join(args.out_layouts, f"{frame.frame_id}.json"))
     return aug
 
 
@@ -110,10 +109,11 @@ def cmd_augment(args) -> int:
     os.makedirs(args.out_layouts, exist_ok=True)
     usable = [f for f in frames if f.has_grids]
     skipped = len(frames) - len(usable)
-    dropped = 0
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for aug in pool.map(lambda fr: _augment_one(fr, model, cfg, args), usable):
-            dropped += aug.dropped
+        augs = list(pool.map(lambda fr: _augment_one(fr, model, cfg, args), usable))
+    for aug in augs:  # written once every frame has succeeded: a failed run writes none
+        dataset_io.save_layout(aug, os.path.join(args.out_layouts, f"{aug.frame_id}.json"))
+    dropped = sum(aug.dropped for aug in augs)
     print(f"augmented {len(usable)} frames ({skipped} skipped, {dropped} proposals dropped)")
     return 0
 

@@ -29,7 +29,7 @@ from .fitting import (
     MODEL_SCHEMA_VERSION,
     PowerCurve,
 )
-from .geometry import BBox, DepthGrid, LabelGrid, PatchRect, _frozen_array, meets_frame
+from .geometry import BBox, DepthGrid, LabelGrid, PatchRect, _frozen_array, clip_box
 from .sampler import FrameAugmentation, PlacementProposal, Provenance
 
 
@@ -438,7 +438,8 @@ def load_layout(path) -> FrameAugmentation:
         )
         x0, y0, side = rec["patch"]
         inside = 0 <= x0 <= frame_w - side and 0 <= y0 <= frame_h - side
-        for ok, problem in ((meets_frame(p.box, frame_w, frame_h), "box does not intersect"),
+        for ok, problem in ((clip_box(p.box, frame_w, frame_h) is not None,
+                             "box does not intersect"),
                             (inside, "patch does not lie inside")):
             if not ok:
                 raise SchemaError(f"{path}: proposal {p.provenance.index}: {problem}"

@@ -138,13 +138,13 @@ def fit_lognormal(samples) -> LogNormalParams:
     return LogNormalParams(mu=float(logs.mean()), sigma=float(logs.std(ddof=0)))
 
 
-def depth_height_profile(objects, window=2.0, stride=1.0, min_count=10):
+def depth_height_profile(objects, window=2.0, stride=1.0):
     """Log-height statistics in sliding depth windows.
 
     objects: sequence of (depth, height) pairs. Returns a list of
     (d_center, mu_log_h, sigma_log_h, count) for every window center on a
-    stride grid spanning the observed depth range, omitting windows with
-    fewer than min_count members.
+    stride grid spanning the observed depth range, omitting empty windows;
+    callers pick the windows with enough members by count.
     """
     if window <= 0 or stride <= 0:
         raise ValueError("window and stride must be > 0")
@@ -163,7 +163,7 @@ def depth_height_profile(objects, window=2.0, stride=1.0, min_count=10):
     for c in centers:
         sel = np.abs(d - c) <= half
         n = int(sel.sum())
-        if n < min_count:
+        if n == 0:
             continue
         vals = logh[sel]
         out.append((float(c), float(vals.mean()), float(vals.std(ddof=0)), n))
@@ -288,7 +288,7 @@ def _fit_class(class_id, depths, heights, ratios, config):
     heights = np.asarray(heights, dtype=np.float64)
     depth_params = fit_lognormal(depths)
     profile = depth_height_profile(np.stack([depths, heights], axis=1), window=config.window,
-                                   stride=config.stride, min_count=1)
+                                   stride=config.stride)
     # the windows that reach the occupancy threshold, or every window when
     # the samples are too spread out for any to reach it
     threshold = min(config.min_window_count, len(depths))

@@ -120,28 +120,6 @@ class BBox:
 
 
 @dataclass(frozen=True)
-class PixelSet:
-    """Pixels of a grid `width` pixels wide, as row-major flat indices.
-
-    Flat index i is the pixel (x, y) = (i % width, i // width), so ascending
-    indices are the canonical row-major order. Picks decode one index each.
-    """
-
-    flat: np.ndarray
-    width: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "flat", _frozen_array(self.flat, np.int64).reshape(-1))
-
-    def __len__(self) -> int:
-        return self.flat.shape[0]
-
-    def __getitem__(self, i):
-        y, x = divmod(int(self.flat[i]), self.width)
-        return x, y
-
-
-@dataclass(frozen=True)
 class PatchRect:
     """Square crop region in frame pixels; side is kept so the caller can map
     the patch to a fixed-resolution target (512x512)."""
@@ -187,13 +165,11 @@ class BandIndex:
     `values` their float32 disparities; row r's pixels are
     `flat[row_start[r]:row_start[r + 1]]`. For each row in `rows` (those with
     a drivable pixel) `row_lo`/`row_hi` are its least and greatest disparity.
+    `pixel(i)` decodes a flat index. `SceneContext`, the one builder, checks
+    that the depth and mask have one shape.
     """
 
     def __init__(self, depth: DepthGrid, mask: DrivableMask):
-        if depth.values.shape != mask.bits.shape:
-            raise DimensionMismatch(
-                f"depth {depth.values.shape} vs mask {mask.bits.shape}"
-            )
         self.width = depth.width
         self.flat = _frozen_array(np.flatnonzero(mask.bits), np.int64)
         self.values = _frozen_array(depth.values[mask.bits], np.float32)
@@ -207,26 +183,31 @@ class BandIndex:
         self.row_lo = _frozen_array(np.minimum.reduceat(self.values, starts), np.float32)
         self.row_hi = _frozen_array(np.maximum.reduceat(self.values, starts), np.float32)
 
+    def pixel(self, i) -> tuple:
+        """The grid pixel (x, y) of row-major flat index i."""
+        y, x = divmod(int(i), self.width)
+        return x, y
 
-def placement_band(index: BandIndex, d: float, tau: float) -> PixelSet:
+
+def placement_band(index: BandIndex, d: float, tau: float) -> np.ndarray:
     """All drivable pixels whose disparity is within tau of the target d.
 
     This is the admissible anchor region for an object sampled at depth d.
     Membership is exactly the float32 `in_band` predicate, and the pixels
-    come in row-major order. Only the drivable pixels of the candidate row
-    span are compared: from the first to the last row whose disparity range,
-    clipped towards d, passes the predicate. Float32 subtraction is monotone,
-    so a row whose nearest bound fails holds no band pixel.
+    come as ascending (row-major) int64 flat indices, which `index.pixel`
+    decodes. Only the drivable pixels of the candidate row span are compared:
+    from the first to the last row whose disparity range, clipped towards d,
+    passes the predicate. Float32 subtraction is monotone, so a row whose
+    nearest bound fails holds no band pixel.
     """
     if not tau > 0:
         raise ValueError("tau must be > 0")
     nearest = np.clip(np.float32(d), index.row_lo, index.row_hi)
     cand = index.rows[_within_tau(nearest, d, tau)]
     if cand.size == 0:
-        return PixelSet(np.empty(0, np.int64), index.width)
+        return np.empty(0, np.int64)
     s, e = index.row_start[cand[0]], index.row_start[cand[-1] + 1]
-    hit = _within_tau(index.values[s:e], d, tau)
-    return PixelSet(index.flat[s:e][hit], index.width)  # ascending = row-major
+    return index.flat[s:e][_within_tau(index.values[s:e], d, tau)]
 
 
 def closest_allowed_depth(index: BandIndex, d: float) -> float:
@@ -239,9 +220,14 @@ def closest_allowed_depth(index: BandIndex, d: float) -> float:
     return float(index.values[best])
 
 
-def meets_frame(box: BBox, frame_w: int, frame_h: int) -> bool:
-    """Whether the box shares area with the frame_w x frame_h frame."""
-    return box.x1 > 0 and box.x0 < frame_w and box.y1 > 0 and box.y0 < frame_h
+def clip_box(box: BBox, frame_w: int, frame_h: int) -> BBox | None:
+    """The part of the box inside the frame_w x frame_h frame, or None when
+    they share no area (in float arithmetic)."""
+    x0, x1 = max(box.x0, 0.0), min(box.x1, float(frame_w))
+    y0, y1 = max(box.y0, 0.0), min(box.y1, float(frame_h))
+    if x1 - x0 > 0 and y1 - y0 > 0:
+        return BBox(cx=(x0 + x1) / 2.0, by=y1, w=x1 - x0, h=y1 - y0)
+    return None
 
 
 def crop_geometry(box: BBox, frame_w: int, frame_h: int) -> PatchRect:
@@ -251,7 +237,7 @@ def crop_geometry(box: BBox, frame_w: int, frame_h: int) -> PatchRect:
     is shifted (never shrunk) back inside; only when the side exceeds a frame
     dimension is it clipped to fit.
     """
-    if not meets_frame(box, frame_w, frame_h):
+    if clip_box(box, frame_w, frame_h) is None:
         raise InvalidBox(f"box does not intersect the {frame_w}x{frame_h} frame")
     side = int(round(2.0 * max(box.w, box.h)))
     side = max(side, 1)

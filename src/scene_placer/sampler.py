@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._numpy import np
@@ -26,6 +26,7 @@ from .geometry import (
     DepthGrid,
     DrivableMask,
     PatchRect,
+    clip_box,
     closest_allowed_depth,
     crop_geometry,
     grid_scale,
@@ -37,7 +38,7 @@ from .geometry import (
 class SceneContext:
     """One frame's geometry: dimensions plus depth and drivable grids.
 
-    Grids may be at a lower resolution than the frame; the scale factor
+    The grids have one shape and may be coarser than the frame; the `scale`
     mapping grid pixels to frame pixels must then be the same on both axes.
     """
 
@@ -46,11 +47,12 @@ class SceneContext:
     camera_id: str
     depth: DepthGrid
     drivable: DrivableMask
+    scale: float = field(init=False)
 
     def __post_init__(self):
         if self.depth.values.shape != self.drivable.bits.shape:
             raise DimensionMismatch("depth and drivable grids differ in shape")
-        grid_scale(self.frame_w, self.frame_h, self.depth)
+        object.__setattr__(self, "scale", grid_scale(self.frame_w, self.frame_h, self.depth))
 
     @cached_property
     def band_index(self) -> BandIndex:
@@ -61,8 +63,7 @@ class SceneContext:
     def anchor_box(self, x, y, w, h) -> BBox:
         """A w x h box in frame coordinates standing on the bottom edge of
         grid pixel (x, y), centred on it."""
-        scale = grid_scale(self.frame_w, self.frame_h, self.depth)
-        return BBox(cx=(x + 0.5) * scale, by=(y + 1.0) * scale, w=w, h=h)
+        return BBox(cx=(x + 0.5) * self.scale, by=(y + 1.0) * self.scale, w=w, h=h)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def sample_depth(cm: ClassModel, rng) -> float:
 def sample_location(scene: SceneContext, d: float, tau: float, rng):
     """Uniform pixel from the placement band; resets d if the band is empty.
 
-    Returns (x, y, d_effective) with (x, y) in grid pixel coordinates.
+    Returns (x, y, d_effective), (x, y) the grid pixel of a drawn band index.
     """
     index = scene.band_index
     band = placement_band(index, d, tau)
@@ -135,7 +136,7 @@ def sample_location(scene: SceneContext, d: float, tau: float, rng):
     if len(band) == 0:
         d_eff = closest_allowed_depth(index, d)
         band = placement_band(index, d_eff, tau)  # holds the pixel d_eff was read from
-    x, y = band[int(rng.integers(len(band)))]
+    x, y = index.pixel(band[rng.integers(len(band))])
     return x, y, d_eff
 
 
@@ -149,20 +150,6 @@ def sample_width(cm: ClassModel, h: float, rng) -> float:
     return sample_histogram(cm.aspect, rng) * h
 
 
-def _visible_fraction(box: BBox, frame_w: int, frame_h: int) -> float:
-    ix = max(0.0, min(box.x1, frame_w) - max(box.x0, 0.0))
-    iy = max(0.0, min(box.y1, frame_h) - max(box.y0, 0.0))
-    return ix * iy / box.area
-
-
-def _clip_box(box: BBox, frame_w: int, frame_h: int) -> BBox:
-    x0 = max(box.x0, 0.0)
-    x1 = min(box.x1, float(frame_w))
-    y0 = max(box.y0, 0.0)
-    y1 = min(box.y1, float(frame_h))
-    return BBox(cx=(x0 + x1) / 2.0, by=y1, w=x1 - x0, h=y1 - y0)
-
-
 def propose(
     scene: SceneContext,
     model: LocationModel,
@@ -172,8 +159,8 @@ def propose(
 ) -> PlacementProposal:
     """Run the full ancestral chain; rejects mostly-offscreen boxes.
 
-    A proposal whose box has less than cfg.min_visible_frac of its area
-    inside the frame is resampled, up to cfg.max_attempts times.
+    A proposal whose box has less than cfg.min_visible_frac of its area (or
+    none) inside the frame is resampled, up to cfg.max_attempts times.
     """
     for attempt in range(1, cfg.max_attempts + 1):
         class_id = sample_class(model, rng)
@@ -183,17 +170,17 @@ def propose(
         h = sample_height(cm, d_eff, rng)
         w = sample_width(cm, h, rng)
         box = scene.anchor_box(x, y, w, h)
-        if _visible_fraction(box, scene.frame_w, scene.frame_h) < cfg.min_visible_frac:
+        clipped = clip_box(box, scene.frame_w, scene.frame_h)
+        if clipped is None or clipped.area / box.area < cfg.min_visible_frac:
             continue
-        box = _clip_box(box, scene.frame_w, scene.frame_h)
         return PlacementProposal(
             class_id=class_id,
             d=d,
             d_effective=d_eff,
-            box=box,
+            box=clipped,
             show_prob=cfg.show_prob,
             provenance=Provenance(index=index, attempts=attempt, anchor_px=(x, y)),
-            patch=crop_geometry(box, scene.frame_w, scene.frame_h),
+            patch=crop_geometry(clipped, scene.frame_w, scene.frame_h),
         )
     raise MaxAttemptsExceeded(f"no visible proposal after {cfg.max_attempts} attempts")
 

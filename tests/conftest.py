@@ -20,7 +20,7 @@ from scene_placer.fitting import (
     LogNormalParams,
     PowerCurve,
 )
-from scene_placer.geometry import DepthGrid, DrivableMask, LabelGrid, PixelSet, crop_geometry
+from scene_placer.geometry import DepthGrid, DrivableMask, LabelGrid, crop_geometry
 from scene_placer.sampler import (
     PlacementProposal,
     Provenance,
@@ -48,9 +48,10 @@ def write_mask_pgm(bits, path):
                           np.where(np.asarray(bits, dtype=bool), 255, 0).astype(np.uint8))
 
 
-def pixel_xy(pixels: PixelSet) -> np.ndarray:
-    """The (n, 2) int64 array of a PixelSet's (x, y) pairs, in its order."""
-    ys, xs = np.divmod(pixels.flat, pixels.width)
+def pixel_xy(flat, width) -> np.ndarray:
+    """The (n, 2) int64 array of the (x, y) pairs of row-major flat indices
+    into a grid `width` pixels wide, in their order."""
+    ys, xs = np.divmod(np.asarray(flat, np.int64), width)
     return np.stack([xs, ys], axis=1)
 
 

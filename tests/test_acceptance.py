@@ -85,7 +85,7 @@ def test_criterion_1_band_correctness():
                 for x in range(side)
                 if bits[y, x] and abs(float(depth_vals[y, x]) - d_probe) <= 5.0
             ]
-            assert [tuple(p) for p in pixel_xy(band).tolist()] == expect
+            assert [tuple(p) for p in pixel_xy(band, side).tolist()] == expect
 
             for i in range(100):
                 p = propose(scene, model, substream(s, f"scene{s}", i), params)

@@ -910,6 +910,16 @@ class TestMalformedGrids:
             "error: frame 2: cannot reset depth: no drivable pixels of the drivable classes"
             " [1]\n")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_augment_writes_no_layout(self, fixture_dataset, jobs):
+        """Frame 2 fails while the frames around it succeed; the run writes
+        none of their layouts, whatever order the workers finish in."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        write_label_grid(LabelGrid(np.full((48, 48), 7, np.uint8)), t / "semantic" / "2.pgm")
+        assert run(self._argv(t, "augment") + ["--jobs", jobs]) == 2
+        assert os.listdir(t / "out") == []
+
     def test_zero_size_mask_in_refine_exit_2(self, fixture_dataset, capsys):
         """A 0x0 mask is a malformed file, not an empty mask to pass through."""
         t = fixture_dataset

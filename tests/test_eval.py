@@ -20,7 +20,6 @@ from conftest import (
     make_model,
     make_scene,
     open_scene,
-    pixel_xy,
     propose_random_location,
     synthetic_dataset,
 )
@@ -145,7 +144,8 @@ def test_band_validity_uses_the_samplers_float32_band():
     is in the band for tau 5, and eval must judge that anchor valid."""
     scene = make_scene([[5.0, 20.0]], [[True, True]])
     d = 10.0000001
-    assert (0, 0) in map(tuple, pixel_xy(placement_band(scene.band_index, d, 5.0)))
+    index = scene.band_index
+    assert (0, 0) in [index.pixel(i) for i in placement_band(index, d, 5.0)]
     box = scene.anchor_box(0, 0, 1, 1)
     prop = PlacementProposal(class_id=1, d=d, d_effective=d, box=box, show_prob=1.0,
                              provenance=Provenance(index=0, attempts=1, anchor_px=(0, 0)),

@@ -57,7 +57,7 @@ class TestFitLognormal:
 class TestDepthHeightProfile:
     def test_single_depth_constant_height(self):
         objs = [(5.0, 10.0)] * 20
-        prof = depth_height_profile(objs, window=2, stride=1, min_count=10)
+        prof = depth_height_profile(objs, window=2, stride=1)
         assert len(prof) == 1
         c, mu, sigma, n = prof[0]
         assert c == 5.0
@@ -73,7 +73,7 @@ class TestDepthHeightProfile:
         depths = np.repeat(np.arange(1.0, 21.0), 50)
         heights = np.exp((1 + 0.5 * depths**0.8) + 0.1 * rng.standard_normal(depths.size))
         prof = depth_height_profile(np.stack([depths, heights], 1),
-                                    window=2.0, stride=1.0, min_count=10)
+                                    window=2.0, stride=1.0)
         for c, mu, sigma, n in prof:
             sel = np.abs(depths - c) <= 1.0
             logs = np.log(heights[sel])
@@ -82,10 +82,12 @@ class TestDepthHeightProfile:
             assert sigma == pytest.approx(logs.std(ddof=0), abs=1e-12)
 
     def test_sparse_windows_omitted(self):
+        # the profile leaves out only empty windows; callers drop the sparse
+        # ones by count, as fit does with min_window_count
         objs = [(1.0, 2.0)] * 15 + [(10.0, 3.0)] * 3
-        prof = depth_height_profile(objs, window=2, stride=1, min_count=10)
-        centers = [c for c, *_ in prof]
-        assert all(c <= 2.0 for c in centers)
+        prof = depth_height_profile(objs, window=2, stride=1)
+        assert [(c, n) for c, *_, n in prof] == [(1.0, 15), (2.0, 15), (9.0, 3), (10.0, 3)]
+        assert [c for c, *_, n in prof if n >= 10] == [1.0, 2.0]
 
 
 class TestFitPowerCurve:
@@ -301,8 +303,7 @@ class TestFitModel:
                  for i, f in enumerate(frames)}
         model, _ = fit_model(frames, lambda f: grids[f.frame_id],
                              RunConfig(min_window_count=2))
-        profile = depth_height_profile(np.stack([d, h], axis=1), window=2.0, stride=1.0,
-                                       min_count=1)
+        profile = depth_height_profile(np.stack([d, h], axis=1), window=2.0, stride=1.0)
         assert len(profile) > 30 and max(n for *_, n in profile) == 1
         got = model.class_model("c", 1)
         assert got.height_mu_curve == fit_power_curve([(c, mu) for c, mu, _, _ in profile])

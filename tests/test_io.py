@@ -22,8 +22,8 @@ from scene_placer.errors import (
     VersionError,
 )
 from scene_placer.fitting import fit_model
-from scene_placer.geometry import BBox, DepthGrid, LabelGrid, PatchRect
-from scene_placer.sampler import FrameAugmentation, PlacementProposal, Provenance, _clip_box
+from scene_placer.geometry import BBox, DepthGrid, LabelGrid, PatchRect, clip_box
+from scene_placer.sampler import FrameAugmentation, PlacementProposal, Provenance
 
 from conftest import (
     assert_frames_hold_columns,
@@ -672,7 +672,7 @@ def augmentations(draw):
                           side=side)
         proposals.append(PlacementProposal(
             class_id=draw(st.integers(0, 255)), d=draw(coords), d_effective=draw(coords),
-            box=_clip_box(box, fw, fh), show_prob=draw(st.floats(0.0, 1.0)),
+            box=clip_box(box, fw, fh), show_prob=draw(st.floats(0.0, 1.0)),
             provenance=Provenance(index=i, attempts=draw(st.integers(1, 25)),
                                   anchor_px=(draw(st.integers(0, 999)), draw(st.integers(0, 999)))),
             patch=patch, mask_path=draw(st.none() | mask_paths | mask_paths.map(lambda m: "/" + m))))
@@ -772,3 +772,14 @@ class TestLayoutIO:
         bad[key] = inside
         p.write_text(json.dumps(doc))
         assert dataset_io.load_layout(p).proposals[1].provenance.index == 3
+
+    def test_box_of_zero_float_extent_in_the_frame_names_file_and_index(self, tmp_path):
+        """Both edges of a 1e-300-wide box at cx = 30 round to 30: its edges
+        lie in the frame, but it shares no area with it."""
+        bad = dict(GOOD_PROPOSAL, index=3, box=[30, 20, 1e-300, 8])
+        p = tmp_path / "l.json"
+        p.write_text(json.dumps({"schema": 3, "frame_id": "x", "frame": [64, 48], "dropped": 0,
+                                 "proposals": [GOOD_PROPOSAL, bad]}))
+        with pytest.raises(SchemaError) as e:
+            dataset_io.load_layout(p)
+        assert str(e.value) == f"{p}: proposal 3: box does not intersect the 64x48 frame"

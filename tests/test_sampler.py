@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from scene_placer import sampler
 from scene_placer.config import RunConfig
 from scene_placer.errors import EmptyDrivableSpace, MaxAttemptsExceeded, UnknownClass
 from scene_placer.fitting import Histogram
@@ -250,6 +251,17 @@ class TestAugmentFrame:
         a = augment_frame(scene, model, "frame-9", RunConfig(n_objects=12, seed=42))
         b = augment_frame(scene, model, "frame-9", RunConfig(n_objects=12, seed=42))
         assert a == b
+
+    def test_grid_scale_is_worked_out_once_per_scene(self, monkeypatch):
+        calls = []
+        real = sampler.grid_scale
+        monkeypatch.setattr(sampler, "grid_scale", lambda *a: calls.append(a) or real(*a))
+        scene = open_scene(side=32, max_depth=40.0, frame_scale=50)
+        assert len(calls) == 1 and scene.scale == 50.0
+        aug = augment_frame(scene, make_model([make_class_model()]), "s",
+                            RunConfig(n_objects=12, seed=3))
+        assert sum(p.provenance.attempts for p in aug.proposals) >= 12
+        assert len(calls) == 1  # each attempt's anchor_box reads scene.scale
 
     def test_substream_isolation(self):
         # proposal i does not depend on how many proposals precede it
