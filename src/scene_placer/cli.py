@@ -6,10 +6,11 @@ Exit codes: 0 ok, 1 internal error, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from contextlib import suppress
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import dataset_io
 from .config import RunConfig
@@ -135,10 +136,15 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     frames = dataset_io.read_annotations(args.annotations)
     model = dataset_io.load_model(args.model)
-    augs = [dataset_io.load_layout(os.path.join(args.layouts, name))
-            for name in sorted(os.listdir(args.layouts)) if name.endswith(".json")]
+    paths = [os.path.join(args.layouts, name)
+             for name in sorted(os.listdir(args.layouts)) if name.endswith(".json")]
+    augs = [dataset_io.load_layout(path) for path in paths]
+    laid_out = {}  # frame id -> the path of its layout
+    for aug, path in zip(augs, paths):
+        if laid_out.setdefault(aug.frame_id, path) != path:
+            raise ScenePlacerError(f"frame {aug.frame_id} has two layouts:"
+                                   f" {laid_out[aug.frame_id]} and {path}")
     grids = _Grids(cfg, args.depth_dir, args.semantic_dir)
-    laid_out = {aug.frame_id for aug in augs}
     scenes = {fr.frame_id: grids.scene(fr) for fr in frames
               if fr.has_grids and fr.frame_id in laid_out}
     report = layout_report(frames, lambda fr: None if fr.depth_path is None else grids.depth(fr),
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scene-placer",
         description="Scene-aware probabilistic object placement. "
         "Config defaults: " + ", ".join(
-            f"{k}={v}" for k, v in defaults.to_dict().items()),
+            f"{k}={v}" for k, v in asdict(defaults).items()),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -266,28 +272,34 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Process entry of the CLI (`python -m scene_placer.cli`, the
-    `scene-placer` script): `main`, then flush stdout and stderr and end the
-    process with `os._exit`. Every output is written by then, so the
-    interpreter's teardown, which frees each module and object in turn, would
-    only add time. `atexit` hooks do not run; callers that need them call
-    `main` in-process, which leaves the process and `os.environ` as they are."""
+    `scene-placer` script): `main` with its stdout held in memory, then write
+    that out, flush stdout and stderr and end the process with `os._exit`.
+    Every output is written by then, so the interpreter's teardown, which
+    frees each module and object in turn, would only add time. `atexit` hooks
+    do not run; callers that need them call `main` in-process, which leaves
+    the process and `os.environ` as they are."""
     # The package calls no BLAS routine, yet OpenBLAS starts worker threads
     # when numpy loads, and they spin beside augment's worker threads. numpy
     # loads lazily, so this runs before the library reads the variable; a
     # user's own setting wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # Held here and written below, so that a failed write exits 120 however
+    # stdout is buffered: raised in the command, argparse would drop it and
+    # `main` would report an input error.
+    stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
         code = main()
     except SystemExit as e:  # argparse: 0 after --help, 2 on a usage error
         code = e.code
-    for stream in (sys.stdout, sys.stderr):
+    for stream, text in ((stdout, sys.stdout.getvalue()), (sys.stderr, "")):
         if stream is None:  # started with the descriptor closed
             continue
         try:
+            stream.write(text)
             stream.flush()
-        except OSError as e:
+        except (OSError, ValueError) as e:  # ValueError: text its encoding cannot take
             code = 120  # the interpreter's own status when its flush at exit fails
-            if stream is sys.stdout and sys.stderr is not None:
+            if stream is stdout and sys.stderr is not None:
                 with suppress(OSError):
                     sys.stderr.write(f"error: cannot write stdout: {e}\n")
     os._exit(code)

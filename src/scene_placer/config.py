@@ -34,9 +34,9 @@ _RANGES = {
 class RunConfig:
     """All tunable knobs with their defaults, range-checked on construction.
 
-    Types are checked where values enter the program: JSON (a --config file
-    or a model's config echo) by dataset_io.config_from_json, flags by
-    argparse.
+    Types are checked where values enter the program: a --config file by
+    dataset_io.load_config, flags by argparse. A model file holds none of
+    these values: each command takes them from its own config and flags.
 
     Defaults follow the reference protocol: band threshold 5, 12 objects per
     frame shown with probability 0.5, depth windows of width 2 on a stride-1
@@ -69,6 +69,3 @@ class RunConfig:
     def replace(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
         return dataclasses.replace(self, **kwargs)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)

@@ -271,9 +271,11 @@ _CONFIG_CHECKS = {
 }
 
 
-def config_from_json(doc, where) -> RunConfig:
-    """The RunConfig in `doc`, absent fields at their defaults; an unknown key
-    or a mistyped or out-of-range field raises SchemaError naming `where`."""
+def load_config(path) -> RunConfig:
+    """The RunConfig in the file, absent fields at their defaults; an unknown
+    key or a mistyped or out-of-range field raises SchemaError naming it."""
+    doc = _read_json(path)
+    where = f"{path}: config"
     defaults = RunConfig()
     values = {f.name: _get(doc, f.name, _CONFIG_CHECKS[f.type], where,
                            getattr(defaults, f.name)) for f in dataclasses.fields(RunConfig)}
@@ -284,10 +286,6 @@ def config_from_json(doc, where) -> RunConfig:
         return RunConfig(**values)
     except ValueError as e:  # a range check
         raise SchemaError(f"{where}: {e}") from e
-
-
-def load_config(path) -> RunConfig:
-    return config_from_json(_read_json(path), f"{path}: config")
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +341,12 @@ def model_to_json(model: LocationModel) -> dict:
             "classes": [int(c) for c in model.prior_classes],
             "probs": [float(v) for v in model.class_prior],
         },
-        "config": model.config.to_dict(),
     }
 
 
 def model_from_json(doc, where="model") -> LocationModel:
-    """The model in `doc`; any defect raises VersionError naming `where`."""
+    """The model in `doc`; any defect raises VersionError naming `where`.
+    Keys it does not read, such as older versions' config echo, are ignored."""
     try:
         schema = _get(doc, "schema", _INT, "top level")
         if schema != MODEL_SCHEMA_VERSION:
@@ -362,8 +360,7 @@ def model_from_json(doc, where="model") -> LocationModel:
                                for cid, rec in _get(cameras, cam, _OBJECT, "cameras").items())}
                      for cam in cameras},
             class_prior=_get(prior, "probs", _NUMBERS, "class_prior"),
-            prior_classes=tuple(_get(prior, "classes", _INTS, "class_prior")),
-            config=config_from_json(_get(doc, "config", _OBJECT, "top level"), "config"))
+            prior_classes=tuple(_get(prior, "classes", _INTS, "class_prior")))
     except (SchemaError, TypeError, ValueError) as e:
         raise VersionError(f"{where}: malformed model document: {e}") from e
 

@@ -108,13 +108,16 @@ class LocationModel:
     cameras: dict  # camera_id -> {class_id -> ClassModel}; "*" holds pooled fits
     class_prior: np.ndarray  # probability of each entry of prior_classes
     prior_classes: tuple
-    config: RunConfig
 
     def __post_init__(self):
         probs = _probabilities(self.class_prior, "class_prior")
         if len(probs) != len(self.prior_classes):
             raise ValueError(f"class_prior has {len(probs)} probabilities for "
                              f"{len(self.prior_classes)} prior classes")
+        unfitted = sorted(set(self.prior_classes) - set(self.cameras.get("*", {})))
+        if unfitted:
+            raise ValueError(f"class_prior draws classes {unfitted},"
+                             f" which have no pooled ('*') fit")
         object.__setattr__(self, "class_prior", probs)
 
     def class_model(self, camera_id, class_id) -> ClassModel:
@@ -392,6 +395,5 @@ def fit_model(dataset, depth_of, config: RunConfig):
         cameras=cameras,
         class_prior=counts / counts.sum(),
         prior_classes=prior_classes,
-        config=config,
     )
     return model, warnings

@@ -78,14 +78,13 @@ def make_class_model(
     )
 
 
-def make_model(class_models, config=None):
+def make_model(class_models):
     class_models = {cm.class_id: cm for cm in class_models}
     n = len(class_models)
     return LocationModel(
         cameras={"default": class_models, "*": class_models},
         class_prior=np.full(n, 1.0 / n),
         prior_classes=tuple(sorted(class_models)),
-        config=config or RunConfig(),
     )
 
 

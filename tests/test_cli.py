@@ -197,6 +197,28 @@ class TestAugment:
         for n in names:
             assert (t / "layouts" / n).read_bytes() == (t / "copies" / n).read_bytes()
 
+    def test_model_with_config_echo_gives_the_same_layouts(self, fixture_dataset):
+        """Older versions wrote the run config into the model as "config".
+        Commands take every run parameter from their own config, so the key
+        is ignored when read, whatever it holds, and not written back."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "model.json").read_text())
+        assert "config" not in doc
+        echo = dataclasses.asdict(dataset_io.load_config(_cfg(t)))  # as older versions wrote it
+        for name, value in (("echo", echo), ("bad_echo", dict(echo, max_attempts=0))):
+            older = t / f"{name}.json"
+            older.write_text(json.dumps(dict(doc, config=value), indent=2, sort_keys=True) + "\n")
+            assert run(["augment", t / "annotations.json", "--model", older,
+                        "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                        "--out-layouts", t / name, "--config", _cfg(t), "--seed", 7]) == 0
+            names = sorted(os.listdir(t / "layouts"))
+            assert names == sorted(os.listdir(t / name)) and len(names) == 6
+            for n in names:
+                assert (t / "layouts" / n).read_bytes() == (t / name / n).read_bytes()
+            dataset_io.save_model(dataset_io.load_model(older), t / "again.json")
+            assert (t / "again.json").read_bytes() == (t / "model.json").read_bytes()
+
     @pytest.mark.parametrize("source, bad", [("flag", "300"), ("config", "-1")])
     def test_drivable_class_out_of_range_exit_2(self, fixture_dataset, capsys,
                                                 source, bad):
@@ -361,6 +383,21 @@ class TestEvalRender:
 
     def test_missing_layout_exit_2(self, tmp_path):
         assert run(["render", tmp_path / "nope.json", "--out", tmp_path / "o.ppm"]) == 2
+
+    def test_two_layouts_of_one_frame_exit_2(self, fixture_dataset, capsys):
+        """A copy of a layout under another name would count its frame twice."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        copy = t / "layouts" / "copy_of_3.json"
+        copy.write_bytes((t / "layouts" / "3.json").read_bytes())
+        capsys.readouterr()
+        assert run(["eval", t / "annotations.json", "--model", t / "model.json",
+                    "--layouts", t / "layouts", "--depth-dir", t / "depth",
+                    "--semantic-dir", t / "semantic", "--out-report", t / "report.json",
+                    "--config", _cfg(t)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: frame 3 has two layouts: {t / 'layouts' / '3.json'} and {copy}\n")
+        assert not (t / "report.json").exists()
 
     def test_eval_reads_real_boxes_as_fit_does(self, fixture_dataset, monkeypatch):
         """Every real box with a depth grid has a disparity in eval, as in
@@ -729,19 +766,6 @@ class TestRanges:
         assert err.startswith("error: augmentable classes [9] have no fit: ")
         assert not (t / "model.json").exists()
 
-    def test_model_config_out_of_range_exit_2(self, fixture_dataset, capsys):
-        t = fixture_dataset
-        assert run(["fit", t / "annotations.json", "--depth-dir", t / "depth",
-                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 0
-        doc = json.loads((t / "model.json").read_text())
-        doc["config"]["max_attempts"] = 0
-        (t / "model.json").write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
-                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
-                    "--out-layouts", t / "layouts", "--config", _cfg(t)]) == 2
-        assert "'max_attempts'" in capsys.readouterr().err
-
 
 class TestModelChecks:
     @pytest.mark.parametrize("probs", [[1.0], [1.5, -0.5], [0.5, 0.4]],
@@ -773,6 +797,30 @@ class TestModelChecks:
         assert err == ("error: augmentable classes [99] have no fit:"
                        " fewer than min_samples=10 samples overall\n")
         assert not (t / "model.json").exists()
+
+    @pytest.mark.parametrize("cameras", [["*"], ["*", "front"]], ids=["pooled", "everywhere"])
+    @pytest.mark.parametrize("command", ["augment", "eval"])
+    def test_prior_class_without_pooled_fit_exit_2(self, fixture_dataset, capsys, command,
+                                                   cameras):
+        """The prior draws class 1, which every camera without a fit of its
+        own finds in the pooled fits: a model without that fit is refused
+        when read, whichever class a draw would reach."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "model.json").read_text())
+        for cam in cameras:
+            del doc["cameras"][cam]["1"]
+        (t / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = [command, t / "annotations.json", "--model", t / "model.json",
+                "--depth-dir", t / "depth", "--semantic-dir", t / "semantic", "--config", _cfg(t)]
+        out = ["--out-layouts", t / "out"] if command == "augment" else [
+            "--layouts", t / "layouts", "--out-report", t / "report.json"]
+        assert run(argv + out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {t / 'model.json'}: malformed model document: class_prior draws"
+            " classes [1], which have no pooled ('*') fit\n")
+        assert not (t / "out").exists() and not (t / "report.json").exists()
 
     @pytest.mark.parametrize("mutate, named", [
         (lambda d: [d], "top level"),
@@ -1065,11 +1113,12 @@ print(code, "numpy._core" in sys.modules)
 
 def _env(**changes):
     """This environment with the package on the path and PYTHONUNBUFFERED
-    unset, so a child's stdout to a file or pipe is block-buffered as in a
-    plain shell; `changes` set variables, or unset those given None."""
+    unset unless `changes` set it, so a child's stdout to a file or pipe is
+    block-buffered as in a plain shell; `changes` set variables, or unset
+    those given None."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    for name, value in dict(changes, PYTHONUNBUFFERED=None).items():
+    for name, value in dict({"PYTHONUNBUFFERED": None}, **changes).items():
         if value is None:
             env.pop(name, None)
         else:
@@ -1183,13 +1232,23 @@ class TestProcessEntry:
                               stderr=subprocess.DEVNULL)
         assert proc.returncode == 0
 
-    def test_failed_flush_exit_120(self):
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["help", "fit"])
+    def test_failed_flush_exit_120(self, fixture_dataset, command, unbuffered):
+        """Written unbuffered as the command runs, stdout would fail inside
+        it, where argparse drops the error and `main` calls it an input
+        error; buffered, at the flush. Either way the process exits 120."""
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
+        t = fixture_dataset
+        argv = {"help": ["--help"],
+                "fit": ["fit", t / "annotations.json", "--depth-dir", t / "depth",
+                        "--config", _cfg(t), "--out-model", t / "model.json"]}[command]
         with open("/dev/full", "w") as full:
-            proc = _launch("--help", stdout=full)
+            proc = _launch(*argv, stdout=full, env=_env(PYTHONUNBUFFERED=unbuffered))
         assert proc.returncode == 120
         assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert (t / "model.json").exists() == (command == "fit")
 
     def test_outputs_complete_in_a_redirected_file(self, fixture_dataset, capsys, monkeypatch):
         t = fixture_dataset

@@ -361,7 +361,7 @@ def test_golden_masked_scene_exercises_edges_and_occlusion(tmp_path):
 # holds 1, 2, 3, 4, 6 or 9 cells. Every grid cell is > 0, so no probe reads
 # disparity 0. Class 2 is scarce on camera "right", which has no fit of its
 # own for it and uses the pooled fit.
-GOLDEN_FIT_SHA256 = "0fa87e359cf95ea8a47082349b5be4e53ad3c61014c0a6c11f2d48b29858e353"
+GOLDEN_FIT_SHA256 = "a7ac56d4095da2e679205ccbd3d4647b64cbeef3b36c1a53828ba9ba352af749"
 GOLDEN_EVAL_SHA256 = "b365bb552d2acacdfb970f5adadef7540cc90aa1933dd21001626e6ef746f640"
 
 # (frame id, camera, frame width, frame height, grid width, grid height)

@@ -486,9 +486,8 @@ def malformed_model_docs(draw):
         return draw(st.sampled_from(WRONG_TYPE[dict]))
     *parent_path, key = path
     parent = functools.reduce(operator.getitem, parent_path, doc)
-    # camera and class entries may come and go; config fields have defaults
-    optional = (parent_path[:1] == ["config"]
-                or parent_path[:1] == ["cameras"] and len(parent_path) <= 2)
+    # camera and class entries may come and go
+    optional = parent_path[:1] == ["cameras"] and len(parent_path) <= 2
     if type(parent) is dict and not optional and draw(st.booleans()):
         del parent[key]
     else:
@@ -570,7 +569,7 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 def malformed_config_docs(draw):
     """The default config with one field mistyped, one non-finite number put
     in, or one unknown key added."""
-    doc = RunConfig().to_dict()
+    doc = dataclasses.asdict(RunConfig())
     name = draw(st.sampled_from(sorted(CONFIG_TYPES)))
     kind = CONFIG_TYPES[name]
     how = draw(st.sampled_from(["mistype", "non-finite", "unknown-key"]))
@@ -589,7 +588,7 @@ def malformed_config_docs(draw):
 class TestMalformedConfigs:
     def test_default_config_round_trips(self, tmp_path):
         p = tmp_path / "config.json"
-        p.write_text(json.dumps(RunConfig().to_dict()))
+        p.write_text(json.dumps(dataclasses.asdict(RunConfig())))
         assert dataset_io.load_config(p) == RunConfig()
 
     @settings(max_examples=200, deadline=None)
