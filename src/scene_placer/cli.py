@@ -6,6 +6,7 @@ Exit codes: 0 ok, 1 internal error, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -17,7 +18,7 @@ from .config import RunConfig
 from .errors import DimensionMismatch, EmptyDrivableSpace, ScenePlacerError
 from .evaluate import layout_report
 from .fitting import fit_model
-from .geometry import BBox, DepthGrid, drivable_mask, grid_scale
+from .geometry import BBox, drivable_mask
 from .masks import refine_layout
 from .sampler import SceneContext, augment_frame
 
@@ -36,46 +37,33 @@ def _load_config(args) -> RunConfig:
                        drivable_classes=flags.get("drivable_classes"))
 
 
-class _Grids:
-    """Frames' depth grids and drivable masks, each PGM file read once per
-    reader however many frames share it (keyed by resolved path)."""
+def _readers(args, cfg):
+    """Readers of a frame's depth grid and drivable mask by its path, resolved
+    under --depth-dir or --semantic-dir; each looks its PGM reader up in
+    `dataset_io` when called, so a tracer that rebinds it sees the call."""
+    return (lambda p: dataset_io.read_depth_grid(_resolve(args.depth_dir, p), cfg.depth_scale),
+            lambda p: drivable_mask(dataset_io.read_label_grid(_resolve(args.semantic_dir, p)),
+                                    cfg.drivable_classes))
 
-    def __init__(self, cfg, depth_dir=None, semantic_dir=None):
-        self.cfg, self.depth_dir, self.semantic_dir = cfg, depth_dir, semantic_dir
-        self._depth, self._drivable = {}, {}
 
-    def depth(self, frame) -> DepthGrid:
-        path = _resolve(self.depth_dir, frame.depth_path)
-        if path is None:
-            raise ScenePlacerError(f"frame {frame.frame_id} has no depth path")
-        if path not in self._depth:
-            self._depth[path] = dataset_io.read_depth_grid(path, self.cfg.depth_scale)
-        try:  # every command reads its grids here: the one check that names the frame
-            grid_scale(frame.width, frame.height, self._depth[path])
-        except DimensionMismatch as e:
-            raise DimensionMismatch(f"frame {frame.frame_id}: {e}") from None
-        return self._depth[path]
-
-    def scene(self, frame) -> SceneContext:
-        depth = self.depth(frame)
-        path = _resolve(self.semantic_dir, frame.semantic_path)
-        if path not in self._drivable:
-            self._drivable[path] = drivable_mask(dataset_io.read_label_grid(path),
-                                                 self.cfg.drivable_classes)
-        try:
-            return SceneContext(frame_w=frame.width, frame_h=frame.height,
-                                camera_id=frame.camera_id, depth=depth,
-                                drivable=self._drivable[path])
-        except DimensionMismatch as e:
-            raise DimensionMismatch(f"frame {frame.frame_id}: {e}: depth"
-                                    f" {_resolve(self.depth_dir, frame.depth_path)},"
-                                    f" labels {path}") from None
+def _scene(frame, args, depth, drivable) -> SceneContext:
+    """The frame's scene on the grids the path readers give for its paths; a
+    grid that fits neither the frame nor the other grid names the frame and
+    both files."""
+    try:
+        return SceneContext(frame.width, frame.height, frame.camera_id,
+                            depth(frame.depth_path), drivable(frame.semantic_path))
+    except DimensionMismatch as e:
+        files = (_resolve(args.depth_dir, frame.depth_path),
+                 _resolve(args.semantic_dir, frame.semantic_path))
+        raise DimensionMismatch(f"frame {frame.frame_id}: {e}: depth {files[0]},"
+                                f" labels {files[1]}") from None
 
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
     frames = dataset_io.read_annotations(args.annotations)
-    model, warnings = fit_model(frames, _Grids(cfg, args.depth_dir).depth, cfg)
+    model, warnings = fit_model(frames, _readers(args, cfg)[0], cfg)
     dataset_io.save_model(model, args.out_model)
     for cam in sorted(model.cameras, key=str):
         for cid, cm in sorted(model.cameras[cam].items()):
@@ -86,8 +74,7 @@ def cmd_fit(args) -> int:
 
 
 def _augment_one(frame, model, cfg, args):
-    # a reader per frame, so the frame's grids are freed when it is done
-    scene = _Grids(cfg, args.depth_dir, args.semantic_dir).scene(frame)
+    scene = _scene(frame, args, *_readers(args, cfg))  # read for this frame alone, freed with it
     try:
         aug = augment_frame(scene, model, frame.frame_id, cfg)
     except EmptyDrivableSpace as e:
@@ -140,15 +127,20 @@ def cmd_eval(args) -> int:
              for name in sorted(os.listdir(args.layouts)) if name.endswith(".json")]
     augs = [dataset_io.load_layout(path) for path in paths]
     laid_out = {}  # frame id -> the path of its layout
+    sizes = {fr.frame_id: (fr.width, fr.height) for fr in frames}
     for aug, path in zip(augs, paths):
         if laid_out.setdefault(aug.frame_id, path) != path:
             raise ScenePlacerError(f"frame {aug.frame_id} has two layouts:"
                                    f" {laid_out[aug.frame_id]} and {path}")
-    grids = _Grids(cfg, args.depth_dir, args.semantic_dir)
-    scenes = {fr.frame_id: grids.scene(fr) for fr in frames
+        size = sizes.get(aug.frame_id, aug.frame)
+        if size != aug.frame:
+            raise ScenePlacerError(f"{path}: the layout of frame {aug.frame_id} is for a"
+                                   f" {aug.frame[0]}x{aug.frame[1]} frame, {args.annotations}"
+                                   f" gives {size[0]}x{size[1]}")
+    depth, drivable = map(functools.cache, _readers(args, cfg))  # scenes and real boxes share grids
+    scenes = {fr.frame_id: _scene(fr, args, depth, drivable) for fr in frames
               if fr.has_grids and fr.frame_id in laid_out}
-    report = layout_report(frames, lambda fr: None if fr.depth_path is None else grids.depth(fr),
-                           augs, scenes, model, cfg.tau)
+    report = layout_report(frames, depth, augs, scenes, model, cfg.tau)
     dataset_io.save_report(report, json_path=args.out_report, text_path=args.out_text)
     print(report.to_text(), end="")
     return 0
@@ -187,12 +179,11 @@ def _positive_int(text: str) -> int:
 # the run-parameter flags; each command takes only those it reads
 _FLAGS = {
     "--config": dict(help="JSON config file (flat RunConfig fields); flags override it"),
-    "--seed": dict(type=int, help="master seed (default 0)"),
-    "--jobs": dict(type=_positive_int, default=1, help="worker threads (default 1)"),
-    "--tau": dict(type=float, help="placement band depth threshold (default 5.0)"),
-    "--objects-per-frame": dict(type=int, help="proposals per frame (default 12)"),
-    "--drivable-classes": dict(type=_class_list,
-                               help="comma-separated drivable class indices (default 1,2,3)"),
+    "--seed": dict(type=int, help="master seed"),
+    "--jobs": dict(type=_positive_int, default=1, help="worker threads (default %(default)s)"),
+    "--tau": dict(type=float, help="placement band depth threshold"),
+    "--objects-per-frame": dict(type=int, help="proposals per frame"),
+    "--drivable-classes": dict(type=_class_list, help="comma-separated drivable class indices"),
 }
 
 

@@ -4,19 +4,31 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 from dataclasses import dataclass, field
 
 from .errors import describe
 
 CLASS_PRIORS = ("uniform", "frequency")
 
+
+def _scales_depth(v) -> bool:
+    """Depth grids are read as their 16-bit values times float32(v): the
+    scale must not round to 0 or a subnormal, nor overflow at 65535."""
+    if not 0 < v < 2.0 ** 113:  # 65535 times 2**113 overflows float32 already
+        return False
+    scale = struct.unpack("f", struct.pack("f", v))[0]
+    # 65535 * scale is exact; float32 rounds it to inf from half an ulp past its max
+    return scale >= 2.0 ** -126 and 65535 * scale < (2 - 2.0 ** -24) * 2.0 ** 127
+
+
 # per RunConfig field with restricted values: (accepts the value, which
 # values); each rejects NaN, and the positive floats reject infinity
 _RANGES = {
     **dict.fromkeys(("show_prob", "min_visible_frac", "min_visible_composite"),
                     (lambda v: 0 <= v <= 1, "in [0, 1]")),
-    **dict.fromkeys(("tau", "window", "stride", "depth_scale"),
-                    (lambda v: 0 < v < math.inf, "finite and > 0")),
+    **dict.fromkeys(("tau", "window", "stride"), (lambda v: 0 < v < math.inf, "finite and > 0")),
+    "depth_scale": (_scales_depth, "> 0, a normal float32, and 65535 times it finite in float32"),
     **dict.fromkeys(("max_attempts", "n_bins", "min_window_count"), (lambda v: v >= 1, ">= 1")),
     "n_objects": (lambda v: v >= 0, ">= 0"),
     "min_samples": (lambda v: v >= 2, ">= 2"),  # a log-normal fit needs two samples

@@ -73,6 +73,9 @@ _SIZE = (lambda v: type(v) is int and v > 0, "an integer > 0")
 _COUNT = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
 _NUMBER = (lambda v: type(v) in _NUMBER_TYPES and -_MAX <= v <= _MAX, "a finite number")
 _STR = (lambda v: type(v) is str, "a string")
+# `fit` prints camera ids: a lone surrogate, such as "\ud800", has no UTF-8 encoding
+_PRINTABLE = (lambda v: type(v) is str and not re.search(r"[\ud800-\udfff]", v),
+              "a string that UTF-8 can encode")
 _PATH = (lambda v: v is None or type(v) is str, "a string or null")
 _LIST = (lambda v: type(v) is list, "a list")
 _OBJECT = (lambda v: type(v) is dict, "an object")
@@ -194,7 +197,7 @@ def read_annotations(path) -> list:
         if image_id in images:
             raise SchemaError(f"{rec} repeats the id {image_id} of images[{images[image_id][0]}]")
         images[image_id] = i, dict(
-            camera_id=_get(img, "camera", _STR, rec, "default"),
+            camera_id=_get(img, "camera", _PRINTABLE, rec, "default"),
             width=_get(img, "width", _SIZE, rec),
             height=_get(img, "height", _SIZE, rec),
             depth_path=_get(img, "depth_path", _PATH, rec, None),

@@ -83,16 +83,17 @@ def _anchor_band_valid(scene: SceneContext, prop: PlacementProposal, tau: float)
                              prop.d_effective, tau)))
 
 
-def layout_report(real_frames, depth_of, augmentations, scenes, model: LocationModel,
+def layout_report(real_frames, read_depth, augmentations, scenes, model: LocationModel,
                   tau: float) -> LayoutReport:
     """Compare sampled layouts against real layout statistics.
 
     real_frames: AnnotatedFrames, read as `fit_model` reads them, through
-    `object_columns` and `depth_of` (None: no disparities); augmentations:
+    `object_columns` and `read_depth` of each `depth_path` (a frame without
+    one has no disparities); augmentations:
     FrameAugmentation list; scenes: frame_id -> SceneContext. A proposal of
     a frame without a scene is not band-valid.
     """
-    real = object_columns(list(real_frames), depth_of)
+    real = object_columns(list(real_frames), read_depth)
     props = [(p, scenes.get(aug.frame_id)) for aug in augmentations for p in aug.proposals]
     proposed = (np.array([p.class_id for p, _ in props], np.int64),
                 np.array([p.d_effective for p, _ in props], np.float64),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .config import RunConfig
-from .errors import DegenerateFit, InsufficientData, InvalidSample, UnknownClass
+from .errors import DegenerateFit, DimensionMismatch, InsufficientData, InvalidSample, UnknownClass
 from .geometry import DepthGrid, grid_scale
 
 # Exponent grid for the power-curve search; covers decreasing and strongly
@@ -258,31 +258,37 @@ def object_depth(grid: DepthGrid, cx, by) -> np.ndarray:
     return mid.astype(np.float64)
 
 
-def object_columns(frames, depth_of):
+def object_columns(frames, read_depth):
     """Every box of `frames` as columns, in frame order: (class ids,
     disparities, heights, w/h ratios), each of shape (n,).
 
-    The boxes of all frames whose `depth_of(frame)` is one grid object are
-    probed in one `object_depth` call, each frame's bottom-centers mapped
-    from frame to grid pixels by its own `grid_scale`; where the grid is
-    None, the disparities are NaN.
+    Frames are grouped by `depth_path`: each path is read once, by
+    `read_depth(path)`, in order of first use, and all its boxes are probed
+    in one `object_depth` call, each frame's bottom-centers mapped from frame
+    to grid pixels by its own `grid_scale`. One grid is held at a time. A
+    frame without a path is never read; its disparities are NaN.
     """
     class_ids = np.concatenate([np.empty(0, np.int64)] + [fr.class_ids for fr in frames])
     boxes = np.concatenate([np.empty((0, 4))] + [fr.boxes for fr in frames])
     bottoms = boxes[:, :2].copy()  # bottom-centers, in grid pixels once probed
-    probes = {}  # id(grid) -> (grid, row ranges of its frames' boxes)
+    on_path = {}  # depth path -> [(frame, slice of its boxes)], in order of first use
     start = 0
     for fr in frames:
         stop = start + fr.class_ids.size
-        grid = depth_of(fr)
-        if grid is not None:
-            bottoms[start:stop] /= grid_scale(fr.width, fr.height, grid)
-            probes.setdefault(id(grid), (grid, []))[1].append(np.arange(start, stop))
+        if fr.depth_path is not None:
+            on_path.setdefault(fr.depth_path, []).append((fr, slice(start, stop)))
         start = stop
     depths = np.full(len(boxes), np.nan)
-    for grid, ranges in probes.values():
-        rows = np.concatenate(ranges)
+    for path, members in on_path.items():
+        grid = read_depth(path)
+        for fr, box_slice in members:
+            try:
+                bottoms[box_slice] /= grid_scale(fr.width, fr.height, grid)
+            except DimensionMismatch as e:
+                raise DimensionMismatch(f"frame {fr.frame_id}: {e}") from None
+        rows = np.concatenate([np.arange(s.start, s.stop) for _, s in members])
         depths[rows] = object_depth(grid, *bottoms[rows].T)
+        del grid  # one grid at a time: drop it before the next read
     return class_ids, depths, boxes[:, 3], boxes[:, 2] / boxes[:, 3]
 
 
@@ -324,16 +330,17 @@ def _constant_curves(profile):
     return mu_curve, sigma_curve
 
 
-def fit_model(dataset, depth_of, config: RunConfig):
+def fit_model(dataset, read_depth, config: RunConfig):
     """Fit a LocationModel from annotated frames.
 
-    depth_of maps an AnnotatedFrame to its DepthGrid; the boxes are read
+    read_depth maps a `depth_path` to its DepthGrid; the boxes are read
     through object_columns. Returns (model, warnings): boxes on disparity
     <= 0 and classes below min_samples overall are left out; a camera has an
     entry only for the classes it has min_samples of. The prior draws the
     augmentable classes (all fitted ones when None); InsufficientData names
-    any without a fit. Warnings give counts, fallbacks and exclusions. Each
-    class is fitted on its boxes in frame order (frames sorted by str(id)).
+    any without a fit, or the first frame without a depth path. Warnings give
+    counts, fallbacks and exclusions. Each class is fitted on its boxes in
+    frame order (frames sorted by str(id)).
     """
     if not dataset:
         raise InsufficientData("empty dataset")
@@ -341,7 +348,10 @@ def fit_model(dataset, depth_of, config: RunConfig):
     camera_ids = sorted({fr.camera_id for fr in frames}, key=str)
     if "*" in camera_ids:
         raise ValueError("camera id '*' is reserved for the fits pooled over all cameras")
-    class_ids, depths, heights, ratios = object_columns(frames, depth_of)
+    for fr in frames:
+        if fr.depth_path is None:
+            raise InsufficientData(f"frame {fr.frame_id} has no depth path")
+    class_ids, depths, heights, ratios = object_columns(frames, read_depth)
     camera_of = np.repeat([camera_ids.index(fr.camera_id) for fr in frames],
                           [fr.class_ids.size for fr in frames])
     kept = depths > 0  # the log-normal depth fit has no place for log(0)

@@ -125,7 +125,9 @@ def draw_objects(cm: ClassModel, n, rng):
 
 def synthetic_dataset(class_models, n_per_class, rng, camera_id="cam0"):
     """One AnnotatedFrame per object, with a constant depth grid equal to the
-    object's true depth so the fit's 3x3-median probe reads it back exactly."""
+    object's true depth so the fit's 3x3-median probe reads it back exactly.
+    Returns the frames and the reader of their grids: each frame's
+    `depth_path` is its id, which the reader maps to the frame's grid."""
     frames = []
     grids = {}
     fid = 0
@@ -136,9 +138,10 @@ def synthetic_dataset(class_models, n_per_class, rng, camera_id="cam0"):
             frames.append(AnnotatedFrame(
                 frame_id=str(fid), camera_id=camera_id, width=64, height=64,
                 class_ids=[cm.class_id], boxes=[[32.0, 48.0, ratio[i] * h[i], h[i]]],
+                depth_path=str(fid),
             ))
             fid += 1
-    return frames, lambda frame: grids[frame.frame_id]
+    return frames, grids.__getitem__
 
 
 def expected_columns(doc) -> dict:

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,59 @@ class TestFit:
                     "--out-model", t / "model.json", "--config", _cfg(t)]) == 2
         assert capsys.readouterr().err == \
             "error: camera id '*' is reserved for the fits pooled over all cameras\n"
+        assert not (t / "model.json").exists()
+
+    def test_fit_holds_one_depth_grid_at_a_time(self, tmp_path, rng):
+        """fit over frames each on its own 400x300 depth file, 40 boxes under
+        each 800x600 frame: the tracemalloc peak over 16 frames stays within
+        one grid's float32 values of the peak over 4, which it would not if
+        fit kept the grids it has read."""
+        grid_bytes = 400 * 300 * 4
+
+        def annotations(n):
+            images, anns = [], []
+            for i in range(n):
+                write_depth_grid(DepthGrid(rng.uniform(1, 40, (300, 400)).astype(np.float32)),
+                                 tmp_path / f"{n}_{i}.pgm", DEPTH_SCALE)
+                images.append({"id": i, "width": 800, "height": 600,
+                               "depth_path": f"{n}_{i}.pgm"})
+                for k in range(40):
+                    w, h = rng.uniform(5, 60, 2).tolist()
+                    anns.append({"id": 40 * i + k, "image_id": i, "category_id": 1,
+                                 "bbox": [rng.uniform(0, 800 - w), rng.uniform(0, 600 - h), w, h]})
+            path = tmp_path / f"{n}.json"
+            path.write_text(json.dumps({"images": images, "annotations": anns,
+                                        "categories": [{"id": 1}]}))
+            return path
+
+        def fit_peak(n, path):
+            tracemalloc.start()
+            try:
+                assert run(["fit", path, "--depth-dir", tmp_path,
+                            "--out-model", tmp_path / f"{n}_model.json"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        paths = {n: annotations(n) for n in (4, 16)}
+        assert run(["fit", paths[4], "--depth-dir", tmp_path,
+                    "--out-model", tmp_path / "warm.json"]) == 0  # first-call imports
+        peaks = {n: fit_peak(n, path) for n, path in paths.items()}
+        assert peaks[16] < peaks[4] + grid_bytes, peaks
+
+    def test_camera_id_that_utf8_cannot_encode_exit_2(self, fixture_dataset, capsys):
+        """fit prints each camera id: one holding a lone surrogate has no
+        UTF-8 form, so it is refused where it is read, before any output."""
+        t = fixture_dataset
+        doc = json.loads((t / "annotations.json").read_text())
+        for im in doc["images"]:
+            im["camera"] = "\ud800"
+        (t / "surrogate.json").write_text(json.dumps(doc))
+        assert run(["fit", t / "surrogate.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "model.json", "--config", _cfg(t)]) == 2
+        assert capsys.readouterr() == ("", f"error: {t / 'surrogate.json'}: images[0]:"
+                                           " 'camera' must be a string that UTF-8 can encode,"
+                                           " got '\\ud800'\n")
         assert not (t / "model.json").exists()
 
 
@@ -397,6 +451,25 @@ class TestEvalRender:
                     "--config", _cfg(t)]) == 2
         assert capsys.readouterr().err == (
             f"error: frame 3 has two layouts: {t / 'layouts' / '3.json'} and {copy}\n")
+        assert not (t / "report.json").exists()
+
+    def test_layout_of_another_frame_size_exit_2(self, fixture_dataset, capsys):
+        """Layouts made for 48x48 frames, scored against annotations whose
+        frames are 96x96 (the 48x48 grids still fit them at scale 2)."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "annotations.json").read_text())
+        for im in doc["images"]:
+            im["width"], im["height"] = 2 * im["width"], 2 * im["height"]
+        (t / "doubled.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["eval", t / "doubled.json", "--model", t / "model.json",
+                    "--layouts", t / "layouts", "--depth-dir", t / "depth",
+                    "--semantic-dir", t / "semantic", "--out-report", t / "report.json",
+                    "--config", _cfg(t)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {t / 'layouts' / '0.json'}: the layout of frame 0 is for a 48x48 frame,"
+            f" {t / 'doubled.json'} gives 96x96\n")
         assert not (t / "report.json").exists()
 
     def test_eval_reads_real_boxes_as_fit_does(self, fixture_dataset, monkeypatch):
@@ -711,6 +784,10 @@ class TestRanges:
         ("tau", float("inf")),
         ("stride", float("inf")),
         pytest.param("depth_scale", 10 ** 400, id="depth_scale-10**400"),
+        # grids are scaled in float32: 0, subnormal, and overflowing at 65535
+        ("depth_scale", 1e-50),
+        ("depth_scale", 1e-40),
+        ("depth_scale", 1e39),
     ])
     def test_config_out_of_range_exit_2(self, fixture_dataset, capsys, field, value):
         t = fixture_dataset
@@ -726,6 +803,29 @@ class TestRanges:
         assert err.startswith(f"error: {cfg}: config: {field!r} must be ")
         assert "\n" not in err[:-1] and len(err.encode()) < 200
         assert not (t / "layouts").exists() or not os.listdir(t / "layouts")
+
+    def test_depth_scale_bounds_are_those_of_float32(self):
+        """Around the smallest normal float32 and around the largest scale
+        whose product with 65535 is finite in float32, a value is accepted
+        exactly when numpy's float32 reading of a grid would give a normal,
+        finite disparity."""
+        f32 = np.finfo(np.float32)
+        edges = (f32.tiny, np.float32(f32.max / np.float32(65535)))
+        for edge in edges:
+            for step in range(-3, 4):
+                v = np.float32(edge)
+                for _ in range(abs(step)):
+                    v = np.nextafter(v, np.float32(np.sign(step) * np.inf))
+                with np.errstate(over="ignore"):
+                    top = np.float32(65535) * v
+                valid = bool(v >= f32.tiny and np.isfinite(top))
+                try:
+                    RunConfig(depth_scale=float(v))
+                    accepted = True
+                except ValueError as e:
+                    assert str(e).startswith("'depth_scale' must be ")
+                    accepted = False
+                assert accepted == valid, (float(v), step)
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--objects-per-frame", -3, "'n_objects'"),
@@ -923,7 +1023,8 @@ class TestMalformedGrids:
     def test_grid_scaled_unequally_to_its_frame_exit_2(self, fixture_dataset, capsys, command):
         """A 24x12 grid under frame 2's 48x48 frame: 2 frame pixels per grid
         pixel across, 4 down. Every command that reads the grid refuses it,
-        naming the frame and both scales."""
+        naming the frame and both scales; augment and eval, which find it
+        while building the frame's scene, also name both grid files."""
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
         write_depth_grid(DepthGrid(np.ones((12, 24), np.float32)), t / "depth" / "2.pgm",
@@ -931,8 +1032,10 @@ class TestMalformedGrids:
         write_label_grid(LabelGrid(np.ones((12, 24), np.uint8)), t / "semantic" / "2.pgm")
         capsys.readouterr()
         assert run(self._argv(t, command)) == 2
+        files = ("" if command == "fit" else
+                 f": depth {t / 'depth' / '2.pgm'}, labels {t / 'semantic' / '2.pgm'}")
         assert capsys.readouterr().err == (
-            "error: frame 2: grid-to-frame scale differs between axes: 2 across, 4 down\n")
+            f"error: frame 2: grid-to-frame scale differs between axes: 2 across, 4 down{files}\n")
 
     @pytest.mark.parametrize("command", ["augment", "eval"])
     def test_label_grid_of_another_shape_names_the_frame(self, fixture_dataset, capsys,

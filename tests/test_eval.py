@@ -81,12 +81,12 @@ class TestLayoutReport:
         # reals carry their own depth in the constant grids; rebuild scenes
         # for the real frames so the depth marginal can be computed
         real_scenes = {
-            f.frame_id: make_scene(lookup(f).values, np.ones((8, 8), bool),
+            f.frame_id: make_scene(lookup(f.depth_path).values, np.ones((8, 8), bool),
                                    frame_scale=8, camera_id="cam0")
             for f in frames
         }
         real_scenes["big"] = scene
-        report = layout_report(frames, lambda f: real_scenes[f.frame_id].depth, augs, real_scenes,
+        report = layout_report(frames, lambda path: real_scenes[path].depth, augs, real_scenes,
                                model, 5.0)
         stats = [s for s in report.per_class if s.class_id == 1][0]
         assert stats.comparable
@@ -164,7 +164,8 @@ def test_boxes_of_frames_without_a_scene_count_everywhere_but_ks_depth():
     rows = np.repeat([[2.0], [5.0], [8.0], [11.0]], 6, axis=1)
     scene = make_scene(rows, np.ones((4, 6), bool), frame_scale=10)
     real = [AnnotatedFrame(frame_id="a", camera_id="default", width=60, height=40,
-                           class_ids=[1, 1], boxes=[[15, 20, 3, 6], [45, 30, 4, 5]]),
+                           class_ids=[1, 1], boxes=[[15, 20, 3, 6], [45, 30, 4, 5]],
+                           depth_path="a.pgm"),
             AnnotatedFrame(frame_id="b", camera_id="default", width=60, height=40,
                            class_ids=[1, 2, 2], boxes=[[5, 40, 2, 9], [30, 35, 6, 3],
                                                        [50, 25, 5, 5]])]
@@ -177,8 +178,8 @@ def test_boxes_of_frames_without_a_scene_count_everywhere_but_ks_depth():
                                                       (2, 3.0, 0, 1, 2, 2)])]
     aug = FrameAugmentation(frame_id="a", frame=(60, 40), proposals=props, dropped=0)
     model = make_model([make_class_model(class_id=1), make_class_model(class_id=2)])
-    report = layout_report(real, lambda f: scene.depth if f.frame_id == "a" else None,
-                           [aug], {"a": scene}, model, 5.0)
+    report = layout_report(real, {"a.pgm": scene.depth}.__getitem__, [aug], {"a": scene},
+                           model, 5.0)
     one, two = report.per_class
     assert (report.n_real, one.n_real, two.n_real) == (5, 3, 2)
     assert (one.n_proposed, two.n_proposed) == (3, 2)

@@ -1,6 +1,7 @@
+import dataclasses
 import math
-
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -206,34 +207,56 @@ class TestObjectDepth:
 
 class TestObjectColumns:
     def test_one_probe_per_grid_matches_a_probe_per_frame(self, rng, monkeypatch):
-        """Frames on one grid object are probed in one call, in order of first
-        use, each at its own frame-to-grid scale; the columns equal those of
-        one `object_depth` call per frame, bit for bit."""
-        grids = [DepthGrid(rng.uniform(1, 50, (9, 16)).astype(np.float32)) for _ in range(2)]
+        """Frames are grouped by depth path: each distinct path is read once,
+        in order of first use, and all its boxes are probed in one call, each
+        frame at its own frame-to-grid scale; a frame without a path is never
+        read. The columns equal those of one `object_depth` call per frame,
+        bit for bit."""
+        grids = {p: DepthGrid(rng.uniform(1, 50, (9, 16)).astype(np.float32)) for p in "ab"}
 
-        def frame(i, scale, n):
+        def frame(i, scale, n, path):
             w, h = 16 * scale, 9 * scale
             boxes = np.column_stack([rng.uniform(-2, w + 2, n), rng.uniform(-2, h + 2, n),
                                      rng.uniform(1, 5, n), rng.uniform(1, 5, n)])
-            return AnnotatedFrame(str(i), "cam", w, h, rng.integers(1, 4, n), boxes)
+            return AnnotatedFrame(str(i), "cam", w, h, rng.integers(1, 4, n), boxes,
+                                  depth_path=path)
 
-        # grid 0 under frames of scale 1, 4 and 2, grid 1 under one, and a frame without a grid
-        frames = [frame(0, 1, 5), frame(1, 4, 3), frame(2, 1, 0), frame(3, 2, 7), frame(4, 1, 4)]
-        grid_of = {"0": grids[0], "1": grids[0], "2": None, "3": grids[1], "4": grids[0]}
-        calls = []
+        # grid b under frames of scale 1, 4 and 2, grid a under one, a frame without a path
+        frames = [frame(0, 1, 5, "b"), frame(1, 4, 3, "b"), frame(2, 1, 6, None),
+                  frame(3, 2, 7, "a"), frame(4, 1, 4, "b")]
+        reads, calls = [], []
         probe = object_depth
         monkeypatch.setattr(fitting, "object_depth", lambda grid, cx, by:
                             calls.append((grid, len(cx))) or probe(grid, cx, by))
-        class_ids, depths, heights, ratios = object_columns(frames, lambda fr: grid_of[fr.frame_id])
-        assert [(id(g), n) for g, n in calls] == [(id(grids[0]), 12), (id(grids[1]), 7)]
-        want = [np.full(fr.class_ids.size, np.nan) if grid_of[fr.frame_id] is None else
-                probe(grid_of[fr.frame_id], *(fr.boxes[:, :2] / (fr.width / 16)).T)
+        class_ids, depths, heights, ratios = object_columns(
+            frames, lambda path: reads.append(path) or grids[path])
+        assert reads == ["b", "a"]
+        assert [(id(g), n) for g, n in calls] == [(id(grids["b"]), 12), (id(grids["a"]), 7)]
+        want = [np.full(fr.class_ids.size, np.nan) if fr.depth_path is None else
+                probe(grids[fr.depth_path], *(fr.boxes[:, :2] / (fr.width / 16)).T)
                 for fr in frames]
         assert np.array_equal(depths.view(np.int64), np.concatenate(want).view(np.int64))
         boxes = np.concatenate([fr.boxes for fr in frames])
         assert class_ids.tolist() == np.concatenate([fr.class_ids for fr in frames]).tolist()
         assert np.array_equal(heights, boxes[:, 3])
         assert np.array_equal(ratios, boxes[:, 2] / boxes[:, 3])
+
+    def test_drops_each_grid_before_the_next_read(self):
+        """Only one grid is alive at a time: when a path is read, no grid
+        read before it is referenced any more."""
+        frames = [AnnotatedFrame(str(i), "cam", 16, 9, [1], [[8.0, 5.0, 2.0, 2.0]],
+                                 depth_path=str(i % 3)) for i in range(6)]
+        read = []
+
+        def read_depth(path):
+            assert [ref() for ref in read] == [None] * len(read)
+            grid = DepthGrid(np.full((9, 16), 1.0 + int(path), np.float32))
+            read.append(weakref.ref(grid))
+            return grid
+
+        _, depths, _, _ = object_columns(frames, read_depth)
+        assert len(read) == 3
+        assert depths.tolist() == [1.0, 2.0, 3.0] * 2
 
 
 class TestFitModel:
@@ -268,8 +291,9 @@ class TestFitModel:
             grids[str(i)] = DepthGrid(np.repeat(rows[:, None], 16, axis=1))
             frames.append(AnnotatedFrame(
                 frame_id=str(i), camera_id="cam0", width=160, height=90, class_ids=[1],
-                boxes=[[(x + 0.5) * 10, (row + 1) * 10, ratio[i] * h[i], h[i]]]))
-        model, _ = fit_model(frames, lambda f: grids[f.frame_id], RunConfig())
+                boxes=[[(x + 0.5) * 10, (row + 1) * 10, ratio[i] * h[i], h[i]]],
+                depth_path=str(i)))
+        model, _ = fit_model(frames, grids.__getitem__, RunConfig())
         got = model.class_model("cam0", 1).depth
         want = fit_lognormal(d.astype(np.float32))
         assert got.mu == pytest.approx(want.mu, abs=1e-12)
@@ -283,9 +307,9 @@ class TestFitModel:
         for i in range(50):
             frames.append(AnnotatedFrame(
                 frame_id=str(i), camera_id="c", width=64, height=64,
-                class_ids=[3], boxes=[[10.0, 20.0, 8.0, 16.0]],
+                class_ids=[3], boxes=[[10.0, 20.0, 8.0, 16.0]], depth_path="grid",
             ))
-        model, _ = fit_model(frames, lambda f: grid, RunConfig())
+        model, _ = fit_model(frames, lambda path: grid, RunConfig())
         got = model.class_model("c", 3)
         assert got.depth.sigma == pytest.approx(0.0)
         assert got.height_sigma_curve.eval_clamped(5.0) == pytest.approx(0.0, abs=1e-9)
@@ -297,12 +321,12 @@ class TestFitModel:
         d = 1.0 + 3.0 * np.arange(30)
         h = np.exp(0.5 + 0.1 * d ** 0.8)
         frames = [AnnotatedFrame(frame_id=str(i), camera_id="c", width=64, height=64,
-                                 class_ids=[1], boxes=[[32.0, 48.0, h[i] / 2, h[i]]])
+                                 class_ids=[1], boxes=[[32.0, 48.0, h[i] / 2, h[i]]],
+                                 depth_path=str(i))
                   for i in range(d.size)]
-        grids = {f.frame_id: DepthGrid(np.full((8, 8), d[i], np.float32))
+        grids = {f.depth_path: DepthGrid(np.full((8, 8), d[i], np.float32))
                  for i, f in enumerate(frames)}
-        model, _ = fit_model(frames, lambda f: grids[f.frame_id],
-                             RunConfig(min_window_count=2))
+        model, _ = fit_model(frames, grids.__getitem__, RunConfig(min_window_count=2))
         profile = depth_height_profile(np.stack([d, h], axis=1), window=2.0, stride=1.0)
         assert len(profile) > 30 and max(n for *_, n in profile) == 1
         got = model.class_model("c", 1)
@@ -332,22 +356,13 @@ class TestFitModel:
         cm = make_class_model(class_id=1)
         frames_a, lookup_a = synthetic_dataset([cm], 100, rng, camera_id="camA")
         frames_b, lookup_b = synthetic_dataset([cm], 5, rng, camera_id="camB")
-        # re-key frame ids so the two lookups don't collide
-        for i, fr in enumerate(frames_b):
-            frames_b[i] = type(fr)(
-                frame_id=f"b{fr.frame_id}", camera_id=fr.camera_id,
-                width=fr.width, height=fr.height, class_ids=fr.class_ids, boxes=fr.boxes,
-            )
-        grids = {f.frame_id: lookup_a(f) for f in frames_a}
-        rekeyed = {}
-        for i, fr in enumerate(frames_b):
-            orig_id = fr.frame_id[1:]
-            class F:  # minimal shim carrying the original id
-                frame_id = orig_id
-            rekeyed[fr.frame_id] = lookup_b(F)
-        grids.update(rekeyed)
+        # re-key camB's frame ids and paths so the two datasets don't collide
+        frames_b = [dataclasses.replace(fr, frame_id=f"b{fr.frame_id}",
+                                        depth_path=f"b{fr.depth_path}") for fr in frames_b]
         model, warnings = fit_model(
-            frames_a + frames_b, lambda f: grids[f.frame_id], RunConfig(min_samples=30)
+            frames_a + frames_b,
+            lambda path: lookup_b(path[1:]) if path.startswith("b") else lookup_a(path),
+            RunConfig(min_samples=30),
         )
         assert "camB" not in model.cameras
         assert model.class_model("camB", 1) is model.cameras["*"][1]
@@ -363,10 +378,12 @@ class TestFitModel:
         on_zero = AnnotatedFrame(
             frame_id="zero", camera_id="cam0", width=64, height=64,
             class_ids=[1] * 7 + [2] * 40, boxes=[[32.0, 48.0, 4.0, 8.0]] * 47,
+            depth_path="zero",
         )
         zero = DepthGrid(np.zeros((8, 8), np.float32))
         model, got_warnings = fit_model(
-            frames + [on_zero], lambda f: zero if f is on_zero else lookup(f), RunConfig())
+            frames + [on_zero], lambda path: zero if path == "zero" else lookup(path),
+            RunConfig())
         clean, _ = fit_model(frames, lookup, RunConfig())
         got = model.class_model("cam0", 1)
         assert got.depth == clean.class_model("cam0", 1).depth
@@ -383,12 +400,13 @@ class TestFitModel:
         min_samples, and class 9, with none, are named; class 1 is not."""
         frames, lookup = synthetic_dataset([make_class_model(class_id=1)], 40, rng)
         few = AnnotatedFrame(frame_id="few", camera_id="cam0", width=64, height=64,
-                             class_ids=[2] * 5, boxes=[[32.0, 48.0, 4.0, 8.0]] * 5)
+                             class_ids=[2] * 5, boxes=[[32.0, 48.0, 4.0, 8.0]] * 5,
+                             depth_path="few")
         grid = DepthGrid(np.full((8, 8), 10.0, np.float32))
         cfg = RunConfig(min_samples=10, augmentable_classes=[9, 1, 2])
         with pytest.raises(InsufficientData, match=r"^augmentable classes \[2, 9\] have no"
                                                    r" fit: fewer than min_samples=10 "):
-            fit_model(frames + [few], lambda f: grid if f is few else lookup(f), cfg)
+            fit_model(frames + [few], lambda path: grid if path == "few" else lookup(path), cfg)
 
     @pytest.mark.parametrize("augmentable", [None, [2, 1]])
     def test_frequency_prior_is_the_pooled_sample_share(self, augmentable):
@@ -398,16 +416,17 @@ class TestFitModel:
         # (class, boxes, disparity) per frame
         specs = [(1, 12, 10.0), (2, 30, 20.0), (3, 3, 15.0), (1, 4, 0.0)]
         frames = [AnnotatedFrame(frame_id=str(i), camera_id="cam0", width=64, height=64,
-                                 class_ids=[c] * n, boxes=[[32.0, 48.0, 4.0, 8.0]] * n)
+                                 class_ids=[c] * n, boxes=[[32.0, 48.0, 4.0, 8.0]] * n,
+                                 depth_path=str(i))
                   for i, (c, n, _) in enumerate(specs)]
         grid_of = {str(i): DepthGrid(np.full((8, 8), d, np.float32))
                    for i, (_, _, d) in enumerate(specs)}
         cfg = RunConfig(class_prior="frequency", min_samples=5, augmentable_classes=augmentable)
-        model, _ = fit_model(frames, lambda f: grid_of[f.frame_id], cfg)
+        model, _ = fit_model(frames, grid_of.__getitem__, cfg)
         assert model.prior_classes == (1, 2)
         assert [model.cameras["*"][c].sample_count for c in (1, 2)] == [12, 30]
         assert model.class_prior.tolist() == [12 / 42, 30 / 42]
 
     def test_empty_dataset(self):
         with pytest.raises(InsufficientData):
-            fit_model([], lambda f: None, RunConfig())
+            fit_model([], lambda path: None, RunConfig())

@@ -26,6 +26,7 @@ depths, attempts, inpainting patches, mask paths relative to the layout), so
 a format change moves both sets of layout digests too.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -33,7 +34,7 @@ import os
 import numpy as np
 
 from scene_placer import dataset_io, sampler
-from scene_placer.cli import _Grids, main
+from scene_placer.cli import _readers, _scene, main
 from scene_placer.config import RunConfig
 from scene_placer.evaluate import layout_report
 from scene_placer.geometry import BandIndex, DepthGrid, LabelGrid
@@ -128,8 +129,9 @@ def test_golden_scene_exercises_reset_and_edge_clipping(tmp_path):
     cfg = dataset_io.load_config(cfg_path).replace(seed=SEED)
     model = dataset_io.load_model(tmp_path / "model.json")
     resets = clipped = coarse = 0
+    dirs = argparse.Namespace(depth_dir=tmp_path / "depth", semantic_dir=tmp_path / "semantic")
     for frame in dataset_io.read_annotations(ann):
-        scene = _Grids(cfg, tmp_path / "depth", tmp_path / "semantic").scene(frame)
+        scene = _scene(frame, dirs, *_readers(dirs, cfg))
         coarse += scene.frame_w > scene.depth.width
         aug = augment_frame(scene, model, frame.frame_id, cfg)
         for p in aug.proposals:
@@ -166,10 +168,11 @@ def test_band_index_is_built_once_per_augmented_frame_and_never_by_eval(tmp_path
 
     run_cfg = dataset_io.load_config(cfg)
     frames = dataset_io.read_annotations(ann)
-    grids = _Grids(run_cfg, tmp_path / "depth", tmp_path / "semantic")
-    scenes = {fr.frame_id: grids.scene(fr) for fr in frames}
+    grid_dirs = argparse.Namespace(depth_dir=tmp_path / "depth", semantic_dir=tmp_path / "semantic")
+    depth, drivable = _readers(grid_dirs, run_cfg)
+    scenes = {fr.frame_id: _scene(fr, grid_dirs, depth, drivable) for fr in frames}
     augs = [dataset_io.load_layout(out / f"{fr.frame_id}.json") for fr in frames]
-    report = layout_report(frames, grids.depth, augs, scenes,
+    report = layout_report(frames, depth, augs, scenes,
                            dataset_io.load_model(tmp_path / "model.json"), run_cfg.tau)
     assert report.band_validity == 1.0
     assert not any("band_index" in vars(scene) for scene in scenes.values())
@@ -304,8 +307,9 @@ def test_masks_dir_picks_each_mask_by_proposal_index(tmp_path):
     run_cfg = dataset_io.load_config(cfg).replace(seed=SEED)
     model = dataset_io.load_model(tmp_path / "model.json")
     sampling_drops = 0
+    dirs = argparse.Namespace(depth_dir=tmp_path / "depth", semantic_dir=tmp_path / "semantic")
     for frame in dataset_io.read_annotations(ann):
-        scene = _Grids(run_cfg, tmp_path / "depth", tmp_path / "semantic").scene(frame)
+        scene = _scene(frame, dirs, *_readers(dirs, run_cfg))
         sampling_drops += augment_frame(scene, model, frame.frame_id, run_cfg).dropped
         aug = dataset_io.load_layout(tmp_path / "layouts" / f"{frame.frame_id}.json")
         for p in aug.proposals:
