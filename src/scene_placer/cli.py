@@ -142,6 +142,11 @@ def cmd_eval(args) -> int:
               if fr.has_grids and fr.frame_id in laid_out}
     report = layout_report(frames, depth, augs, scenes, model, cfg.tau)
     dataset_io.save_report(report, json_path=args.out_report, text_path=args.out_text)
+    unchecked = [len(aug.proposals) for aug in augs if aug.proposals and aug.frame_id not in scenes]
+    if unchecked:
+        print(f"warning: band_validity leaves out {sum(unchecked)} proposals of"
+              f" {len(unchecked)} frames without an annotated depth and label grid",
+              file=sys.stderr)
     print(report.to_text(), end="")
     return 0
 

@@ -45,7 +45,7 @@ class ClassStats:
 @dataclass
 class LayoutReport:
     per_class: list  # ClassStats
-    band_validity: float | None  # None when there are no proposals
+    band_validity: float | None  # None when no proposal's frame has a scene
     chi_square: float | None
     n_proposals: int
     n_real: int
@@ -90,8 +90,9 @@ def layout_report(real_frames, read_depth, augmentations, scenes, model: Locatio
     real_frames: AnnotatedFrames, read as `fit_model` reads them, through
     `object_columns` and `read_depth` of each `depth_path` (a frame without
     one has no disparities); augmentations:
-    FrameAugmentation list; scenes: frame_id -> SceneContext. A proposal of
-    a frame without a scene is not band-valid.
+    FrameAugmentation list; scenes: frame_id -> SceneContext. band_validity
+    is the share of the proposals of frames with a scene whose anchor lies in
+    their band; the proposals of other frames count everywhere else.
     """
     real = object_columns(list(real_frames), read_depth)
     props = [(p, scenes.get(aug.frame_id)) for aug in augmentations for p in aug.proposals]
@@ -99,7 +100,7 @@ def layout_report(real_frames, read_depth, augmentations, scenes, model: Locatio
                 np.array([p.d_effective for p, _ in props], np.float64),
                 np.array([p.box.h for p, _ in props], np.float64),
                 np.array([p.box.w / p.box.h for p, _ in props], np.float64))
-    valid = sum(scene is not None and _anchor_band_valid(scene, p, tau) for p, scene in props)
+    checked = [_anchor_band_valid(scene, p, tau) for p, scene in props if scene is not None]
     n_prop = len(props)
 
     per_class = []
@@ -125,7 +126,7 @@ def layout_report(real_frames, read_depth, augmentations, scenes, model: Locatio
 
     return LayoutReport(
         per_class=per_class,
-        band_validity=(valid / n_prop) if n_prop else None,
+        band_validity=(sum(checked) / len(checked)) if checked else None,
         chi_square=chi,
         n_proposals=n_prop,
         n_real=real[0].size,

@@ -266,7 +266,8 @@ def object_columns(frames, read_depth):
     `read_depth(path)`, in order of first use, and all its boxes are probed
     in one `object_depth` call, each frame's bottom-centers mapped from frame
     to grid pixels by its own `grid_scale`. One grid is held at a time. A
-    frame without a path is never read; its disparities are NaN.
+    frame without a path is never read; its disparities are NaN. A frame
+    without boxes is never read or scale-checked.
     """
     class_ids = np.concatenate([np.empty(0, np.int64)] + [fr.class_ids for fr in frames])
     boxes = np.concatenate([np.empty((0, 4))] + [fr.boxes for fr in frames])
@@ -275,7 +276,7 @@ def object_columns(frames, read_depth):
     start = 0
     for fr in frames:
         stop = start + fr.class_ids.size
-        if fr.depth_path is not None:
+        if fr.depth_path is not None and stop > start:
             on_path.setdefault(fr.depth_path, []).append((fr, slice(start, stop)))
         start = stop
     depths = np.full(len(boxes), np.nan)
@@ -338,9 +339,9 @@ def fit_model(dataset, read_depth, config: RunConfig):
     <= 0 and classes below min_samples overall are left out; a camera has an
     entry only for the classes it has min_samples of. The prior draws the
     augmentable classes (all fitted ones when None); InsufficientData names
-    any without a fit, or the first frame without a depth path. Warnings give
-    counts, fallbacks and exclusions. Each class is fitted on its boxes in
-    frame order (frames sorted by str(id)).
+    any without a fit, or the first frame with boxes but no depth path.
+    Warnings give counts, fallbacks and exclusions. Each class is fitted on
+    its boxes in frame order (frames sorted by str(id)).
     """
     if not dataset:
         raise InsufficientData("empty dataset")
@@ -349,7 +350,7 @@ def fit_model(dataset, read_depth, config: RunConfig):
     if "*" in camera_ids:
         raise ValueError("camera id '*' is reserved for the fits pooled over all cameras")
     for fr in frames:
-        if fr.depth_path is None:
+        if fr.depth_path is None and fr.class_ids.size:
             raise InsufficientData(f"frame {fr.frame_id} has no depth path")
     class_ids, depths, heights, ratios = object_columns(frames, read_depth)
     camera_of = np.repeat([camera_ids.index(fr.camera_id) for fr in frames],

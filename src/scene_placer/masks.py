@@ -1,15 +1,15 @@
 """Mask-driven box refinement and occlusion-aware compositing.
 
 Instance masks live in patch-local pixels and are placed in the frame by
-their PatchRect. Compositing pastes masks far-to-near (ascending order of
-1/disparity, i.e. nearest last) so that near objects overwrite far ones,
-yielding pairwise-disjoint visible regions and a visibility fraction per
-proposal. A mask covers only its patch, so each is rasterized over the part
-of its patch inside the frame as soon as it is read, and only that footprint
-is kept: one full-resolution mask is alive at a time. The owner map covers
-the union of the footprints' boxes, not the frame, and is painted once per
-frame: dropping occluded proposals selects on the fractions counted there
-and paints nothing again.
+their PatchRect. Compositing resolves overlaps as if the masks were pasted
+far-to-near (ascending disparity, i.e. nearest last), so that near
+objects hide far ones, and gives each proposal the share of its mask left
+visible. A mask covers only its patch, so each is rasterized over the part of
+its patch inside the frame as soon as it is read, and only that footprint is
+kept: one full-resolution mask is alive at a time. Visibility is counted once
+per frame, nearest first, over a coverage map of the union of the footprints'
+boxes, not the frame: dropping occluded proposals selects on those shares and
+counts nothing again.
 """
 
 from __future__ import annotations
@@ -64,18 +64,10 @@ class Footprint(NamedTuple):
 
 @dataclass
 class CompositePlan:
-    """Overwrite-resolved stack of footprints over the union of their boxes.
+    """Occlusion-resolved footprints: footprints[i] is proposal i's
+    box-clipped rasterized footprint (before occlusion) and visible_frac[i]
+    the share of it that no nearer footprint covers."""
 
-    box is that union, in Footprint.box's convention (empty when no footprint
-    meets the frame): owner[r, c] holds the index of the proposal visible at
-    frame pixel (box[1].start + c, box[0].start + r), or -1; no footprint
-    covers a pixel outside box. footprints[i] is proposal i's box-clipped
-    rasterized footprint (before occlusion) and visible_frac[i] the share of
-    it that owner assigns to i.
-    """
-
-    box: tuple  # (row slice, column slice) into a (frame_h, frame_w) array
-    owner: np.ndarray  # (box rows, box columns) int32
     footprints: list  # list of Footprint
     visible_frac: np.ndarray  # per proposal, 0..1
 
@@ -124,25 +116,24 @@ def rasterize_mask(mask: InstanceMask, frame_w: int, frame_h: int) -> Footprint:
 
 
 def composite_masks(footprints, order) -> CompositePlan:
-    """Resolve overlaps by pasting footprints in the given order (later ones
-    win) and count the share of each footprint left visible."""
+    """Resolve overlaps as if the footprints were pasted in the given order,
+    later ones winning: walked nearest first, each footprint's visible share
+    is that of its pixels not yet covered on a map of their union box."""
     boxes = [box for box, bits in footprints if bits.size]
-    if boxes:
-        y0, x0 = min(b[0].start for b in boxes), min(b[1].start for b in boxes)
-        y1, x1 = max(b[0].stop for b in boxes), max(b[1].stop for b in boxes)
-    else:
-        y0 = x0 = y1 = x1 = 0
-    owner = np.full((y1 - y0, x1 - x0), -1, dtype=np.int32)
-    local = [(slice(r.start - y0, r.stop - y0), slice(c.start - x0, c.stop - x0))
-             for (r, c), _ in footprints]
-    for i in order:
-        owner[local[i]][footprints[i].bits] = i
+    y0 = min((r.start for r, _ in boxes), default=0)
+    x0 = min((c.start for _, c in boxes), default=0)
+    y1 = max((r.stop for r, _ in boxes), default=0)
+    x1 = max((c.stop for _, c in boxes), default=0)
+    covered = np.zeros((y1 - y0, x1 - x0), dtype=bool)
     visible = np.zeros(len(footprints))
-    for i, (_, bits) in enumerate(footprints):
+    for i in reversed(order):
+        (rows, cols), bits = footprints[i]
         total = np.count_nonzero(bits)
-        visible[i] = np.count_nonzero(owner[local[i]][bits] == i) / total if total else 0.0
-    return CompositePlan(box=(slice(y0, y1), slice(x0, x1)), owner=owner,
-                         footprints=footprints, visible_frac=visible)
+        if total:
+            here = covered[rows.start - y0:rows.stop - y0, cols.start - x0:cols.stop - x0]
+            visible[i] = (total - np.count_nonzero(here & bits)) / total
+            here |= bits
+    return CompositePlan(footprints=footprints, visible_frac=visible)
 
 
 def visibility_filter(plan: CompositePlan, min_visible: float):

@@ -175,7 +175,7 @@ def test_criterion_4_refinement_oracle():
             assert box.y0 == pytest.approx(patch.y0 + ys.min() * sy)
             assert box.y1 == pytest.approx(patch.y0 + (ys.max() + 1) * sy)
 
-        from test_masks import _proposal, _square_mask, assert_owner_is, max_disparity_owner
+        from test_masks import _proposal, _square_mask, max_disparity_owner, owned_share
 
         for _ in range(200):
             n = int(rng.integers(2, 6))
@@ -184,7 +184,8 @@ def test_criterion_4_refinement_oracle():
                                   int(rng.integers(2, 8))) for _ in range(n)]
             plan = composite_masks([rasterize_mask(m, 16, 16) for m in masks],
                                    composite_order(props))
-            assert_owner_is(plan, max_disparity_owner(props, masks, 16, 16))
+            owner = max_disparity_owner(props, masks, 16, 16)
+            assert plan.visible_frac.tolist() == owned_share(owner, plan.footprints)
 
 
 def test_criterion_5_baseline_separation():

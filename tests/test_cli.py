@@ -1,5 +1,7 @@
+import ast
 import copy
 import dataclasses
+import glob
 import importlib
 import json
 import os
@@ -453,6 +455,32 @@ class TestEvalRender:
             f"error: frame 3 has two layouts: {t / 'layouts' / '3.json'} and {copy}\n")
         assert not (t / "report.json").exists()
 
+    def test_band_validity_leaves_out_frames_without_a_scene(self, fixture_dataset, capsys):
+        """A copy of frame 3's layout for frame 424242, which is not
+        annotated: its proposals count in n_proposals but not in
+        band_validity, and eval says how many it left unchecked."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+
+        def evaluate(name):
+            capsys.readouterr()
+            assert run(["eval", t / "annotations.json", "--model", t / "model.json",
+                        "--layouts", t / "layouts", "--depth-dir", t / "depth",
+                        "--semantic-dir", t / "semantic", "--config", _cfg(t),
+                        "--out-report", t / f"{name}.json"]) == 0
+            return json.loads((t / f"{name}.json").read_text()), capsys.readouterr().err
+
+        alone, quiet = evaluate("alone")
+        doc = json.loads((t / "layouts" / "3.json").read_text())
+        (t / "layouts" / "424242.json").write_text(json.dumps(dict(doc, frame_id="424242")))
+        with_copy, warned = evaluate("with_copy")
+        n_copied = len(doc["proposals"])
+        assert n_copied > 0 and quiet == ""
+        assert with_copy["n_proposals"] == alone["n_proposals"] + n_copied
+        assert with_copy["band_validity"] == alone["band_validity"] == 1.0
+        assert warned == (f"warning: band_validity leaves out {n_copied} proposals of 1 frames"
+                          " without an annotated depth and label grid\n")
+
     def test_layout_of_another_frame_size_exit_2(self, fixture_dataset, capsys):
         """Layouts made for 48x48 frames, scored against annotations whose
         frames are 96x96 (the 48x48 grids still fit them at scale 2)."""
@@ -502,8 +530,8 @@ class TestEvalRender:
 
 
 class TestFramesWithoutGrids:
-    """A frame may lack a depth path or a semantic path: fit needs every
-    frame's depth, augment skips a frame without both grids, and eval reads
+    """A frame may lack a depth path or a semantic path: fit needs the depth
+    of every frame with boxes, augment skips a frame without both grids, and eval reads
     the real boxes of a frame without depth for all but ks_depth."""
 
     @staticmethod
@@ -521,6 +549,19 @@ class TestFramesWithoutGrids:
                     "--config", _cfg(t)]) == 2
         assert capsys.readouterr().err == "error: frame 3 has no depth path\n"
         assert not (t / "model.json").exists()
+
+    def test_fit_never_reads_a_frame_without_boxes(self, fixture_dataset):
+        """Frame 998 has no grids and frame 999 a grid that does not scale to
+        it; neither has boxes, so fit writes the model it writes without them."""
+        t = fixture_dataset
+        doc = json.loads((t / "annotations.json").read_text())
+        doc["images"] += [{"id": 998, "width": 48, "height": 48},
+                          {"id": 999, "width": 96, "height": 48, "depth_path": "0.pgm"}]
+        (t / "bare.json").write_text(json.dumps(doc))
+        for name in ("annotations", "bare"):
+            assert run(["fit", t / f"{name}.json", "--depth-dir", t / "depth",
+                        "--out-model", t / f"{name}_model.json", "--config", _cfg(t)]) == 0
+        assert (t / "bare_model.json").read_bytes() == (t / "annotations_model.json").read_bytes()
 
     def test_augment_skips_a_frame_without_semantics(self, fixture_dataset, capsys):
         t = fixture_dataset
@@ -1299,6 +1340,27 @@ except ModuleNotFoundError as e:
     print("ModuleNotFoundError", e.name)
 """)
         assert out.splitlines() == ["ModuleNotFoundError numpy"]
+
+    def test_no_module_but_the_lazy_loader_imports_numpy(self):
+        """The rule of _numpy.py, checked at any depth: an `import numpy` in a
+        function loads numpy when the function runs."""
+        pkg = os.path.dirname(os.path.abspath(scene_placer.__file__))
+        found = []
+        for path in sorted(glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)):
+            if path == os.path.join(pkg, "_numpy.py"):
+                continue
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                    found.append(f"{os.path.relpath(path, pkg)}:{node.lineno}")
+        assert found == []
 
 
 class TestProcessEntry:

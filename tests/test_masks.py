@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,21 +126,14 @@ def _composite(masks, order, frame_w, frame_h):
     return composite_masks([rasterize_mask(m, frame_w, frame_h) for m in masks], order)
 
 
-def _frame_owner(plan, frame_w, frame_h):
-    """plan.owner pasted into a (frame_h, frame_w) map of -1."""
-    out = np.full((frame_h, frame_w), -1, dtype=np.int32)
-    out[plan.box] = plan.owner
+def owned_share(owner, footprints):
+    """Per footprint, the share of its pixels that the full-frame owner map
+    gives to it."""
+    out = []
+    for i, (box, bits) in enumerate(footprints):
+        total = np.count_nonzero(bits)
+        out.append(np.count_nonzero(owner[box][bits] == i) / total if total else 0.0)
     return out
-
-
-def assert_owner_is(plan, ref_owner):
-    """plan.owner is the full-frame ref_owner over plan.box, and ref_owner is
-    -1 everywhere outside plan.box."""
-    assert plan.owner.dtype == np.int32
-    assert np.array_equal(plan.owner, ref_owner[plan.box])
-    outside = ref_owner.copy()
-    outside[plan.box] = -1
-    assert (outside == -1).all()
 
 
 def max_disparity_owner(props, masks, frame_w, frame_h):
@@ -182,23 +176,21 @@ class TestCompositeMasks:
                                           int(rng.integers(0, 12)), side))
             plan = _composite(masks, composite_order(props), 16, 16)
             # oracle: the visible proposal at a pixel is the max-disparity one
-            assert_owner_is(plan, max_disparity_owner(props, masks, 16, 16))
+            owner = max_disparity_owner(props, masks, 16, 16)
+            assert plan.visible_frac.tolist() == owned_share(owner, plan.footprints)
 
     def test_visible_masks_disjoint_union_preserved(self, rng):
         props = [_proposal(float(d), i) for i, d in enumerate([3, 8, 8, 15])]
         masks = [_square_mask(i * 2, i * 2, 5) for i in range(4)]
         plan = _composite(masks, composite_order(props), 16, 16)
-        owner = _frame_owner(plan, 16, 16)
-        union = np.zeros((16, 16), bool)
-        for i in range(4):
-            vm = owner == i
-            assert not (vm & union).any()  # pairwise disjoint
-            union |= vm
+        # visible pixels are pairwise disjoint and cover the union of the inputs
+        visible = [frac * np.count_nonzero(fp.bits)
+                   for frac, fp in zip(plan.visible_frac, plan.footprints)]
+        assert visible == pytest.approx(np.rint(visible))
         all_input = np.zeros((16, 16), bool)
-        for m in masks:
-            fp = rasterize_mask(m, 16, 16)
+        for fp in plan.footprints:
             all_input[fp.box] |= fp.bits
-        assert (union == all_input).all()
+        assert sum(np.rint(visible)) == np.count_nonzero(all_input)
 
 
 class TestVisibilityFilter:
@@ -220,10 +212,9 @@ class TestVisibilityFilter:
         masks = [_square_mask(0, 0, 4), _square_mask(0, 0, 4), _square_mask(8, 8, 4)]
         plan = _composite(masks, composite_order(props), 16, 16)
         assert visibility_filter(plan, 0.2) == ([1, 2], [0])
-        # the kept masks composited alone own the same pixels as before
+        # the kept masks composited alone keep the same visible shares
         alone = _composite(masks[1:], composite_order(props[1:]), 16, 16)
-        # (plan's owner renumbered: 0 is dropped, 1 and 2 become 0 and 1)
-        assert_owner_is(alone, np.array([-1, -1, 0, 1])[_frame_owner(plan, 16, 16) + 1])
+        assert np.array_equal(alone.visible_frac, plan.visible_frac[[1, 2]])
 
     def test_stacked_chain_matches_exhaustive_recompute(self):
         props = [_proposal(5), _proposal(10), _proposal(20)]
@@ -243,9 +234,9 @@ class TestVisibilityFilter:
             visibility_filter(plan, min_visible)
 
 
-# Full-frame reference: compositing as it was before footprints were clipped
-# to their boxes. Every mask becomes a (frame_h, frame_w) array and visibility
-# is counted over the whole frame.
+# Full-frame reference, the painter's algorithm: every mask becomes a
+# (frame_h, frame_w) array, pasted in order into an owner map where later
+# ones win, and visibility is counted on that map over the whole frame.
 
 def _ref_rasterize(mask, frame_w, frame_h):
     out = np.zeros((frame_h, frame_w), dtype=bool)
@@ -272,7 +263,7 @@ def _ref_composite(masks, order, frame_w, frame_h):
     for i, fp in enumerate(footprints):
         total = fp.sum()
         visible[i] = (owner == i).sum() / total if total else 0.0
-    return footprints, owner, visible
+    return footprints, visible
 
 
 def _ref_kept(visible_frac, min_visible):
@@ -306,17 +297,7 @@ class TestBoxClippedCompositingMatchesFullFrame:
             min_visible = float(rng.choice([0.0, 0.2, 0.5, 1.0]))
 
             plan = _composite(masks, order, frame_w, frame_h)
-            ref_fps, ref_owner, ref_visible = _ref_composite(masks, order, frame_w, frame_h)
-            assert_owner_is(plan, ref_owner)
-            # the owner map spans exactly the union of the non-empty footprints
-            met = [fp.box for fp in plan.footprints if fp.bits.size]
-            union = np.zeros((frame_h, frame_w), bool)
-            for box in met:
-                union[box] = True
-            rows, cols = np.nonzero(union)
-            expect_box = ((slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1))
-                          if met else (slice(0, 0), slice(0, 0)))
-            assert plan.box == expect_box
+            ref_fps, ref_visible = _ref_composite(masks, order, frame_w, frame_h)
             assert np.array_equal(plan.visible_frac, ref_visible)
             assert len(plan.footprints) == n
             for fp, ref in zip(plan.footprints, ref_fps):
@@ -352,24 +333,44 @@ class TestBoxClippedCompositingMatchesFullFrame:
         assert all(shapes.values()), shapes
 
 
-def test_refine_layout_holds_one_full_resolution_mask_at_a_time(tmp_path, rng):
-    """32 clustered proposals on a 1600x900 frame, each with a 512x512 mask
-    file: refinement keeps only each mask's footprint (about 80x80 here) and
-    paints the owner map over the footprints' union box, so its traced peak
-    stays near one mask read (file bytes plus bitmap, 0.5 MB). Keeping every
-    bitmap (8.4 MB) or a full-frame owner map (5.8 MB) would exceed the bound."""
+def _clustered_512_masks(rng):
+    """32 proposals clustered near the middle of a 1600x900 frame, in
+    ascending disparity, and the 512x512 elliptic mask that each is given."""
     yy, xx = np.ogrid[:512, :512]
+    bits = ((xx - 256) / 100) ** 2 + ((yy - 256) / 120) ** 2 <= 1.0
     props = []
     for i in range(32):
         cx, by = rng.uniform(700, 900), rng.uniform(550, 700)
         w, h = rng.uniform(20, 40, 2)
-        path = str(tmp_path / f"{i}.pgm")
         box = BBox(cx=cx, by=by, w=w, h=h)
         props.append(PlacementProposal(
             class_id=1, d=float(i), d_effective=float(i), box=box, show_prob=0.5,
             provenance=Provenance(index=i, attempts=1, anchor_px=(0, 0)),
-            patch=crop_geometry(box, 1600, 900), mask_path=path))
-        write_mask_pgm(((xx - 256) / 100) ** 2 + ((yy - 256) / 120) ** 2 <= 1.0, path)
+            patch=crop_geometry(box, 1600, 900)))
+    return props, bits
+
+
+def test_clustered_512_masks_match_full_frame(rng):
+    props, bits = _clustered_512_masks(rng)
+    masks = [InstanceMask(bits=bits, patch=p.patch) for p in props]
+    order = composite_order(props)
+    plan = _composite(masks, order, 1600, 900)
+    _, ref_visible = _ref_composite(masks, order, 1600, 900)
+    assert 0.0 < ref_visible.min() < ref_visible.max() == 1.0
+    assert np.array_equal(plan.visible_frac, ref_visible)
+
+
+def test_refine_layout_holds_one_full_resolution_mask_at_a_time(tmp_path, rng):
+    """32 clustered proposals on a 1600x900 frame, each with a 512x512 mask
+    file: refinement keeps only each mask's footprint (about 80x80 here) and
+    counts visibility on a coverage map of the footprints' union box, so its
+    traced peak stays near one mask read (file bytes plus bitmap, 0.5 MB).
+    Keeping every bitmap (8.4 MB) or a full-frame int32 map (5.8 MB) would
+    exceed the bound."""
+    props, bits = _clustered_512_masks(rng)
+    for i, p in enumerate(props):
+        props[i] = replace(p, mask_path=str(tmp_path / f"{i}.pgm"))
+        write_mask_pgm(bits, props[i].mask_path)
     aug = FrameAugmentation(frame_id="0", frame=(1600, 900), proposals=props, dropped=0)
     first = refine_layout(aug, 0.2)
     tracemalloc.start()
