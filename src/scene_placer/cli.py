@@ -80,6 +80,9 @@ def _augment_one(frame, model, cfg, args):
     except EmptyDrivableSpace as e:
         raise EmptyDrivableSpace(f"frame {frame.frame_id}: {e} of the drivable classes"
                                  f" {cfg.drivable_classes}") from None
+    except OverflowError as e:  # a fitted model's values keep every draw finite
+        raise ScenePlacerError(f"frame {frame.frame_id}: sampling from {args.model}"
+                               f" overflows ({e}): the model's values are out of range") from None
     if args.masks_dir:  # named here, read by `refine`: a mask may not exist yet
         aug.proposals = [replace(p, mask_path=os.path.join(
             args.masks_dir, f"{aug.frame_id}_{p.provenance.index}.pgm")) for p in aug.proposals]

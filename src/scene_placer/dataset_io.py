@@ -99,6 +99,8 @@ def _read_json(path):
         return json.loads(data)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: {e.msg}", offset=e.pos) from e
+    except RecursionError:
+        raise ParseError(f"{path}: arrays or objects nested too deeply to parse") from None
 
 
 def _write_json(path, doc, sort_keys=True):
@@ -471,10 +473,10 @@ STROKE = 2
 
 def _draw_rect(img: np.ndarray, box: BBox, color):
     h, w = img.shape[:2]
-    x0 = int(round(box.x0))
-    x1 = int(round(box.x1))
-    y0 = int(round(box.y0))
-    y1 = int(round(box.y1))
+    # an edge a stroke or more off the canvas draws nothing, clamped or not;
+    # clamped, an edge at infinity converts to int
+    x0, x1 = [int(round(min(max(v, -STROKE), w + STROKE))) for v in (box.x0, box.x1)]
+    y0, y1 = [int(round(min(max(v, -STROKE), h + STROKE))) for v in (box.y0, box.y1)]
     for (ax0, ay0, ax1, ay1) in (
         (x0, y0, x1, y0 + STROKE),  # top
         (x0, y1 - STROKE, x1, y1),  # bottom

@@ -56,6 +56,11 @@ class PowerCurve:
     domain_lo: float
     domain_hi: float
 
+    def __post_init__(self):
+        if not 0 < self.domain_lo <= self.domain_hi:  # x**c is real for x > 0
+            raise ValueError(f"power curve domain [{self.domain_lo}, {self.domain_hi}]"
+                             f" must have 0 < lo <= hi")
+
     def __call__(self, x: float) -> float:
         return self.a + self.b * x**self.c
 
@@ -141,21 +146,20 @@ def fit_lognormal(samples) -> LogNormalParams:
     return LogNormalParams(mu=float(logs.mean()), sigma=float(logs.std(ddof=0)))
 
 
-def depth_height_profile(objects, window=2.0, stride=1.0):
+def depth_height_profile(depths, heights, window, stride):
     """Log-height statistics in sliding depth windows.
 
-    objects: sequence of (depth, height) pairs. Returns a list of
-    (d_center, mu_log_h, sigma_log_h, count) for every window center on a
-    stride grid spanning the observed depth range, omitting empty windows;
-    callers pick the windows with enough members by count.
+    depths, heights: 1-D arrays, one entry per object. Windows are centred
+    on a stride grid spanning the observed depth range. Returns four 1-D
+    arrays over the non-empty windows: centre, mean and std of log-height,
+    and count; callers pick the windows with enough members by count.
     """
     if window <= 0 or stride <= 0:
         raise ValueError("window and stride must be > 0")
-    arr = np.asarray(objects, dtype=np.float64).reshape(-1, 2)
-    if arr.size == 0:
+    d = np.asarray(depths, dtype=np.float64)
+    if d.size == 0:
         raise InsufficientData("no (depth, height) observations")
-    d = arr[:, 0]
-    logh = np.log(arr[:, 1])
+    logh = np.log(np.asarray(heights, dtype=np.float64))
     lo, hi = d.min(), d.max()
     n_centers = int(math.floor((hi - lo) / stride + 1e-9)) + 1
     centers = lo + stride * np.arange(n_centers)
@@ -164,26 +168,24 @@ def depth_height_profile(objects, window=2.0, stride=1.0):
     out = []
     half = window / 2.0
     for c in centers:
-        sel = np.abs(d - c) <= half
-        n = int(sel.sum())
-        if n == 0:
-            continue
-        vals = logh[sel]
-        out.append((float(c), float(vals.mean()), float(vals.std(ddof=0)), n))
-    return out
+        vals = logh[np.abs(d - c) <= half]
+        if vals.size:
+            out.append((c, vals.mean(), vals.std(ddof=0), vals.size))
+    # the window centred on the smallest depth holds it: `out` is never empty
+    return tuple(map(np.array, zip(*out)))
 
 
-def fit_power_curve(points) -> PowerCurve:
+def fit_power_curve(x, y) -> PowerCurve:
     """Fit y = a + b * x**c by grid search over c with closed-form (a, b).
 
-    The grid runs over [0.05, 4.0] in steps of 0.005; at each c the best
-    (a, b) come from linear least squares. Deterministic: the smallest c
-    wins ties.
+    x, y: 1-D arrays of one length. The grid runs over [0.05, 4.0] in steps
+    of 0.005; at each c the best (a, b) come from linear least squares.
+    Deterministic: the smallest c wins ties.
     """
-    arr = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if arr.shape[0] < 3:
-        raise InsufficientData(f"need >= 3 points, got {arr.shape[0]}")
-    x, y = arr[:, 0], arr[:, 1]
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size < 3:
+        raise InsufficientData(f"need >= 3 points, got {x.size}")
     if np.any(x <= 0):
         raise InvalidSample("x values must be positive")
     n = float(len(x))
@@ -294,20 +296,23 @@ def object_columns(frames, read_depth):
 
 
 def _fit_class(class_id, depths, heights, ratios, config):
-    depths = np.asarray(depths, dtype=np.float64)
-    heights = np.asarray(heights, dtype=np.float64)
     depth_params = fit_lognormal(depths)
-    profile = depth_height_profile(np.stack([depths, heights], axis=1), window=config.window,
-                                   stride=config.stride)
+    centres, mus, sigmas, counts = depth_height_profile(depths, heights, config.window,
+                                                        config.stride)
     # the windows that reach the occupancy threshold, or every window when
     # the samples are too spread out for any to reach it
-    threshold = min(config.min_window_count, len(depths))
-    profile = [w for w in profile if w[3] >= threshold] or profile
+    full = counts >= min(config.min_window_count, len(depths))
+    if full.any():
+        centres, mus, sigmas = centres[full], mus[full], sigmas[full]
     try:  # centres are > 0; fewer than 3 windows raise InsufficientData
-        mu_curve = fit_power_curve([(c, mu) for c, mu, _, _ in profile])
-        sigma_curve = fit_power_curve([(c, sig) for c, _, sig, _ in profile])
-    except (InsufficientData, DegenerateFit):
-        mu_curve, sigma_curve = _constant_curves(profile)
+        mu_curve = fit_power_curve(centres, mus)
+        sigma_curve = fit_power_curve(centres, sigmas)
+    except (InsufficientData, DegenerateFit):  # constant curves over the windows' span
+        lo, hi = float(centres.min()), float(centres.max())
+        if lo == hi:
+            hi = lo + 1e-6
+        mu_curve, sigma_curve = [PowerCurve(a=float(v.mean()), b=0.0, c=1.0, domain_lo=lo,
+                                            domain_hi=hi) for v in (mus, sigmas)]
     return ClassModel(
         class_id=class_id,
         depth=depth_params,
@@ -316,19 +321,6 @@ def _fit_class(class_id, depths, heights, ratios, config):
         aspect=build_aspect_histogram(ratios, config.n_bins),
         sample_count=len(depths),
     )
-
-
-def _constant_curves(profile):
-    # Too few usable windows for a 3-parameter fit: fall back to constants.
-    mus = np.array([mu for _, mu, _, _ in profile])
-    sigmas = np.array([s for _, _, s, _ in profile])
-    lo = min(c for c, _, _, _ in profile)
-    hi = max(c for c, _, _, _ in profile)
-    if lo == hi:
-        hi = lo + 1e-6
-    mu_curve = PowerCurve(a=float(mus.mean()), b=0.0, c=1.0, domain_lo=lo, domain_hi=hi)
-    sigma_curve = PowerCurve(a=float(sigmas.mean()), b=0.0, c=1.0, domain_lo=lo, domain_hi=hi)
-    return mu_curve, sigma_curve
 
 
 def fit_model(dataset, read_depth, config: RunConfig):

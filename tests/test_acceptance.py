@@ -105,7 +105,7 @@ def test_criterion_2_fit_recovery():
         # exact-recovery case for the power-curve fitter
         xs = np.arange(1.0, 11.0)
         ys = 1.0 + 2.0 * xs**0.5
-        curve = fit_power_curve(np.stack([xs, ys], 1))
+        curve = fit_power_curve(xs, ys)
         assert abs(curve.a - 1.0) <= 1e-3
         assert abs(curve.b - 2.0) <= 1e-3
         assert abs(curve.c - 0.5) <= 1e-3

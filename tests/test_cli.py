@@ -67,6 +67,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# an array nested 100,000 deep: past any recursion limit of the JSON parser
+NESTED_TOO_DEEPLY = "[" * 100_000 + "]" * 100_000
+
+
 class TestFit:
     def test_fit_and_golden_stability(self, fixture_dataset, capsys):
         t = fixture_dataset
@@ -296,6 +300,15 @@ class TestAugment:
 
 
 class TestAnnotationInput:
+    def test_nested_too_deeply_exit_2(self, fixture_dataset, capsys):
+        t = fixture_dataset
+        (t / "deep.json").write_text(NESTED_TOO_DEEPLY)
+        assert run(["fit", t / "deep.json", "--depth-dir", t / "depth",
+                    "--out-model", t / "m.json"]) == 2
+        assert capsys.readouterr().err == (f"error: {t / 'deep.json'}: arrays or objects"
+                                           " nested too deeply to parse\n")
+        assert not (t / "m.json").exists()
+
     def test_duplicate_image_id_exit_2(self, fixture_dataset, capsys):
         """Two images records with one id would make two frames sharing one
         box list, counted twice, and two writes of one layout file."""
@@ -378,6 +391,21 @@ class TestEvalRender:
         assert run(["render", t / "layouts" / "0.json",
                     "--annotations", t / "annotations.json", "--out", t / "o2.ppm"]) == 0
         assert first == (t / "o2.ppm").read_bytes()
+
+    def test_render_skips_a_real_box_whose_edge_overflows(self, fixture_dataset):
+        """A box of frame 0 at x = 1.7e308, 1.7e308 wide, has its right edge
+        at infinity, far off the canvas: the overlay is the one drawn
+        without it."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "annotations.json").read_text())
+        doc["annotations"].append({"id": 999, "image_id": 0, "category_id": 1,
+                                   "bbox": [1.7e308, 0.0, 1.7e308, 10.0]})
+        (t / "huge.json").write_text(json.dumps(doc))
+        for name in ("annotations", "huge"):
+            assert run(["render", t / "layouts" / "0.json", "--annotations", t / f"{name}.json",
+                        "--out", t / f"{name}.ppm"]) == 0
+        assert (t / "huge.ppm").read_bytes() == (t / "annotations.ppm").read_bytes()
 
     def test_render_draws_on_the_layouts_frame(self, fixture_dataset):
         """render takes the canvas size from the layout: a layout whose frame
@@ -784,7 +812,8 @@ class TestConfigFile:
         ("[1, 2]", "config must be an object"),
         ("{\n", "Expecting property name"),
         ('{"taus": 5}', "config: unknown key 'taus'"),
-    ], ids=["not-an-object", "not-json", "unknown-key"])
+        (NESTED_TOO_DEEPLY, "nested too deeply"),
+    ], ids=["not-an-object", "not-json", "unknown-key", "nested-too-deeply"])
     def test_malformed_file_exit_2(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "config.json"
         cfg.write_text(text)
@@ -976,8 +1005,13 @@ class TestModelChecks:
             "1": dict(d["cameras"]["front"]["1"], height_mu_curve=dict(
                 d["cameras"]["front"]["1"]["height_mu_curve"], a=float("nan")))}))),
          "cameras['front']['1'].height_mu_curve: 'a' must be a finite number"),
+        # x**0.5 of a negative depth is complex
+        (lambda d: dict(d, cameras=dict(d["cameras"], front=dict(d["cameras"]["front"], **{
+            "1": dict(d["cameras"]["front"]["1"], height_mu_curve=dict(
+                d["cameras"]["front"]["1"]["height_mu_curve"], lo=-5.0, hi=-1.0, c=0.5))}))),
+         "power curve domain [-5.0, -1.0] must have 0 < lo <= hi"),
     ], ids=["top-level-list", "cameras-list", "camera-list", "classes-not-integers",
-            "class-key-01", "curve-nan"])
+            "class-key-01", "curve-nan", "curve-domain-negative"])
     def test_malformed_model_exit_2(self, fixture_dataset, capsys, mutate, named):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
@@ -992,10 +1026,31 @@ class TestModelChecks:
         assert line.startswith(f"error: {t / 'model.json'}: ") and named in line
         assert "\n" not in line and len(line.encode()) < 200
 
+    def test_sampling_overflow_exit_2(self, fixture_dataset, capsys):
+        """Every depth mu at 1000 makes the first draw exp(1000), past the
+        float range: augment names the frame and the model and writes no
+        layout."""
+        t = fixture_dataset
+        _fit_and_augment(t, "layouts", 1)
+        doc = json.loads((t / "model.json").read_text())
+        for classes in doc["cameras"].values():
+            for rec in classes.values():
+                rec["depth"]["mu"] = 1000.0
+        (t / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["augment", t / "annotations.json", "--model", t / "model.json",
+                    "--depth-dir", t / "depth", "--semantic-dir", t / "semantic",
+                    "--out-layouts", t / "out", "--config", _cfg(t), "--jobs", 2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: frame 0: sampling from {t / 'model.json'} overflows ")
+        assert err.endswith(": the model's values are out of range\n") and "\n" not in err[:-1]
+        assert not (t / "out").exists() or not os.listdir(t / "out")
+
 
 class TestMalformedLayouts:
     @pytest.mark.parametrize("command", ["refine", "eval", "render"])
-    @pytest.mark.parametrize("defect", ["no-box", "proposals-int", "v1", "infinite-width"])
+    @pytest.mark.parametrize("defect", ["no-box", "proposals-int", "v1", "infinite-width",
+                                        "nested-too-deeply"])
     def test_exit_2(self, fixture_dataset, capsys, command, defect):
         t = fixture_dataset
         _fit_and_augment(t, "layouts", 1)
@@ -1006,12 +1061,13 @@ class TestMalformedLayouts:
             doc["proposals"] = 5
         elif defect == "infinite-width":
             doc["proposals"][0]["box"][2] = float("inf")
-        else:  # the layout format before schema 2
+        elif defect == "v1":  # the layout format before schema 2
             del doc["schema"]
             for rec in doc["proposals"]:
                 for key in ("index", "d_sampled", "anchor", "attempts"):
                     del rec[key]
-        (t / "layouts" / "0.json").write_text(json.dumps(doc))
+        (t / "layouts" / "0.json").write_text(
+            NESTED_TOO_DEEPLY if defect == "nested-too-deeply" else json.dumps(doc))
         argv = {
             "refine": ["refine", t / "layouts" / "0.json", "--width", 48, "--height", 48,
                        "--out", t / "refined.json"],

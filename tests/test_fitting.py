@@ -12,6 +12,7 @@ from scene_placer.config import RunConfig
 from scene_placer.dataset_io import AnnotatedFrame
 from scene_placer.errors import DegenerateFit, InsufficientData, InvalidSample
 from scene_placer.fitting import (
+    PowerCurve,
     build_aspect_histogram,
     depth_height_profile,
     fit_lognormal,
@@ -57,10 +58,9 @@ class TestFitLognormal:
 
 class TestDepthHeightProfile:
     def test_single_depth_constant_height(self):
-        objs = [(5.0, 10.0)] * 20
-        prof = depth_height_profile(objs, window=2, stride=1)
-        assert len(prof) == 1
-        c, mu, sigma, n = prof[0]
+        prof = depth_height_profile([5.0] * 20, [10.0] * 20, window=2, stride=1)
+        assert [len(column) for column in prof] == [1, 1, 1, 1]
+        (c,), (mu,), (sigma,), (n,) = prof
         assert c == 5.0
         assert mu == pytest.approx(math.log(10.0))
         assert sigma == pytest.approx(0.0, abs=1e-12)
@@ -68,14 +68,13 @@ class TestDepthHeightProfile:
 
     def test_empty_input(self):
         with pytest.raises(InsufficientData):
-            depth_height_profile([], window=2, stride=1)
+            depth_height_profile([], [], window=2, stride=1)
 
     def test_matches_brute_force_grouping(self, rng):
         depths = np.repeat(np.arange(1.0, 21.0), 50)
         heights = np.exp((1 + 0.5 * depths**0.8) + 0.1 * rng.standard_normal(depths.size))
-        prof = depth_height_profile(np.stack([depths, heights], 1),
-                                    window=2.0, stride=1.0)
-        for c, mu, sigma, n in prof:
+        prof = depth_height_profile(depths, heights, window=2.0, stride=1.0)
+        for c, mu, sigma, n in zip(*prof):
             sel = np.abs(depths - c) <= 1.0
             logs = np.log(heights[sel])
             assert n == sel.sum()
@@ -85,17 +84,17 @@ class TestDepthHeightProfile:
     def test_sparse_windows_omitted(self):
         # the profile leaves out only empty windows; callers drop the sparse
         # ones by count, as fit does with min_window_count
-        objs = [(1.0, 2.0)] * 15 + [(10.0, 3.0)] * 3
-        prof = depth_height_profile(objs, window=2, stride=1)
-        assert [(c, n) for c, *_, n in prof] == [(1.0, 15), (2.0, 15), (9.0, 3), (10.0, 3)]
-        assert [c for c, *_, n in prof if n >= 10] == [1.0, 2.0]
+        centres, _, _, counts = depth_height_profile([1.0] * 15 + [10.0] * 3,
+                                                     [2.0] * 15 + [3.0] * 3, window=2, stride=1)
+        assert list(zip(centres, counts)) == [(1.0, 15), (2.0, 15), (9.0, 3), (10.0, 3)]
+        assert list(centres[counts >= 10]) == [1.0, 2.0]
 
 
 class TestFitPowerCurve:
     def test_exact_recovery(self):
         xs = np.arange(1.0, 11.0)
         ys = 1.0 + 2.0 * xs**0.5
-        curve = fit_power_curve(np.stack([xs, ys], 1))
+        curve = fit_power_curve(xs, ys)
         assert curve.a == pytest.approx(1.0, abs=1e-3)
         assert curve.b == pytest.approx(2.0, abs=1e-3)
         assert curve.c == pytest.approx(0.5, abs=1e-3)
@@ -105,25 +104,25 @@ class TestFitPowerCurve:
     def test_constant_data(self):
         xs = np.arange(1.0, 8.0)
         ys = np.full_like(xs, 7.0)
-        curve = fit_power_curve(np.stack([xs, ys], 1))
+        curve = fit_power_curve(xs, ys)
         assert curve.a + curve.b * 3.0**curve.c == pytest.approx(7.0, abs=1e-9)
 
     def test_beats_constant_fit(self, rng):
         # decreasing profile like a far-to-near height curve
         xs = np.linspace(1, 30, 25)
         ys = 4.0 - 1.2 * xs**0.3 + 0.05 * rng.standard_normal(25)
-        curve = fit_power_curve(np.stack([xs, ys], 1))
+        curve = fit_power_curve(xs, ys)
         sse = ((ys - (curve.a + curve.b * xs**curve.c)) ** 2).sum()
         sse_const = ((ys - ys.mean()) ** 2).sum()
         assert sse <= sse_const + 1e-12
 
     def test_degenerate_all_x_equal(self):
         with pytest.raises(DegenerateFit):
-            fit_power_curve([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0)])
+            fit_power_curve([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_too_few_points(self):
         with pytest.raises(InsufficientData):
-            fit_power_curve([(1.0, 1.0), (2.0, 2.0)])
+            fit_power_curve([1.0, 2.0], [1.0, 2.0])
 
 
 class TestAspectHistogram:
@@ -314,6 +313,27 @@ class TestFitModel:
         assert got.depth.sigma == pytest.approx(0.0)
         assert got.height_sigma_curve.eval_clamped(5.0) == pytest.approx(0.0, abs=1e-9)
         assert got.aspect.probs.max() == pytest.approx(1.0)
+        # one window: constant curves over its centre, widened by 1e-6
+        logs = np.log(np.full(50, 16.0))
+        for curve, a in ((got.height_mu_curve, logs.mean()), (got.height_sigma_curve, logs.std())):
+            assert curve == PowerCurve(a=float(a), b=0.0, c=1.0, domain_lo=5.0,
+                                       domain_hi=5.0 + 1e-6)
+
+    def test_two_windows_give_constant_curves_between_their_centres(self):
+        """Windows 1 wide on disparities 5 and 6 hold one group each: too few
+        for a power curve, so each curve is the mean of the two windows'
+        statistics over the domain [5, 6]."""
+        frames = [AnnotatedFrame(frame_id=str(i), camera_id="c", width=64, height=64,
+                                 class_ids=[1], boxes=[[10.0, 20.0, 8.0, 16.0 - 4 * (i % 2)]],
+                                 depth_path=str(i % 2))
+                  for i in range(50)]
+        grids = [DepthGrid(np.full((8, 8), d, dtype=np.float32)) for d in (5.0, 6.0)]
+        model, _ = fit_model(frames, lambda path: grids[int(path)], RunConfig(window=1.0))
+        got = model.class_model("c", 1)
+        logs = [np.log(np.full(25, h)) for h in (16.0, 12.0)]
+        for curve, stat in ((got.height_mu_curve, np.mean), (got.height_sigma_curve, np.std)):
+            a = np.array([float(stat(window)) for window in logs]).mean()
+            assert curve == PowerCurve(a=float(a), b=0.0, c=1.0, domain_lo=5.0, domain_hi=6.0)
 
     def test_class_with_every_window_below_min_window_count(self):
         """Depths 3 apart under windows 2 wide: no window holds 2 samples, so
@@ -327,11 +347,11 @@ class TestFitModel:
         grids = {f.depth_path: DepthGrid(np.full((8, 8), d[i], np.float32))
                  for i, f in enumerate(frames)}
         model, _ = fit_model(frames, grids.__getitem__, RunConfig(min_window_count=2))
-        profile = depth_height_profile(np.stack([d, h], axis=1), window=2.0, stride=1.0)
-        assert len(profile) > 30 and max(n for *_, n in profile) == 1
+        centres, mus, sigmas, counts = depth_height_profile(d, h, window=2.0, stride=1.0)
+        assert len(counts) > 30 and counts.max() == 1
         got = model.class_model("c", 1)
-        assert got.height_mu_curve == fit_power_curve([(c, mu) for c, mu, _, _ in profile])
-        assert got.height_sigma_curve == fit_power_curve([(c, s) for c, _, s, _ in profile])
+        assert got.height_mu_curve == fit_power_curve(centres, mus)
+        assert got.height_sigma_curve == fit_power_curve(centres, sigmas)
 
     def test_uniform_prior_over_ten_classes(self, rng):
         cfg = RunConfig(augmentable_classes=list(range(10)), min_samples=2)

@@ -644,6 +644,23 @@ class TestRenderOverlay:
         # of (10 - 2*2) x 2 each
         assert green.sum() == 2 * (8 * 2) + 2 * ((10 - 4) * 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(x0=st.floats(-1e6, 1e6), y0=st.floats(-1e6, 1e6), w=st.floats(0.5, 2e6),
+           h=st.floats(0.5, 2e6))
+    def test_edges_far_off_the_canvas_draw_as_unclamped(self, x0, y0, w, h):
+        """Clamping an edge into [-STROKE, size + STROKE] changes no pixel:
+        each stroke is painted where the unclamped integer edges put it."""
+        box = BBox(cx=x0 + w / 2, by=y0 + h, w=w, h=h)
+        got = np.zeros((16, 20, 3), np.uint8)
+        dataset_io._draw_rect(got, box, (1, 2, 3))
+        want = np.zeros((16, 20), bool)
+        ex0, ex1, ey0, ey1 = [int(round(v)) for v in (box.x0, box.x1, box.y0, box.y1)]
+        s = dataset_io.STROKE
+        for ax0, ay0, ax1, ay1 in ((ex0, ey0, ex1, ey0 + s), (ex0, ey1 - s, ex1, ey1),
+                                   (ex0, ey0, ex0 + s, ey1), (ex1 - s, ey0, ex1, ey1)):
+            want[max(ay0, 0):max(ay1, 0), max(ax0, 0):max(ax1, 0)] = True
+        assert np.array_equal(got.any(axis=2), want)
+
     def test_deterministic_bytes(self, tmp_path):
         boxes = [BBox(cx=5, by=8, w=4, h=4)]
         p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
